@@ -1,7 +1,7 @@
 """Command-line interface.
 
     dartclean synth|train|clean|eval|latent --config cfg.json
-             [--seed N] [--threads N] [--set key=value]...
+             [--seed N] [--set key=value]...
 
 All behavior is driven by a JSON config document; ``--set`` overrides use
 dotted paths (e.g. ``--set train.epochs=50``).  Unknown config keys are
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -36,7 +35,7 @@ SECTION_TYPES = {
 
 PATH_KEYS = ("input", "output", "checkpoint", "ground_truth",
              "train_log", "segments", "iteration_log")
-TOP_KEYS = set(PATH_KEYS) | set(SECTION_TYPES) | {"seed", "threads", "verbosity"}
+TOP_KEYS = set(PATH_KEYS) | set(SECTION_TYPES) | {"seed", "verbosity"}
 
 
 def _build_section(cls, data: dict, path: str):
@@ -274,9 +273,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("DARTCLEAN_THREADS", "0")) or None,
-                        help="worker cap (the pipeline is single-process)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE")
     args = parser.parse_args(argv)

@@ -2,11 +2,11 @@
 
 Encoder: window -> dense/batch-norm/ReLU/dropout stack -> mean and
 log-variance heads over a 16-dimensional latent.  Decoder mirrors the
-stack; each decoder block adds a learnable-scalar skip of its input
-(projected with a fixed truncated identity when widths differ), and a
-global skip adds ``beta * input_window`` to the final output.  ``beta``
-is not trained by gradient descent: it is recomputed from reconstruction
-confidence after every batch (see :meth:`Vae.update_global_skip`).
+stack; each decoder block adds a learnable-scalar skip of its input (the
+first min(in, out) coordinates, zero-padded), and a global skip adds
+``beta * input_window`` to the final output.  ``beta`` is not trained by
+gradient descent: it is recomputed from reconstruction confidence after
+every batch (see :meth:`Vae.update_global_skip`).
 
 All gradients are analytic; the test suite checks every parameter class
 against central finite differences.
@@ -30,6 +30,8 @@ from .layers import (
 )
 
 LOGVAR_CLIP = 10.0
+# slot keys of the checkpointed arrays that gradient descent does not train
+BUFFER_KEYS = {"running_mean", "running_var", "beta"}
 
 
 @dataclass
@@ -42,13 +44,6 @@ class ModelConfig:
     conf_decay: float = 0.5
     bn_momentum: float = 0.9
     bn_eps: float = 1e-5
-
-    def descriptor(self) -> dict:
-        return {
-            "window": self.window,
-            "hidden": list(self.hidden),
-            "latent": self.latent,
-        }
 
 
 @dataclass
@@ -79,14 +74,6 @@ class LossBreakdown:
         )
 
 
-def truncated_identity(out_dim: int, in_dim: int) -> np.ndarray:
-    """Fixed skip projection: identity on the leading shared coordinates."""
-    proj = np.zeros((out_dim, in_dim))
-    k = min(out_dim, in_dim)
-    proj[:k, :k] = np.eye(k)
-    return proj
-
-
 def kl_divergence(latent: LatentState) -> float:
     """Batch-mean closed-form KL against the standard normal prior."""
     mu, logvar = latent.mu, latent.logvar
@@ -114,85 +101,59 @@ class Vae:
         self.dec_dense = []
         self.dec_bn = []
         self.dec_alpha = []
-        self.dec_proj = []
         for i in range(len(hidden)):
             self.dec_dense.append(Dense(dec_widths[i], dec_widths[i + 1], rng))
             self.dec_bn.append(BatchNorm(dec_widths[i + 1], config.bn_momentum, config.bn_eps))
             self.dec_alpha.append(np.array(config.skip_alpha_init))
-            self.dec_proj.append(truncated_identity(dec_widths[i + 1], dec_widths[i]))
         self.out_layer = Dense(dec_widths[-1], w, rng)
         self.beta = np.array(config.beta0)
+        self._slots = self._slot_table()
 
     # ---------------------------------------------------------------- params
 
+    def _slot_table(self) -> list:
+        """Every checkpointed array as a (name, container, key) slot, in
+        checkpoint order: trainable arrays first, then the buffers."""
+        def layer(prefix, obj, *keys):
+            return [(f"{prefix}.{key}", obj.__dict__, key) for key in keys]
+
+        slots = []
+        for i, (dn, bn) in enumerate(zip(self.enc_dense, self.enc_bn)):
+            slots += layer(f"enc{i}", dn, "W", "b") + layer(f"enc{i}", bn, "gamma", "shift")
+        slots += layer("mu", self.mu_head, "W", "b") + layer("logvar", self.logvar_head, "W", "b")
+        for i, (dn, bn) in enumerate(zip(self.dec_dense, self.dec_bn)):
+            slots += layer(f"dec{i}", dn, "W", "b") + layer(f"dec{i}", bn, "gamma", "shift")
+            slots.append((f"dec{i}.alpha", self.dec_alpha, i))
+        slots += layer("out", self.out_layer, "W", "b")
+        for prefix, norms in (("enc", self.enc_bn), ("dec", self.dec_bn)):
+            for i, bn in enumerate(norms):
+                slots += layer(f"{prefix}{i}", bn, "running_mean", "running_var")
+        slots.append(("beta", self.__dict__, "beta"))
+        return slots
+
     def trainable(self) -> dict:
         """Live references to every gradient-trained array."""
-        params = {}
-        for i, (dn, bn) in enumerate(zip(self.enc_dense, self.enc_bn)):
-            params[f"enc{i}.W"] = dn.W
-            params[f"enc{i}.b"] = dn.b
-            params[f"enc{i}.gamma"] = bn.gamma
-            params[f"enc{i}.shift"] = bn.shift
-        params["mu.W"] = self.mu_head.W
-        params["mu.b"] = self.mu_head.b
-        params["logvar.W"] = self.logvar_head.W
-        params["logvar.b"] = self.logvar_head.b
-        for i, (dn, bn) in enumerate(zip(self.dec_dense, self.dec_bn)):
-            params[f"dec{i}.W"] = dn.W
-            params[f"dec{i}.b"] = dn.b
-            params[f"dec{i}.gamma"] = bn.gamma
-            params[f"dec{i}.shift"] = bn.shift
-            params[f"dec{i}.alpha"] = self.dec_alpha[i]
-        params["out.W"] = self.out_layer.W
-        params["out.b"] = self.out_layer.b
-        return params
+        return {name: box[key] for name, box, key in self._slots if key not in BUFFER_KEYS}
 
     def state_arrays(self) -> dict:
         """Everything a checkpoint must persist: weights, buffers, beta."""
-        arrays = dict(self.trainable())
-        for i, bn in enumerate(self.enc_bn):
-            arrays[f"enc{i}.running_mean"] = bn.running_mean
-            arrays[f"enc{i}.running_var"] = bn.running_var
-        for i, bn in enumerate(self.dec_bn):
-            arrays[f"dec{i}.running_mean"] = bn.running_mean
-            arrays[f"dec{i}.running_var"] = bn.running_var
-        arrays["beta"] = self.beta
-        return arrays
+        return {name: box[key] for name, box, key in self._slots}
 
     def load_state(self, arrays: dict):
-        current = self.state_arrays()
-        missing = set(current) - set(arrays)
+        missing = {name for name, _, _ in self._slots} - set(arrays)
         if missing:
             raise ShapeError(f"checkpoint missing arrays: {sorted(missing)}")
-        for name, target in current.items():
+        values = []
+        for name, box, key in self._slots:
             value = np.asarray(arrays[name], dtype=float)
-            if value.shape != target.shape:
+            if value.shape != box[key].shape:
                 raise ShapeError(
-                    f"array {name!r}: expected shape {target.shape}, got {value.shape}"
+                    f"array {name!r}: expected shape {box[key].shape}, got {value.shape}"
                 )
+            values.append(value)
         # assign after full validation so a bad checkpoint leaves no partial state
-        for i, (dn, bn) in enumerate(zip(self.enc_dense, self.enc_bn)):
-            dn.W = np.asarray(arrays[f"enc{i}.W"], dtype=float)
-            dn.b = np.asarray(arrays[f"enc{i}.b"], dtype=float)
-            bn.gamma = np.asarray(arrays[f"enc{i}.gamma"], dtype=float)
-            bn.shift = np.asarray(arrays[f"enc{i}.shift"], dtype=float)
-            bn.running_mean = np.asarray(arrays[f"enc{i}.running_mean"], dtype=float)
-            bn.running_var = np.asarray(arrays[f"enc{i}.running_var"], dtype=float)
-        self.mu_head.W = np.asarray(arrays["mu.W"], dtype=float)
-        self.mu_head.b = np.asarray(arrays["mu.b"], dtype=float)
-        self.logvar_head.W = np.asarray(arrays["logvar.W"], dtype=float)
-        self.logvar_head.b = np.asarray(arrays["logvar.b"], dtype=float)
-        for i, (dn, bn) in enumerate(zip(self.dec_dense, self.dec_bn)):
-            dn.W = np.asarray(arrays[f"dec{i}.W"], dtype=float)
-            dn.b = np.asarray(arrays[f"dec{i}.b"], dtype=float)
-            bn.gamma = np.asarray(arrays[f"dec{i}.gamma"], dtype=float)
-            bn.shift = np.asarray(arrays[f"dec{i}.shift"], dtype=float)
-            bn.running_mean = np.asarray(arrays[f"dec{i}.running_mean"], dtype=float)
-            bn.running_var = np.asarray(arrays[f"dec{i}.running_var"], dtype=float)
-            self.dec_alpha[i] = np.asarray(arrays[f"dec{i}.alpha"], dtype=float)
-        self.out_layer.W = np.asarray(arrays["out.W"], dtype=float)
-        self.out_layer.b = np.asarray(arrays["out.b"], dtype=float)
-        self.beta = np.asarray(arrays["beta"], dtype=float)
+        for (_, box, key), value in zip(self._slots, values):
+            box[key] = value
 
     def clone_state(self) -> dict:
         return {k: v.copy() for k, v in self.state_arrays().items()}
@@ -251,8 +212,9 @@ class Vae:
     def decode(self, Z: np.ndarray, X_in: np.ndarray, train: bool = False, rng=None):
         """Reconstruct windows from latents; returns (xhat, cache).
 
-        Each block computes Dense(h) + alpha_l * proj(h) before batch norm;
-        the final dense output receives the global skip beta * X_in.
+        Each block computes Dense(h) + alpha_l * skip(h) before batch norm,
+        where skip(h) is h cut or zero-padded to the block's width; the
+        final dense output receives the global skip beta * X_in.
         """
         Z = np.asarray(Z, dtype=float)
         X_in = np.asarray(X_in, dtype=float)
@@ -264,7 +226,9 @@ class Vae:
         caches = []
         for i, (dn, bn) in enumerate(zip(self.dec_dense, self.dec_bn)):
             u, c_dense = dn.forward(h)
-            skip_in = h @ self.dec_proj[i].T
+            k = min(h.shape[1], u.shape[1])
+            skip_in = np.zeros_like(u)
+            skip_in[:, :k] = h[:, :k]
             s = u + self.dec_alpha[i] * skip_in
             v, c_bn = bn.forward(s, train)
             a, c_relu = relu_forward(v)
@@ -288,9 +252,10 @@ class Vae:
             ga = dropout_backward(gh, c_drop)
             gv = relu_backward(ga, c_relu)
             gs, g_bn = self.dec_bn[i].backward(gv, c_bn)
-            gh_dense, g_dn = self.dec_dense[i].backward(gs, c_dense)
+            gh, g_dn = self.dec_dense[i].backward(gs, c_dense)
             grads[f"dec{i}.alpha"] = np.array(np.sum(gs * skip_in))
-            gh = gh_dense + self.dec_alpha[i] * (gs @ self.dec_proj[i])
+            k = min(gh.shape[1], gs.shape[1])
+            gh[:, :k] += self.dec_alpha[i] * gs[:, :k]
             grads[f"dec{i}.W"], grads[f"dec{i}.b"] = g_dn["W"], g_dn["b"]
             grads[f"dec{i}.gamma"], grads[f"dec{i}.shift"] = g_bn["gamma"], g_bn["shift"]
         return gh

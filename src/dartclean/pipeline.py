@@ -25,9 +25,6 @@ class CleanResult:
     segments: list
     refine_log: list
     normalized_input: np.ndarray
-    normalized_cleaned: np.ndarray
-    latent_mu: np.ndarray           # per-window latent means of the input
-    window_origins: np.ndarray
     step_warnings: list = field(default_factory=list)
     refine_history: list = field(default_factory=list)   # (series, gate) per iteration
 
@@ -74,10 +71,6 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
     series = postprocess.gaussian_smooth(series, smooth_config)
     cleaned = postprocess.denormalize(series, stats)
 
-    # latent means of the original normalized input, for projection/export
-    batch = make_windows(x_norm, w=model.config.window, s=1)
-    latent, _ = model.encode(batch.windows, train=False)
-
     anomaly = detector.build_masks(masks.spike, validated, detect_config.merge_gap)
     output = CleanedOutput(
         timestamps=raw.timestamps,
@@ -93,9 +86,6 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
         segments=anomaly.segments,
         refine_log=result.log,
         normalized_input=x_norm,
-        normalized_cleaned=series,
-        latent_mu=latent.mu,
-        window_origins=batch.origins,
         step_warnings=warned,
         refine_history=result.history,
     )

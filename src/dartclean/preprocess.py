@@ -9,8 +9,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .series_io import FLAG_MISSING, FLAG_VALID, RawSeries
 
-SIGMA_FLOOR = 1e-8
-
 GAP_OBSERVED = 0
 GAP_INTERPOLATED = 1
 
@@ -78,31 +76,6 @@ def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries
         raise DataError("degenerate normalization stats")
     normalized = (values - stats.mean) / stats.std
     return NormalizedSeries(values=normalized, stats=stats, gap_mask=gap_mask)
-
-
-def sliding_window_normalize(values, w_local: int) -> np.ndarray:
-    """Normalize each sample by mean/std of its surrounding window
-    [t - w_local, t + w_local], clamped at the series edges.  The std is
-    floored so constant stretches map to zero rather than blowing up.
-    """
-    if w_local < 2:
-        raise ConfigError("w_local must be >= 2")
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if n <= 2 * w_local:
-        raise DataError("series too short for the requested local window")
-    # prefix sums give O(N) windowed moments
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    csum2 = np.concatenate(([0.0], np.cumsum(values ** 2)))
-    idx = np.arange(n)
-    lo = np.maximum(0, idx - w_local)
-    hi = np.minimum(n, idx + w_local + 1)
-    count = hi - lo
-    mean = (csum[hi] - csum[lo]) / count
-    var = (csum2[hi] - csum2[lo]) / count - mean ** 2
-    std = np.sqrt(np.maximum(var, 0.0))
-    std = np.maximum(std, SIGMA_FLOOR)
-    return (values - mean) / std
 
 
 def make_windows(series, w: int = 48, s: int = 1) -> WindowBatch:

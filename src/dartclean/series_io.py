@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
@@ -10,11 +11,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, ParseError, ShapeError
+from .errors import DataError, ParseError
 
 SENTINEL = 9999.0
 SENTINEL_TOL = 1e-6
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# version 1 stored only window/hidden/latent; the other ModelConfig
+# fields of such a file take their defaults
+READABLE_VERSIONS = (1, 2)
 CSV_HEADER = "time_iso8601,raw_m,cleaned_m,spike,step,residual_m"
 
 FLAG_VALID = 0
@@ -184,7 +188,7 @@ def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
     """Persist a model plus normalization stats as a versioned JSON document."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "architecture": model.config.descriptor(),
+        "architecture": dataclasses.asdict(model.config),
         "hyperparameters": hyperparameters or {},
         "norm_stats": {"mean": float(stats.mean), "std": float(stats.std)},
         "params": {name: np.asarray(arr).tolist()
@@ -198,13 +202,41 @@ def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
             fh.write(payload)
 
 
+def _object(doc: dict, key: str) -> dict:
+    value = doc.get(key)
+    if not isinstance(value, dict):
+        raise DataError(f"checkpoint {key!r} must be a JSON object, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def _model_config(arch: dict):
+    from .model import ModelConfig
+
+    defaults = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
+    unknown = set(arch) - set(defaults)
+    if unknown:
+        raise DataError(f"unknown checkpoint architecture key(s): {sorted(unknown)}")
+    kwargs = {}
+    for key, value in arch.items():
+        try:
+            if key == "hidden":
+                kwargs[key] = tuple(int(h) for h in value)
+            else:
+                kwargs[key] = type(defaults[key])(value)
+        except (TypeError, ValueError):
+            raise DataError(f"checkpoint architecture {key!r}: bad value {value!r}") from None
+    return ModelConfig(**kwargs)
+
+
 def load_checkpoint(source):
     """Load a checkpoint; returns (Vae, NormStats).
 
-    Validates the format version and every array shape before touching the
-    model, so a corrupt file never yields a partially loaded network.
+    Validates the format version, the document's structure and every
+    array shape before touching the model, so a corrupt file never yields
+    a partially loaded network.
     """
-    from .model import ModelConfig, Vae
+    from .model import Vae
     from .preprocess import NormStats
 
     text = _read_text(source)
@@ -214,24 +246,25 @@ def load_checkpoint(source):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid checkpoint JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise DataError(f"unsupported checkpoint version {version!r}")
-    arch = doc["architecture"]
-    config = ModelConfig(window=int(arch["window"]),
-                         hidden=tuple(int(h) for h in arch["hidden"]),
-                         latent=int(arch["latent"]))
-    model = Vae(config, seed=0)
+    model = Vae(_model_config(_object(doc, "architecture")), seed=0)
     arrays = {}
-    for name, value in doc["params"].items():
-        arr = np.asarray(value, dtype=float)
+    for name, value in _object(doc, "params").items():
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise DataError(f"array {name!r} is not a numeric array") from None
         if not np.all(np.isfinite(arr)):
             raise DataError(f"corrupted numbers in array {name!r}")
         arrays[name] = arr
+    model.load_state(arrays)
+    norm = _object(doc, "norm_stats")
     try:
-        model.load_state(arrays)
-    except ShapeError:
-        raise
-    stats = NormStats(mean=float(doc["norm_stats"]["mean"]),
-                      std=float(doc["norm_stats"]["std"]))
+        stats = NormStats(mean=float(norm["mean"]), std=float(norm["std"]))
+    except (KeyError, TypeError, ValueError):
+        raise DataError("checkpoint 'norm_stats' needs numeric 'mean' and 'std'") from None
     return model, stats

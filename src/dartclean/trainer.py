@@ -179,8 +179,8 @@ def train(model, windows, config: TrainConfig):
                 continue
             bad_batches = 0
             grads.pop("beta", None)  # beta follows the confidence rule, not Adam
-            clipped, _ = clip_by_global_norm(grads, config.clip_tau)
-            norms.append(min(_grad_norm(clipped), config.clip_tau))
+            clipped, norm = clip_by_global_norm(grads, config.clip_tau)
+            norms.append(min(norm, config.clip_tau))
             pending.append(clipped)
             if len(pending) >= config.accumulation_steps:
                 optimizer.step(accumulate_gradients(pending), lr)
@@ -192,7 +192,8 @@ def train(model, windows, config: TrainConfig):
         if n_batches == 0:
             raise DivergenceError("no finite batches in epoch", log)
 
-        val_total = _validation_loss(model, X_val, global_step, config)
+        val = _validation_loss(model, X_val, global_step, config)
+        val_total = val.total
         val_history.append(val_total)
         kl_history.append(sums[1] / n_batches)
         grad_norm = float(np.mean(norms)) if norms else 0.0
@@ -202,7 +203,7 @@ def train(model, windows, config: TrainConfig):
             temporal=sums[2] / n_batches, mean=sums[3] / n_batches,
             total=sums[4] / n_batches, val_total=val_total, lr=lr_logged,
             grad_norm=grad_norm, wall_time=time.perf_counter() - t0,
-            val_recon=validation_recon_loss(model, X_val),
+            val_recon=val.recon,
         ))
         if val_total < best_val:
             best_val = val_total
@@ -216,32 +217,15 @@ def train(model, windows, config: TrainConfig):
     return log, reason
 
 
-def _grad_norm(grads) -> float:
-    return math.sqrt(sum(float(np.sum(np.asarray(g) ** 2)) for g in grads.values()))
-
-
-def _validation_loss(model, X_val, step, config: TrainConfig) -> float:
+def _validation_loss(model, X_val, step, config: TrainConfig):
+    """Infer-mode LossBreakdown on the validation windows."""
     latent, _ = model.encode(X_val, train=False)
     xhat, _ = model.decode(latent.z, X_val, train=False)
-    lb = model.composite_loss(X_val, xhat, latent, step, config.t_anneal,
-                              config.lam_temporal, config.lam_mean)
-    return lb.total
+    return model.composite_loss(X_val, xhat, latent, step, config.t_anneal,
+                                config.lam_temporal, config.lam_mean)
 
 
 def validation_recon_loss(model, X_val) -> float:
     """Infer-mode reconstruction MSE on a window batch."""
     xhat = model.reconstruct(np.asarray(X_val, dtype=float))
     return float(np.mean((xhat - X_val) ** 2))
-
-
-def convergence_profile(log: TrainLog) -> dict:
-    """Mean |delta loss| per epoch over the initial / mid / late phases."""
-    totals = [r.total for r in log.records]
-    if len(totals) < 21:
-        raise DataError("convergence profile needs at least 21 logged epochs")
-    deltas = np.abs(np.diff(totals))
-    return {
-        "initial": float(deltas[0:9].mean()),
-        "mid": float(deltas[9:19].mean()),
-        "late": float(deltas[19:].mean()),
-    }

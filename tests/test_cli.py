@@ -44,6 +44,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
+    def test_threads_key_rejected(self, tmp_path):
+        cfg = _write_config(tmp_path, threads=2, output=str(tmp_path / "s.dart"),
+                            synth={"n": 200, "seed": 1})
+        assert main(["synth", "--config", cfg]) == 2
+
     def test_unknown_section_key_rejected(self, tmp_path):
         path = _write_config(tmp_path, detect={"tau_q": 1.0})
         with pytest.raises(ConfigError, match="tau_q"):
@@ -170,6 +175,16 @@ class TestCmdClean:
         assert main(["clean", "--config", cfg]) == 0
         assert out.read_bytes() == first
         assert (trained["dir"] / "cleaned_b.csv.segments.json").read_bytes() == seg_first
+
+    def test_checkpoint_without_architecture_is_data_error(self, trained):
+        tmp_path = trained["dir"]
+        doc = json.loads(trained["checkpoint"].read_text())
+        del doc["architecture"]
+        ck = tmp_path / "no_arch.ckpt"
+        ck.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path, name="noarch.json", input=str(trained["dart"]),
+                            checkpoint=str(ck), output=str(tmp_path / "x.csv"))
+        assert main(["clean", "--config", cfg]) == 3
 
     def test_missing_checkpoint_is_error(self, trained):
         tmp_path = trained["dir"]

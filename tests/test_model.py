@@ -8,7 +8,6 @@ from dartclean.model import (
     ModelConfig,
     Vae,
     kl_divergence,
-    truncated_identity,
 )
 from tests.conftest import tiny_model
 
@@ -110,14 +109,32 @@ class TestDecode:
         assert np.array_equal(xhat[0], xhat[2])
 
 
-class TestTruncatedIdentity:
-    def test_expanding_projection(self):
-        proj = truncated_identity(4, 2)
-        assert np.array_equal(proj[:2, :2], np.eye(2))
-        assert not proj[2:].any()
+class TestLayerSkip:
+    """The decoder's layer skip against a truncated-identity projection."""
 
-    def test_square_is_identity(self):
-        assert np.array_equal(truncated_identity(3, 3), np.eye(3))
+    @staticmethod
+    def _oracle(model, z, x):
+        h = z
+        for dn, bn, alpha in zip(model.dec_dense, model.dec_bn, model.dec_alpha):
+            u, _ = dn.forward(h)
+            proj = np.zeros((u.shape[1], h.shape[1]))
+            k = min(proj.shape)
+            proj[:k, :k] = np.eye(k)
+            v, _ = bn.forward(u + alpha * (h @ proj.T), train=False)
+            h = np.maximum(v, 0.0)
+        y, _ = model.out_layer.forward(h)
+        return y + model.beta * x
+
+    @pytest.mark.parametrize("hidden", [(5,), (3, 5)], ids=["expanding", "shrinking"])
+    def test_matches_truncated_identity_projection(self, rng, hidden):
+        model = tiny_model(hidden=hidden, seed=6, skip_alpha_init=0.7)
+        for bn in model.dec_bn:
+            bn.running_mean = rng.normal(size=bn.running_mean.shape)
+            bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+        x = rng.normal(size=(7, 6))
+        z = rng.normal(size=(7, 4))
+        xhat, _ = model.decode(z, x, train=False)
+        assert np.array_equal(xhat, self._oracle(model, z, x))
 
 
 class TestCompositeLoss:
@@ -196,8 +213,8 @@ class TestGlobalSkip:
 
 
 class TestGradients:
-    def _check(self, train, use_eps, drop_rng):
-        model = tiny_model(window=6, hidden=(5,), latent=4, seed=1)
+    def _check(self, train, use_eps, drop_rng, hidden=(5,)):
+        model = tiny_model(window=6, hidden=hidden, latent=4, seed=1)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(3, 6))
         eps = rng.standard_normal((3, 4)) if use_eps else np.zeros((3, 4))
@@ -234,6 +251,10 @@ class TestGradients:
 
     def test_gradcheck_with_reparameterized_noise(self):
         assert self._check(train=True, use_eps=True, drop_rng=None) <= 1e-4
+
+    def test_gradcheck_shrinking_decoder_skip(self):
+        # decoder widths 4 -> 5 -> 3: the second block's skip is cut, not padded
+        assert self._check(train=True, use_eps=True, drop_rng=None, hidden=(3, 5)) <= 1e-4
 
     def test_zero_output_gradient_gives_zero_grads(self, rng):
         model = tiny_model()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dartclean.errors import ConfigError, DataError
+from dartclean.errors import DataError
 from dartclean.preprocess import (
     GAP_INTERPOLATED,
     GAP_OBSERVED,
@@ -9,7 +9,6 @@ from dartclean.preprocess import (
     denormalize,
     fill_gaps,
     make_windows,
-    sliding_window_normalize,
     zscore_normalize,
 )
 from dartclean.refiner import windows_to_series
@@ -100,33 +99,6 @@ class TestZscoreNormalize:
         x = rng.normal(2584.0, 0.4, 300)
         norm = zscore_normalize(x)
         assert np.max(np.abs(denormalize(norm.values, norm.stats) - x)) <= 1e-9
-
-
-class TestSlidingWindowNormalize:
-    def test_linear_ramp_center_zero(self):
-        out = sliding_window_normalize(np.arange(200, dtype=float), 10)
-        # interior windows are symmetric around their own mean
-        assert np.max(np.abs(out[10:190])) < 1e-9
-
-    def test_constant_series_all_zero(self):
-        out = sliding_window_normalize(np.full(100, 3.0), 5)
-        assert np.array_equal(out, np.zeros(100))
-
-    def test_matches_brute_force(self, rng):
-        x = rng.normal(size=400)
-        out = sliding_window_normalize(x, 24)
-        for i in range(len(x)):
-            seg = x[max(0, i - 24):min(len(x), i + 25)]
-            std = max(seg.std(), 1e-8)
-            assert abs(out[i] - (x[i] - seg.mean()) / std) <= 1e-10
-
-    def test_small_window_rejected(self):
-        with pytest.raises(ConfigError):
-            sliding_window_normalize(np.arange(100.0), 1)
-
-    def test_short_series_rejected(self):
-        with pytest.raises(DataError):
-            sliding_window_normalize(np.arange(10.0), 5)
 
 
 class TestMakeWindows:

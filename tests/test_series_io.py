@@ -144,7 +144,31 @@ class TestCheckpoint:
             assert np.all(np.abs(other - arr) / denom <= 1e-9), name
         assert loaded_stats.mean == stats.mean
         assert loaded_stats.std == stats.std
-        assert loaded.config.descriptor() == model.config.descriptor()
+        assert loaded.config == model.config
+
+    def test_round_trip_non_default_config(self, tmp_path, rng):
+        model = tiny_model(seed=8, bn_eps=0.5, bn_momentum=0.7, beta0=0.6,
+                           conf_decay=0.3, skip_alpha_init=0.5)
+        model.loss_and_grads(rng.normal(size=(16, 6)), step=0, train=True,
+                             rng=np.random.default_rng(2))
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, NormStats(0.0, 1.0), path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == model.config
+        x = rng.normal(size=(10, 6))
+        assert np.array_equal(loaded.reconstruct(x), model.reconstruct(x))
+
+    def test_version_1_file_loads_with_defaults(self, tmp_path):
+        import json
+        model = tiny_model(seed=3)
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, NormStats(0.0, 1.0), path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        doc["architecture"] = {"window": 6, "hidden": [5], "latent": 4}
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == model.config
 
     def test_shape_mismatch_rejected(self, tmp_path):
         import json
@@ -173,6 +197,33 @@ class TestCheckpoint:
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda doc: doc.pop("architecture"), "architecture"),
+        (lambda doc: doc.update(architecture=[6, [5], 4]), "architecture"),
+        (lambda doc: doc["architecture"].update(depth=3), "depth"),
+        (lambda doc: doc["architecture"].update(latent="four"), "latent"),
+        (lambda doc: doc.update(params=None), "params"),
+        (lambda doc: doc["params"].update({"out.b": "zero"}), "out.b"),
+        (lambda doc: doc.pop("norm_stats"), "norm_stats"),
+        (lambda doc: doc["norm_stats"].pop("std"), "norm_stats"),
+    ], ids=["no-architecture", "architecture-list", "unknown-key", "bad-latent",
+            "params-null", "params-text", "no-norm-stats", "no-std"])
+    def test_malformed_document_names_key(self, tmp_path, edit, name):
+        import json
+        path = tmp_path / "ck.json"
+        save_checkpoint(tiny_model(), NormStats(0.0, 1.0), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=name):
+            load_checkpoint(path)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_text("[1, 2, 3]\n")
+        with pytest.raises(DataError, match="object"):
             load_checkpoint(path)
 
     def test_corrupted_number_names_array(self, tmp_path):

@@ -8,7 +8,6 @@ from dartclean.trainer import (
     EpochRecord,
     TrainConfig,
     TrainLog,
-    convergence_profile,
     early_stop_check,
     train,
 )
@@ -148,20 +147,3 @@ class TestTrainLogCsv:
         row = log.to_csv().splitlines()[1].split(",")
         assert row[0] == "1"
         assert float(row[5]) == pytest.approx(0.123456789)
-
-
-class TestConvergenceProfile:
-    def test_constant_loss_zero_deltas(self):
-        log = TrainLog(records=[_record(i, total=1.0) for i in range(1, 25)])
-        prof = convergence_profile(log)
-        assert prof == {"initial": 0.0, "mid": 0.0, "late": 0.0}
-
-    def test_harmonic_sequence_decreasing_phases(self):
-        log = TrainLog(records=[_record(i, total=1.0 / i) for i in range(1, 40)])
-        prof = convergence_profile(log)
-        assert prof["initial"] > prof["mid"] > prof["late"]
-
-    def test_too_few_epochs_rejected(self):
-        log = TrainLog(records=[_record(i) for i in range(1, 10)])
-        with pytest.raises(DataError):
-            convergence_profile(log)
