@@ -249,7 +249,7 @@ def cmd_latent(cfg) -> int:
     if len(batch.origins) < 3:
         raise DataError("latent projection needs at least 3 windows")
     latent, _ = model.encode(batch.windows, train=False)
-    masks, _, _ = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
+    masks, *_ = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
     labels = pipeline.label_windows(batch.origins, model.config.window, masks.segments)
     proj = metrics.project_latent(latent.mu)
     with open(_require(cfg, "output"), "w") as fh:

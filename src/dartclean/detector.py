@@ -4,6 +4,12 @@ Short windows (48 samples) catch impulsive spikes via rolling-median
 deviation; long windows (480 samples) catch baseline steps via adjacent
 mean shifts.  A convex combination of reconstruction error and statistical
 deviation (weight 0.7 / 0.3) gives the hybrid anomaly score.
+
+Both rolling statistics run on ``sliding_window_view`` rows and equal the
+plain per-index slice computation bit for bit: a row of the view is a
+contiguous run of the series, and NumPy reduces the last axis of a
+C-ordered operand row by row with the same pairwise summation (and the
+same partition for the median) it applies to a 1-D slice.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -77,9 +84,14 @@ def rolling_median_std(x: np.ndarray, w: int):
         raise DataError(f"series of length {n} shorter than window {w}")
     med = np.empty(n)
     std = np.empty(n)
+    # index i's window is x[i - w//2 : i + w - w//2]; where it fits whole it
+    # is row i - w//2 of the view, so only the w - 1 clamped edges loop
+    first, last = w // 2, n - (w - w // 2)
+    view = sliding_window_view(x, w)
+    med[first:last + 1] = np.median(view, axis=1)
+    std[first:last + 1] = view.std(axis=1)
     lo, hi = _window_bounds(n, w)
-    # plain per-index recomputation: bit-identical to any slice-based oracle
-    for i in range(n):
+    for i in [*range(first), *range(last + 1, n)]:
         seg = x[lo[i]:hi[i]]
         med[i] = np.median(seg)
         std[i] = seg.std()
@@ -108,8 +120,9 @@ def step_mean_shift(x: np.ndarray, w_l: int) -> np.ndarray:
         raise DataError(f"series of length {n} shorter than window {w_l}")
     half = w_l // 2
     delta = np.full(n, np.nan)
-    for i in range(half, n - half + 1):
-        delta[i] = abs(x[i:i + half].mean() - x[i - half:i].mean())
+    # means[j] is x[j:j + half].mean(); a running sum would round differently
+    means = sliding_window_view(x, half).mean(axis=1)
+    delta[half:n - half + 1] = np.abs(means[half:] - means[:n - 2 * half + 1])
     return delta
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .layers import (
     BatchNorm,
     Dense,
@@ -44,6 +44,19 @@ class ModelConfig:
     conf_decay: float = 0.5
     bn_momentum: float = 0.9
     bn_eps: float = 1e-5
+
+    def __post_init__(self):
+        if self.window < 2:
+            raise ConfigError(f"model.window must be >= 2, got {self.window}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ConfigError(f"model.hidden needs at least one width, each >= 1, "
+                              f"got {list(self.hidden)}")
+        if self.latent < 1:
+            raise ConfigError(f"model.latent must be >= 1, got {self.latent}")
+        if not self.bn_eps > 0:
+            raise ConfigError(f"model.bn_eps must be > 0, got {self.bn_eps}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigError(f"model.bn_momentum must lie in [0, 1], got {self.bn_momentum}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detector, postprocess, refiner
-from .preprocess import NormStats, fill_gaps, make_windows, zscore_normalize
+from .preprocess import NormStats, fill_gaps, zscore_normalize
 from .series_io import CleanedOutput, RawSeries
 
 
@@ -30,19 +30,16 @@ class CleanResult:
 
 
 def detect_anomalies(model, x_norm: np.ndarray, config: detector.DetectConfig):
-    """Initial detection pass; returns (masks, hybrid score, per-sample RE)."""
-    batch = make_windows(x_norm, w=model.config.window, s=1)
-    recon = refiner.windows_to_series(model.reconstruct(batch.windows),
-                                      batch.origins, len(x_norm))
-    re = detector.reconstruction_error(x_norm, recon)
-    stat_dev = detector.spike_deviation(x_norm, config)
-    score, _, hybrid_idx = detector.hybrid_score(re, stat_dev,
+    """Initial detection pass; returns (masks, hybrid score, per-sample RE,
+    the :class:`refiner.InferPass` of ``x_norm``, for refinement round 1)."""
+    first = refiner.infer_pass(model, x_norm, config)
+    re = detector.reconstruction_error(x_norm, first.recon)
+    score, _, hybrid_idx = detector.hybrid_score(re, first.deviation,
                                                  config.hybrid_alpha, config.kappa)
     spike_mask = np.zeros(len(x_norm), dtype=bool)
     spike_mask[hybrid_idx] = True
-    step_mask, _ = detector.detect_steps(x_norm, config)
-    masks = detector.build_masks(spike_mask, step_mask, config.merge_gap)
-    return masks, score, re
+    masks = detector.build_masks(spike_mask, first.step_mask, config.merge_gap)
+    return masks, score, re, first
 
 
 def clean_series(model, stats: NormStats, raw: RawSeries,
@@ -58,8 +55,8 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
     norm = zscore_normalize(filled, stats)
     x_norm = norm.values
 
-    masks, _, _ = detect_anomalies(model, x_norm, detect_config)
-    result = refiner.refine(model, x_norm, masks, detect_config, refine_config)
+    masks, _, _, first = detect_anomalies(model, x_norm, detect_config)
+    result = refiner.refine(model, x_norm, masks, detect_config, refine_config, first)
 
     validated, warned = postprocess.validate_steps(
         result.series, result.step_mask, masks.spike,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .series_io import FLAG_MISSING, FLAG_VALID, RawSeries
@@ -89,7 +90,7 @@ def make_windows(series, w: int = 48, s: int = 1) -> WindowBatch:
     if n < w:
         raise DataError(f"series of length {n} is shorter than window {w}")
     origins = np.arange(0, n - w + 1, s)
-    windows = np.stack([values[o:o + w] for o in origins])
+    windows = sliding_window_view(values, w)[::s].copy()
     return WindowBatch(windows=windows, origins=origins, window=w, stride=s)
 
 

@@ -7,6 +7,13 @@ replaces only the currently masked samples with the new candidate values.
 Detection thresholds decay geometrically so later rounds pick up finer
 anomalies.  Everything runs in infer mode, so the whole refinement is a
 pure function of (model, input, masks, config).
+
+Round 1 sees the unmodified input at undecayed thresholds, which is what
+the initial detection pass computes; :func:`infer_pass` serves both, and
+the pipeline hands its result to :func:`refine` instead of recomputing it.
+
+Overlap-add is one ``np.bincount`` over the flattened window indices; see
+:func:`windows_to_series` for why it equals slice-by-slice accumulation.
 """
 
 from __future__ import annotations
@@ -55,24 +62,62 @@ class RefineResult:
     history: list = field(default_factory=list)  # (series, gate) per iteration
 
 
+@dataclass
+class InferPass:
+    """One infer-mode pass over a series."""
+    z: np.ndarray            # latents of the stride-1 windows, blended if asked
+    recon: np.ndarray        # decoded windows, overlap-added to series length
+    deviation: np.ndarray    # rolling-median spike deviation of the input
+    step_mask: np.ndarray    # point step mask of the input
+
+
 def windows_to_series(window_values: np.ndarray, origins: np.ndarray, n: int) -> np.ndarray:
-    """Uniform overlap-add: per-sample average of every covering window."""
+    """Uniform overlap-add: per-sample average of every covering window.
+
+    ``np.bincount`` adds its weights in input order, so each sample sums
+    its covering windows' values in row order, exactly as adding the rows
+    one slice at a time would.
+    """
     window_values = np.asarray(window_values, dtype=float)
-    acc = np.zeros(n)
-    count = np.zeros(n)
+    origins = np.asarray(origins, dtype=int)
     w = window_values.shape[1]
-    for row, origin in zip(window_values, origins):
-        acc[origin:origin + w] += row
-        count[origin:origin + w] += 1
+    if origins.size and (origins.min() < 0 or origins.max() + w > n):
+        raise DataError(f"overlap-add: a window of {w} samples runs outside [0, {n})")
+    index = (origins[:, None] + np.arange(w)).ravel()
+    acc = np.bincount(index, weights=window_values.ravel(), minlength=n)
+    count = np.bincount(index, minlength=n)
     if np.any(count == 0):
         raise DataError("overlap-add: some samples are covered by no window")
     return acc / count
 
 
+def infer_pass(model, x: np.ndarray, detect_config: detector.DetectConfig,
+               tau_l: float | None = None, prev_z: np.ndarray | None = None,
+               blend_alpha: float = 1.0) -> InferPass:
+    """Encode every stride-1 window of ``x``, blend the latents with
+    ``prev_z`` if given, decode and overlap-add; run both detectors on ``x``
+    (steps at ``tau_l``, default ``detect_config.tau_l``)."""
+    batch = make_windows(x, w=model.config.window, s=1)
+    latent, _ = model.encode(batch.windows, train=False)
+    z = latent.z
+    if prev_z is not None:
+        z = blend_alpha * z + (1.0 - blend_alpha) * prev_z
+    decoded, _ = model.decode(z, batch.windows, train=False)
+    recon = windows_to_series(decoded, batch.origins, len(x))
+    deviation = detector.spike_deviation(x, detect_config)
+    step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
+    return InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)
+
+
 def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
            detect_config: detector.DetectConfig,
-           config: RefineConfig | None = None) -> RefineResult:
-    """Run the full refinement loop; see the module docstring."""
+           config: RefineConfig | None = None,
+           first: InferPass | None = None) -> RefineResult:
+    """Run the full refinement loop; see the module docstring.
+
+    ``first``, if given, must be ``infer_pass(model, x_norm, detect_config)``;
+    round 1 then reuses it instead of computing it again.
+    """
     config = config or RefineConfig()
     x_norm = np.asarray(x_norm, dtype=float)
     n = len(x_norm)
@@ -94,24 +139,19 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
     log = []
     history = []
     for k in range(1, config.iterations + 1):
-        batch = make_windows(current, w=model.config.window, s=1)
-        latent, _ = model.encode(batch.windows, train=False)
-        z = latent.z
-        if prev_z is not None:
-            z = config.blend_alpha * z + (1.0 - config.blend_alpha) * prev_z
-        prev_z = z
-        decoded, _ = model.decode(z, batch.windows, train=False)
-        candidate = windows_to_series(decoded, batch.origins, n)
+        decay = config.threshold_decay ** (k - 1)
+        if k == 1 and first is not None:
+            inferred = first
+        else:
+            inferred = infer_pass(model, current, detect_config,
+                                  tau_l=detect_config.tau_l * decay, prev_z=prev_z,
+                                  blend_alpha=config.blend_alpha)
+        prev_z = inferred.z
+        candidate = inferred.recon
         if not np.all(np.isfinite(candidate)):
             raise NumericError(f"non-finite reconstruction at iteration {k}")
-
-        decay = config.threshold_decay ** (k - 1)
-        spike_k = detector.detect_spikes(current, detect_config,
-                                         tau_s=detect_config.tau_s * decay)
-        step_k, _ = detector.detect_steps(current, detect_config,
-                                          tau_l=detect_config.tau_l * decay)
-        spike_mask = spike_mask | spike_k
-        step_mask = step_mask | step_k
+        spike_mask = spike_mask | (inferred.deviation > detect_config.tau_s * decay)
+        step_mask = step_mask | inferred.step_mask
 
         gate = spike_mask | step_mask
         nxt = np.where(gate, candidate, current)

@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 SENTINEL = 9999.0
 SENTINEL_TOL = 1e-6
@@ -226,7 +226,10 @@ def _model_config(arch: dict):
                 kwargs[key] = type(defaults[key])(value)
         except (TypeError, ValueError):
             raise DataError(f"checkpoint architecture {key!r}: bad value {value!r}") from None
-    return ModelConfig(**kwargs)
+    try:
+        return ModelConfig(**kwargs)
+    except ConfigError as exc:
+        raise DataError(f"checkpoint architecture: {exc}") from None
 
 
 def load_checkpoint(source):

@@ -145,6 +145,16 @@ class TestCmdTrain:
         cfg = _write_config(tmp_path, nonsense=True)
         assert main(["train", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("override", [
+        "model.hidden=[]", "model.hidden=[8,0]", "model.window=1", "model.latent=0",
+        "model.bn_eps=0", "model.bn_momentum=1.5", "model.bn_momentum=-0.1",
+    ])
+    def test_model_out_of_range_is_config_error(self, tmp_path, capsys, override):
+        cfg = _write_config(tmp_path, input=str(tmp_path / "series.dart"),
+                            checkpoint=str(tmp_path / "ck.json"))
+        assert main(["train", "--config", cfg, "--set", override]) == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
+
 
 class TestCmdClean:
     def _clean_cfg(self, trained, suffix=""):
@@ -185,6 +195,21 @@ class TestCmdClean:
         cfg = _write_config(tmp_path, name="noarch.json", input=str(trained["dart"]),
                             checkpoint=str(ck), output=str(tmp_path / "x.csv"))
         assert main(["clean", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", []), ("hidden", [32, 0]), ("window", 0), ("latent", -1),
+        ("bn_eps", 0.0), ("bn_momentum", 2.0),
+    ])
+    def test_out_of_range_architecture_is_data_error(self, trained, capsys, key, value):
+        tmp_path = trained["dir"]
+        doc = json.loads(trained["checkpoint"].read_text())
+        doc["architecture"][key] = value
+        ck = tmp_path / "bad_arch.ckpt"
+        ck.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path, name="badarch.json", input=str(trained["dart"]),
+                            checkpoint=str(ck), output=str(tmp_path / "x.csv"))
+        assert main(["clean", "--config", cfg]) == 3
+        assert f"model.{key}" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_error(self, trained):
         tmp_path = trained["dir"]
