@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -38,17 +37,34 @@ PATH_KEYS = ("input", "output", "checkpoint", "ground_truth",
 TOP_KEYS = set(PATH_KEYS) | set(SECTION_TYPES) | {"seed", "verbosity"}
 
 
+def _typed(value, like, key: str):
+    """``value`` checked against ``like``, the field's default: an int for
+    an int, any number for a float, a bool, a string, or a list for a tuple
+    (returned as a tuple), whose items each match the default's first."""
+    if isinstance(like, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_typed(item, like[0], key) for item in value)
+    if isinstance(like, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(like, (int, float)):
+        numeric = (int,) if isinstance(like, int) else (int, float)
+        ok = isinstance(value, numeric) and not isinstance(value, bool)
+        kind = "an integer" if isinstance(like, int) else "a number"
+    else:
+        ok, kind = isinstance(value, type(like)), f"a {type(like).__name__}"
+    if not ok:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
 def _build_section(cls, data: dict, path: str):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown key(s) under {path!r}: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[key] = value
-    return cls(**kwargs)
+    return cls(**{key: _typed(value, fields[key].default, f"{path}.{key}")
+                  for key, value in data.items()})
 
 
 def load_config(path=None, overrides=(), seed=None):
@@ -73,17 +89,23 @@ def load_config(path=None, overrides=(), seed=None):
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {key}: {part!r} is not a section")
         node[parts[-1]] = value
     unknown = set(data) - TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
     if seed is not None:
         data["seed"] = seed
-    cfg = {"seed": int(data.get("seed", 0)), "paths": {}, "verbosity": data.get("verbosity", 1)}
+    cfg = {"seed": _typed(data.get("seed", 0), 0, "seed"), "paths": {},
+           "verbosity": data.get("verbosity", 1)}
     for key in PATH_KEYS:
         cfg["paths"][key] = data.get(key)
     for name, cls in SECTION_TYPES.items():
-        section = dict(data.get(name, {}))
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name!r} must be an object of keys, got {section!r}")
+        section = dict(section)
         if name in ("train", "synth") and "seed" not in section:
             section["seed"] = cfg["seed"]
         cfg[name] = _build_section(cls, section, name)
@@ -99,10 +121,6 @@ def _require(cfg, key):
 
 def _derived(cfg, key, suffix):
     return cfg["paths"].get(key) or _require(cfg, "output") + suffix
-
-
-def _iso(ts):
-    return datetime.fromtimestamp(float(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def cmd_synth(cfg) -> int:
@@ -121,7 +139,7 @@ def cmd_synth(cfg) -> int:
         fh.write(f"# seed={spec.seed} cadence={spec.cadence}\n")
         fh.write("time_iso8601,clean_m,contaminated_m,is_spike,is_step,is_gap\n")
         for i in range(spec.n):
-            fh.write(f"{_iso(truth.timestamps[i])},{truth.clean[i]:.6f},"
+            fh.write(f"{series_io._iso8601(truth.timestamps[i])},{truth.clean[i]:.6f},"
                      f"{truth.contaminated[i]:.6f},{spike[i]},{step[i]},{gap[i]}\n")
     return 0
 
@@ -248,10 +266,10 @@ def cmd_latent(cfg) -> int:
     batch = make_windows(norm, w=model.config.window, s=1)
     if len(batch.origins) < 3:
         raise DataError("latent projection needs at least 3 windows")
-    latent, _ = model.encode(batch.windows, train=False)
-    masks, *_ = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
+    # the detect pass's latents are unblended, so z == mu + 0.0
+    masks, *_, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
     labels = pipeline.label_windows(batch.origins, model.config.window, masks.segments)
-    proj = metrics.project_latent(latent.mu)
+    proj = metrics.project_latent(first.z)
     with open(_require(cfg, "output"), "w") as fh:
         fh.write("window_origin,pc1,pc2,is_anomalous\n")
         for origin, (p1, p2), flag in zip(batch.origins, proj["coords"], labels):

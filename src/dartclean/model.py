@@ -9,7 +9,9 @@ gradient descent: it is recomputed from reconstruction confidence after
 every batch (see :meth:`Vae.update_global_skip`).
 
 All gradients are analytic; the test suite checks every parameter class
-against central finite differences.
+against central finite differences.  Detection and refinement run through
+:meth:`Vae.infer`, an uncached, row-blocked forward that is bit-identical
+to infer-mode :meth:`Vae.encode` then :meth:`Vae.decode`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .layers import (
 )
 
 LOGVAR_CLIP = 10.0
+# rows per block of :meth:`Vae.infer`: small enough that a block's widest
+# activation stays in cache, large enough to keep the BLAS kernel of a full
+# batch (OpenBLAS 0.3.31 rounds batches of 75 rows or fewer differently)
+INFER_BLOCK_ROWS = 1024
 # slot keys of the checkpointed arrays that gradient descent does not train
 BUFFER_KEYS = {"running_mean", "running_var", "beta"}
 
@@ -92,6 +98,31 @@ def kl_divergence(latent: LatentState) -> float:
     mu, logvar = latent.mu, latent.logvar
     per_row = 0.5 * np.sum(mu ** 2 + np.exp(logvar) - 1.0 - logvar, axis=1)
     return float(per_row.mean())
+
+
+def _row_blocks(n: int):
+    """Near-equal (lo, hi) row blocks covering [0, n), none shorter than
+    INFER_BLOCK_ROWS unless n itself is."""
+    count = max(1, n // INFER_BLOCK_ROWS)
+    edges = [i * n // count for i in range(count + 1)]
+    return zip(edges[:-1], edges[1:])
+
+
+def _frozen_block(h: np.ndarray, dense: Dense, bn: BatchNorm, alpha=None) -> np.ndarray:
+    """One infer-mode hidden block on a row block, in place and uncached:
+    Dense (plus the decoder skip when ``alpha`` is given), frozen batch
+    norm, ReLU.  Same operations in the same order as the cached layers."""
+    u = h @ dense.W.T
+    u += dense.b
+    if alpha is not None:
+        k = min(h.shape[1], u.shape[1])
+        u[:, :k] += alpha * h[:, :k]
+        u[:, k:] += alpha * 0.0   # the zero-padded skip: may flip the sign of a zero
+    u -= bn.running_mean
+    u *= 1.0 / np.sqrt(bn.running_var + bn.eps)
+    u *= bn.gamma
+    u += bn.shift
+    return np.maximum(u, 0.0, out=u)
 
 
 class Vae:
@@ -323,11 +354,54 @@ class Vae:
 
     # --------------------------------------------------------------- helpers
 
+    def infer(self, X: np.ndarray, prev_z: np.ndarray | None = None,
+              blend_alpha: float = 1.0):
+        """Infer-mode encode, optional latent blend, decode; returns (z, xhat).
+
+        ``z = blend_alpha * mu + (1 - blend_alpha) * prev_z`` when ``prev_z``
+        is given, else ``mu``.  Bit-identical to :meth:`encode` then
+        :meth:`decode` with ``train=False``, but walks the rows in blocks
+        and keeps no caches; it raises the same errors, encoder faults
+        before decoder faults.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.config.window:
+            raise ShapeError(f"expected [batch x {self.config.window}] windows, got {X.shape}")
+        n = X.shape[0]
+        if prev_z is not None and np.shape(prev_z) != (n, self.config.latent):
+            raise ShapeError(f"expected [{n} x {self.config.latent}] previous latents, "
+                             f"got {np.shape(prev_z)}")
+        z = np.empty((n, self.config.latent))
+        for lo, hi in _row_blocks(n):
+            h = X[lo:hi]
+            for dn, bn in zip(self.enc_dense, self.enc_bn):
+                h = _frozen_block(h, dn, bn)
+            mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
+            mu += self.mu_head.b
+            logvar = h @ self.logvar_head.W.T
+            logvar += self.logvar_head.b
+            np.clip(logvar, -LOGVAR_CLIP, LOGVAR_CLIP, out=logvar)
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
+                raise NumericError("non-finite encoder outputs")
+            mu += 0.0   # z = mu + exp(0.5 * logvar) * 0, which turns -0.0 into 0.0
+            if prev_z is not None:
+                mu *= blend_alpha
+                mu += (1.0 - blend_alpha) * prev_z[lo:hi]
+        xhat = np.empty_like(X)
+        for lo, hi in _row_blocks(n):
+            h = z[lo:hi]
+            for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
+                h = _frozen_block(h, dn, bn, alpha)
+            y = np.matmul(h, self.out_layer.W.T, out=xhat[lo:hi])
+            y += self.out_layer.b
+            y += self.beta * X[lo:hi]
+            if not np.all(np.isfinite(y)):
+                raise NumericError("non-finite decoder outputs")
+        return z, xhat
+
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
         """Deterministic infer-mode encode+decode of a window batch."""
-        latent, _ = self.encode(X, train=False)
-        xhat, _ = self.decode(latent.z, X, train=False)
-        return xhat
+        return self.infer(X)[1]
 
     def update_global_skip(self, recon_loss: float) -> float:
         """Recompute beta from reconstruction confidence 1 / (1 + L_recon)."""

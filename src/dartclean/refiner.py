@@ -98,11 +98,7 @@ def infer_pass(model, x: np.ndarray, detect_config: detector.DetectConfig,
     ``prev_z`` if given, decode and overlap-add; run both detectors on ``x``
     (steps at ``tau_l``, default ``detect_config.tau_l``)."""
     batch = make_windows(x, w=model.config.window, s=1)
-    latent, _ = model.encode(batch.windows, train=False)
-    z = latent.z
-    if prev_z is not None:
-        z = blend_alpha * z + (1.0 - blend_alpha) * prev_z
-    decoded, _ = model.decode(z, batch.windows, train=False)
+    z, decoded = model.infer(batch.windows, prev_z, blend_alpha)
     recon = windows_to_series(decoded, batch.origins, len(x))
     deviation = detector.spike_deviation(x, detect_config)
     step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)

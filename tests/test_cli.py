@@ -156,6 +156,32 @@ class TestCmdTrain:
         assert override.partition("=")[0] in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("override", [
+        "model.window=abc", "detect.w_s=abc", "refine.iterations=x", "model.hidden=5",
+    ])
+    def test_wrong_typed_value_is_config_error(self, tmp_path, capsys, override):
+        cfg = _write_config(tmp_path, input=str(tmp_path / "series.dart"),
+                            checkpoint=str(tmp_path / "ck.json"),
+                            output=str(tmp_path / "cleaned.csv"))
+        assert main(["clean", "--config", cfg, "--set", override]) == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        'model.hidden=[8,"a"]', "refine.early_exit=1", "detect.tau_s=true",
+        "seed=x", "model=5",
+    ])
+    def test_wrong_typed_item_or_section_is_config_error(self, capsys, override):
+        assert main(["clean", "--set", override]) == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
+
+    def test_typed_values_keep_their_json_form(self):
+        cfg = load_config(None, ["train.base_lr=1", "synth.tides=[[0.3,43200,0]]",
+                                 "model.hidden=[32,16]"])
+        assert cfg["train"].base_lr == 1 and isinstance(cfg["train"].base_lr, int)
+        assert cfg["synth"].tides == ((0.3, 43200, 0),)
+        assert cfg["model"].hidden == (32, 16)
+
+
 class TestCmdClean:
     def _clean_cfg(self, trained, suffix=""):
         tmp_path = trained["dir"]

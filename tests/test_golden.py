@@ -1,0 +1,79 @@
+"""Golden SHA-256 digests of `dartclean clean` on the acceptance series.
+
+Each case writes one acceptance series (spike seed 7 or step seed 21,
+20 000 samples, the specs of ``tests/test_acceptance.py``) as DART text,
+saves an untrained seeded ``Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)``
+with the series' own normalisation statistics, and runs
+``dartclean clean`` on it.  The cleaned CSV, segments JSON and iteration
+log must match the digests below to the byte, so a change to the model
+forward, the detectors, refinement or post-processing cannot drift by an
+ulp unseen.
+
+The digests were computed with NumPy 2.4.6 on the scipy-openblas64 build
+of OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels), x86-64.  Another BLAS
+build or CPU kernel may round the matrix products differently; on such a
+machine these digests are not expected to hold and must be recomputed
+from a known-good commit.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from dartclean import series_io, synth
+from dartclean.cli import main
+from dartclean.model import ModelConfig, Vae
+from dartclean.preprocess import fill_gaps, zscore_normalize
+
+SPECS = {
+    "spike": synth.SynthSpec(n=20000, cadence=900.0, noise_sigma=0.05,
+                             spike_count=40, seed=7),
+    "step": synth.SynthSpec(n=20000, cadence=900.0, noise_sigma=0.05,
+                            tides=((0.3, 43200.0, 0.0), (0.15, 21600.0, 1.3)),
+                            spike_count=12, step_count=3,
+                            step_mag_range=(0.1, 0.17), seed=21),
+}
+
+GOLDEN = {
+    "spike": {
+        "cleaned.csv":
+            "b76ad9e3a25b075e2e085977112cb9896b366e4390cfa77fa26f77d9b00a31ed",
+        "segments.json":
+            "59f1247d8d21794bcf63de38f5c64e7a03eee7f77948c67a56a949cbf4957705",
+        "iterations.csv":
+            "fd23db41c0a0375fafc50725783eb5a8c0c39cebccd9b74f333189a88d7bb1c7",
+    },
+    "step": {
+        "cleaned.csv":
+            "6bf3002573bc62dc22da2e35bddfe755b0ad837eadf4bc8eca7e4909f173ddf9",
+        "segments.json":
+            "b8abad42d36fd9d6c0ce5e7a26b8a2dda2329b822cfcb29515969afb090e01b5",
+        "iterations.csv":
+            "23ff627306c07a5d8195ca07caec412cd1516c3509786388e92098637c2bd696",
+    },
+}
+
+
+def clean_digests(tmp_path, spec) -> dict:
+    raw = synth.generate(spec).to_raw_series()
+    series_io.emit_dart(raw, tmp_path / "series.dart")
+    model = Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)
+    stats = zscore_normalize(fill_gaps(raw)).stats
+    series_io.save_checkpoint(model, stats, tmp_path / "model.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "input": str(tmp_path / "series.dart"),
+        "checkpoint": str(tmp_path / "model.json"),
+        "output": str(tmp_path / "cleaned.csv"),
+        "segments": str(tmp_path / "segments.json"),
+        "iteration_log": str(tmp_path / "iterations.csv"),
+    }))
+    assert main(["clean", "--config", str(cfg)]) == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN["spike"]}
+
+
+@pytest.mark.parametrize("series", sorted(SPECS))
+def test_clean_output_digests(tmp_path, series):
+    assert clean_digests(tmp_path, SPECS[series]) == GOLDEN[series]

@@ -1,0 +1,156 @@
+"""The row-blocked inference forward against the cached encode/decode.
+
+``Vae.infer`` must equal infer-mode ``encode`` then ``decode`` bit for
+bit, so every comparison here is ``np.array_equal`` and, where the sign
+of a zero could differ, a byte comparison.  The oracle below is
+the encode -> blend -> decode sequence the refiner ran before
+``Vae.infer`` existed.
+"""
+
+import io
+
+import numpy as np
+import pytest
+
+from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
+from dartclean.errors import NumericError, ShapeError
+from dartclean.model import INFER_BLOCK_ROWS, ModelConfig, Vae, _row_blocks
+
+
+def oracle_infer(model, X, prev_z=None, blend_alpha=1.0):
+    latent, _ = model.encode(X, train=False)
+    z = latent.z
+    if prev_z is not None:
+        z = blend_alpha * z + (1.0 - blend_alpha) * prev_z
+    xhat, _ = model.decode(z, X, train=False)
+    return z, xhat
+
+
+def identical(a, b):
+    """Equal to the bit: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def perturbed_model(hidden, seed=0, window=48):
+    """A seeded model whose batch-norm buffers, affine parameters, skip
+    scales and biases are moved off their initial values, so the frozen
+    batch norm and both skips do real arithmetic."""
+    model = Vae(ModelConfig(window=window, hidden=hidden), seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for bn in model.enc_bn + model.dec_bn:
+        bn.running_mean = rng.normal(0.0, 0.5, bn.running_mean.shape)
+        bn.running_var = rng.uniform(0.3, 3.0, bn.running_var.shape)
+        bn.gamma = rng.uniform(0.5, 1.5, bn.gamma.shape)
+        bn.shift = rng.normal(0.0, 0.2, bn.shift.shape)
+    for dense in model.enc_dense + model.dec_dense + [model.mu_head, model.logvar_head,
+                                                      model.out_layer]:
+        dense.b = rng.normal(0.0, 0.1, dense.b.shape)
+    model.dec_alpha = [np.array(a) for a in rng.uniform(-1.0, 1.0, len(model.dec_alpha))]
+    model.beta = np.array(0.6)
+    return model
+
+
+WIDTHS = [(128, 64, 32), ModelConfig().hidden]
+BATCHES = [1, 75, 1023, 1024, 1025, 2085, 5000]
+
+
+@pytest.fixture(scope="module", params=WIDTHS, ids=lambda h: "x".join(map(str, h)))
+def model(request):
+    return perturbed_model(request.param)
+
+
+@pytest.mark.parametrize("blend", [False, True], ids=["plain", "blend"])
+@pytest.mark.parametrize("rows", BATCHES)
+def test_infer_matches_encode_decode(model, rows, blend):
+    rng = np.random.default_rng(rows)
+    X = rng.normal(size=(rows, model.config.window))
+    prev_z = rng.normal(size=(rows, model.config.latent)) if blend else None
+    z, xhat = model.infer(X, prev_z, 0.5)
+    z_o, xhat_o = oracle_infer(model, X, prev_z, 0.5)
+    assert np.array_equal(z, z_o) and identical(z, z_o)
+    assert np.array_equal(xhat, xhat_o) and identical(xhat, xhat_o)
+
+
+def test_reconstruct_is_infer():
+    model = perturbed_model((16, 8), window=6)
+    X = np.random.default_rng(3).normal(size=(40, 6))
+    assert identical(model.reconstruct(X), oracle_infer(model, X)[1])
+
+
+@pytest.mark.parametrize("n", [1, 75, 1023, 1024, 1025, 2047, 2048, 2085, 19953])
+def test_row_blocks_cover_in_near_equal_blocks(n):
+    blocks = list(_row_blocks(n))
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert min(sizes) >= min(n, INFER_BLOCK_ROWS)
+    assert max(sizes) - min(sizes) <= 1
+
+
+class TestErrors:
+    def _X(self, rows=3000):
+        return np.random.default_rng(0).normal(size=(rows, 6))
+
+    def test_nan_encoder_weight(self):
+        model = perturbed_model((16, 8), window=6)
+        model.enc_dense[1].W[0, 0] = np.nan
+        with pytest.raises(NumericError, match="encoder"):
+            model.infer(self._X())
+
+    def test_nan_decoder_weight(self):
+        model = perturbed_model((16, 8), window=6)
+        model.out_layer.W[2, 1] = np.nan
+        with pytest.raises(NumericError, match="decoder"):
+            model.infer(self._X())
+
+    def test_encoder_fault_in_last_block_beats_decoder_fault(self):
+        # encode then decode raise the encoder's error first; so must infer,
+        # even though the decoder fails on every block and the encoder only
+        # on the last
+        model = perturbed_model((16, 8), window=6)
+        model.out_layer.b[0] = np.inf
+        X = self._X()
+        X[-1, 0] = np.nan
+        with pytest.raises(NumericError, match="encoder"):
+            oracle_infer(model, X)
+        with pytest.raises(NumericError, match="encoder"):
+            model.infer(X)
+
+    def test_wrong_window_width(self):
+        with pytest.raises(ShapeError):
+            perturbed_model((16, 8), window=6).infer(np.zeros((10, 7)))
+
+    def test_wrong_previous_latents(self):
+        model = perturbed_model((16, 8), window=6)
+        with pytest.raises(ShapeError):
+            model.infer(np.zeros((10, 6)), prev_z=np.zeros((9, model.config.latent)))
+
+
+def _clean(model):
+    spec = synth.SynthSpec(n=3000, spike_count=12, step_count=1,
+                           step_min_separation=1000, seed=11)
+    raw = synth.generate(spec).to_raw_series()
+    stats = preprocess.NormStats(mean=float(raw.values.mean()),
+                                 std=float(raw.values.std()))
+    result = pipeline.clean_series(model, stats, raw,
+                                   detector.DetectConfig(w_s=24, w_l=240),
+                                   refiner.RefineConfig(iterations=4),
+                                   postprocess.SmoothConfig())
+    buf = io.StringIO()
+    series_io.write_cleaned_csv(result.output, buf)
+    return result, buf.getvalue()
+
+
+def test_clean_is_byte_identical_with_oracle(monkeypatch):
+    # 2 977 windows of 24 samples: two row blocks per pass
+    model = Vae(ModelConfig(window=24, hidden=(16, 8), latent=4), seed=3)
+    result, text = _clean(model)
+    assert result.spike_mask.any() and len(result.refine_log) == 4
+    monkeypatch.setattr(Vae, "infer", oracle_infer)
+    expect, expect_text = _clean(model)
+    assert text == expect_text
+    assert np.array_equal(result.output.cleaned, expect.output.cleaned)
+    assert np.array_equal(result.spike_mask, expect.spike_mask)
+    assert np.array_equal(result.step_mask, expect.step_mask)
+    assert result.segments == expect.segments
+    assert result.refine_log == expect.refine_log
