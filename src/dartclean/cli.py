@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
 import numpy as np
 
 from . import detector, metrics, pipeline, postprocess, refiner, series_io, synth, trainer
-from .errors import ConfigError, DartCleanError, DataError, NumericError
+from .errors import ConfigError, DartCleanError, DataError, NumericError, ParseError
 from .model import ModelConfig, Vae
 from .preprocess import fill_gaps, make_windows, zscore_normalize
 
@@ -35,6 +36,8 @@ SECTION_TYPES = {
 PATH_KEYS = ("input", "output", "checkpoint", "ground_truth",
              "train_log", "segments", "iteration_log")
 TOP_KEYS = set(PATH_KEYS) | set(SECTION_TYPES) | {"seed", "verbosity"}
+TRUTH_HEADER = "time_iso8601,clean_m,contaminated_m,is_spike,is_step,is_gap"
+TRUTH_ROW = "%s,%.6f,%.6f,%d,%d,%d\n"
 
 
 def _typed(value, like, key: str):
@@ -135,36 +138,41 @@ def cmd_synth(cfg) -> int:
     step[truth.step_locations] = 1
     gap = np.zeros(spec.n, dtype=int)
     gap[truth.gap_indices] = 1
-    with open(gt_path, "w") as fh:
-        fh.write(f"# seed={spec.seed} cadence={spec.cadence}\n")
-        fh.write("time_iso8601,clean_m,contaminated_m,is_spike,is_step,is_gap\n")
-        for i in range(spec.n):
-            fh.write(f"{series_io._iso8601(truth.timestamps[i])},{truth.clean[i]:.6f},"
-                     f"{truth.contaminated[i]:.6f},{spike[i]},{step[i]},{gap[i]}\n")
+    rows = series_io.format_rows(TRUTH_ROW.__mod__, series_io.iso8601, truth.timestamps,
+                                 [truth.clean, truth.contaminated, spike, step, gap])
+    series_io.write_text(gt_path, itertools.chain(
+        [f"# seed={spec.seed} cadence={spec.cadence}\n{TRUTH_HEADER}\n"], rows))
     return 0
 
 
 def read_ground_truth(path):
     clean, contaminated, spike, step, gap = [], [], [], [], []
     cadence = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("time_iso8601"):
+            continue
+        try:
             if line.startswith("#"):
                 for token in line[1:].split():
                     if token.startswith("cadence="):
                         cadence = float(token.split("=", 1)[1])
                 continue
-            if line.startswith("time_iso8601"):
-                continue
             parts = line.split(",")
+            if len(parts) != 6:
+                raise ValueError(f"expected 6 fields, found {len(parts)}")
             clean.append(float(parts[1]))
             contaminated.append(float(parts[2]))
             spike.append(int(parts[3]))
             step.append(int(parts[4]))
             gap.append(int(parts[5]))
+        except ValueError as exc:
+            raise ParseError(f"bad ground-truth row in {path}: {exc}", lineno) from None
     if not clean:
         raise DataError(f"no ground-truth rows in {path}")
     return {
@@ -186,9 +194,9 @@ def cmd_train(cfg) -> int:
     try:
         log, reason = trainer.train(model, windows, train_cfg)
     except trainer.DivergenceError as exc:
-        exc.log.to_csv(log_path)
+        series_io.write_text(log_path, exc.log.to_csv())
         raise
-    log.to_csv(log_path)
+    series_io.write_text(log_path, log.to_csv())
     series_io.save_checkpoint(model, norm.stats, _require(cfg, "checkpoint"),
                               hyperparameters=dataclasses.asdict(train_cfg))
     if cfg["verbosity"]:
@@ -210,14 +218,13 @@ def cmd_clean(cfg) -> int:
          "peak_value": float(np.abs(result.normalized_input[start:end + 1]).max())}
         for kind, start, end in result.segments
     ]
-    with open(_derived(cfg, "segments", ".segments.json"), "w") as fh:
-        json.dump({"segments": segments,
-                   "step_edge_warnings": result.step_warnings}, fh, indent=2)
-        fh.write("\n")
-    with open(_derived(cfg, "iteration_log", ".iterations.csv"), "w") as fh:
-        fh.write("iteration,mean_change,masked_count,max_correction\n")
-        for it, mean_change, count, max_corr in refiner.iteration_log_rows(result.refine_log):
-            fh.write(f"{it},{mean_change:.10g},{count},{max_corr:.10g}\n")
+    series_io.write_text(_derived(cfg, "segments", ".segments.json"), json.dumps(
+        {"segments": segments, "step_edge_warnings": result.step_warnings}, indent=2) + "\n")
+    series_io.write_text(
+        _derived(cfg, "iteration_log", ".iterations.csv"),
+        "iteration,mean_change,masked_count,max_correction\n" + "".join(
+            f"{it},{mean_change:.10g},{count},{max_corr:.10g}\n"
+            for it, mean_change, count, max_corr in refiner.iteration_log_rows(result.refine_log)))
     return 0
 
 
@@ -252,9 +259,7 @@ def cmd_eval(cfg) -> int:
                                     cleaned_doc.step.astype(bool), truth, cadence),
         "baseline": _method_metrics(base_cleaned, base_mask, None, truth, cadence),
     }
-    with open(_require(cfg, "output"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    series_io.write_text(_require(cfg, "output"), json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -270,10 +275,9 @@ def cmd_latent(cfg) -> int:
     masks, *_, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
     labels = pipeline.label_windows(batch.origins, model.config.window, masks.segments)
     proj = metrics.project_latent(first.z)
-    with open(_require(cfg, "output"), "w") as fh:
-        fh.write("window_origin,pc1,pc2,is_anomalous\n")
-        for origin, (p1, p2), flag in zip(batch.origins, proj["coords"], labels):
-            fh.write(f"{origin},{p1:.6f},{p2:.6f},{flag}\n")
+    series_io.write_text(_require(cfg, "output"), "window_origin,pc1,pc2,is_anomalous\n" + "".join(
+        f"{origin},{p1:.6f},{p2:.6f},{flag}\n"
+        for origin, (p1, p2), flag in zip(batch.origins, proj["coords"], labels)))
     return 0
 
 

@@ -67,7 +67,7 @@ class EpochRecord:
 class TrainLog:
     records: list = field(default_factory=list)
 
-    def to_csv(self, destination=None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(LOG_HEADER + "\n")
         for r in self.records:
@@ -76,11 +76,7 @@ class TrainLog:
                 f"{r.mean:.10g},{r.total:.10g},{r.val_total:.10g},"
                 f"{r.lr:.10g},{r.grad_norm:.10g}\n"
             )
-        text = buf.getvalue()
-        if destination is not None:
-            with open(destination, "w") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
 
 class DivergenceError(NumericError):

@@ -5,7 +5,7 @@ import pytest
 
 from dartclean import cli, series_io, synth
 from dartclean.cli import load_config, main, read_ground_truth
-from dartclean.errors import ConfigError
+from dartclean.errors import ConfigError, ParseError
 
 
 def _write_config(tmp_path, name="cfg.json", **data):
@@ -287,6 +287,87 @@ class TestCmdEvalLatent:
         assert len(lines) == 1 + (2500 - 24 + 1)
         flags = {line.split(",")[3] for line in lines[1:]}
         assert flags <= {"0", "1"}
+
+
+class TestTypedReadErrors:
+    """A short row or a non-numeric field in a cleaned CSV or a ground-truth
+    file raises ParseError naming the line, so `dartclean eval` exits 3."""
+
+    @pytest.mark.parametrize("row", ["2022-01-01T00:15:00Z,1.0,2.0",
+                                     "2022-01-01T00:15:00Z,1.0,x,0,0,0.5"])
+    def test_cleaned_csv_bad_row(self, row):
+        text = (series_io.CSV_HEADER + "\n2022-01-01T00:00:00Z,1.0,1.0,0,0,0.0\n"
+                + row + "\n")
+        with pytest.raises(ParseError, match="line 3"):
+            series_io.read_cleaned_csv(text)
+
+    @pytest.mark.parametrize("row", ["2022-01-01T00:15:00Z,1.0,2.0",
+                                     "2022-01-01T00:15:00Z,1.0,2.0,0,one,0"])
+    def test_ground_truth_bad_row(self, tmp_path, row):
+        path = tmp_path / "truth.csv"
+        path.write_text("# seed=1 cadence=900.0\n"
+                        "time_iso8601,clean_m,contaminated_m,is_spike,is_step,is_gap\n"
+                        f"2022-01-01T00:00:00Z,1.0,1.0,0,0,0\n{row}\n")
+        with pytest.raises(ParseError, match="line 4"):
+            read_ground_truth(path)
+
+    @pytest.mark.parametrize("bad", ["cleaned", "truth"])
+    def test_eval_exits_3(self, trained, capsys, bad):
+        tmp_path = trained["dir"]
+        short = tmp_path / f"short_{bad}.csv"
+        good = {"cleaned": tmp_path / "cleaned_eval_src.csv", "truth": tmp_path / "truth.csv"}
+        clean_cfg, out = TestCmdClean()._clean_cfg(trained, suffix="_eval_src")
+        assert main(["clean", "--config", clean_cfg]) == 0
+        lines = good[bad].read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:3])
+        short.write_text("\n".join(lines) + "\n")
+        paths = dict(good, **{bad: short})
+        cfg = _write_config(tmp_path, name=f"eval_{bad}.json", input=str(paths["cleaned"]),
+                            ground_truth=str(paths["truth"]),
+                            output=str(tmp_path / "report_short.json"),
+                            detect={"w_s": 24, "w_l": 96})
+        assert main(["eval", "--config", cfg]) == 3
+        assert "line 6" in capsys.readouterr().err
+
+
+class TestWritesIntoMissingDirectory:
+    """Every command that cannot write an output exits 3 naming the path."""
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "series.dart"
+        cfg = _write_config(tmp_path, output=str(out), synth={"n": 300, "seed": 1})
+        assert main(["synth", "--config", cfg]) == 3
+        assert str(out) in capsys.readouterr().err
+
+    def test_synth_truth(self, tmp_path, capsys):
+        truth = tmp_path / "missing" / "truth.csv"
+        cfg = _write_config(tmp_path, output=str(tmp_path / "series.dart"),
+                            ground_truth=str(truth), synth={"n": 300, "seed": 1})
+        assert main(["synth", "--config", cfg]) == 3
+        assert str(truth) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["checkpoint", "train_log"])
+    def test_train(self, trained, capsys, key):
+        tmp_path = trained["dir"]
+        paths = {"checkpoint": str(tmp_path / "ck_missing_dir.json"),
+                 "train_log": str(tmp_path / "log_missing_dir.csv")}
+        paths[key] = str(tmp_path / "missing" / "out")
+        cfg = _write_config(tmp_path, name="train_missing.json", input=str(trained["dart"]),
+                            model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1}, **paths)
+        assert main(["train", "--config", cfg]) == 3
+        assert paths[key] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["output", "segments", "iteration_log"])
+    def test_clean(self, trained, capsys, key):
+        tmp_path = trained["dir"]
+        paths = {"output": str(tmp_path / "cleaned_missing_dir.csv")}
+        paths[key] = str(tmp_path / "missing" / "out")
+        cfg = _write_config(tmp_path, name="clean_missing.json", input=str(trained["dart"]),
+                            checkpoint=str(trained["checkpoint"]),
+                            detect={"w_s": 24, "w_l": 96}, refine={"iterations": 1}, **paths)
+        assert main(["clean", "--config", cfg]) == 3
+        assert paths[key] in capsys.readouterr().err
 
 
 class TestMainErrors:

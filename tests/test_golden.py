@@ -14,6 +14,14 @@ of OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels), x86-64.  Another BLAS
 build or CPU kernel may round the matrix products differently; on such a
 machine these digests are not expected to hold and must be recomputed
 from a known-good commit.
+
+``dartclean synth`` is pinned the same way: the DART text and the
+ground-truth CSV it writes for the acceptance spike spec and for a
+gapped, drifting spec (the benchmark's station-year spec cut to 4 000
+samples and one step, so 9999 sentinel rows are written).  Those digests
+were computed with the row-by-row text writer that preceded the
+column-at-a-time one; they involve no matrix product, so they do not
+depend on the BLAS build.
 """
 
 import hashlib
@@ -33,6 +41,30 @@ SPECS = {
                             tides=((0.3, 43200.0, 0.0), (0.15, 21600.0, 1.3)),
                             spike_count=12, step_count=3,
                             step_mag_range=(0.1, 0.17), seed=21),
+}
+
+SYNTH_SPECS = {
+    "spike": dict(n=20000, cadence=900.0, noise_sigma=0.05, spike_count=40, seed=7),
+    "gapped-drift": dict(n=4000, cadence=900.0, noise_sigma=0.05,
+                         tides=[[0.3, 43200.0, 0.0], [0.15, 21600.0, 1.3]],
+                         spike_count=24, step_count=1, step_mag_range=[0.1, 0.2],
+                         drift="linear", drift_rate=3e-6, gap_count=12,
+                         gap_len_range=[2, 8], seed=365),
+}
+
+SYNTH_GOLDEN = {
+    "spike": {
+        "series.dart":
+            "7e8c01f21e4038c249aafb0742a36eb16fb0ba97f07c8c6c5cd4037b766b3fca",
+        "truth.csv":
+            "0f675b174b386b01c191eb4e92493744a6f25688fccb64808f5cee523b8ac399",
+    },
+    "gapped-drift": {
+        "series.dart":
+            "f645b0857393d3e07465a87ca852f90f07e246ff69abafb25e45945c30bca2ac",
+        "truth.csv":
+            "fe198e60a338f2d834e4a5470a88b4318fbb99af3730f7fc266e1c1eab4b5635",
+    },
 }
 
 GOLDEN = {
@@ -77,3 +109,17 @@ def clean_digests(tmp_path, spec) -> dict:
 @pytest.mark.parametrize("series", sorted(SPECS))
 def test_clean_output_digests(tmp_path, series):
     assert clean_digests(tmp_path, SPECS[series]) == GOLDEN[series]
+
+
+@pytest.mark.parametrize("spec", sorted(SYNTH_SPECS))
+def test_synth_output_digests(tmp_path, spec):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": str(tmp_path / "series.dart"),
+                               "ground_truth": str(tmp_path / "truth.csv"),
+                               "synth": SYNTH_SPECS[spec]}))
+    assert main(["synth", "--config", str(cfg)]) == 0
+    if spec == "gapped-drift":
+        assert "1 9999.000\n" in (tmp_path / "series.dart").read_text()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SYNTH_GOLDEN[spec]}
+    assert digests == SYNTH_GOLDEN[spec]

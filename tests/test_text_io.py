@@ -1,0 +1,377 @@
+"""The array-at-a-time DART/CSV text layer against the per-row code it
+replaced.
+
+Each oracle below is the row-by-row implementation the package used
+before its text layer worked a column at a time.  Parsed arrays are
+compared by dtype and ``tobytes()``, text by ``==``; every fault a parse
+can raise must match the oracle's exception type, message and line
+number.
+"""
+
+import io
+import re
+from datetime import datetime, timezone
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dartclean import series_io
+from dartclean.errors import DataError, ParseError
+from dartclean.series_io import (
+    CHUNK_ROWS,
+    FLAG_MISSING,
+    FLAG_VALID,
+    SENTINEL,
+    SENTINEL_TOL,
+    CleanedOutput,
+    RawSeries,
+)
+
+FIRST_SECOND, LAST_SECOND = series_io.FIRST_SECOND, series_io.LAST_SECOND
+
+
+def oracle_epoch_seconds(year, month, day, hour, minute, second):
+    return datetime(year, month, day, hour, minute, second,
+                    tzinfo=timezone.utc).timestamp()
+
+
+def oracle_parse_dart_file(source) -> RawSeries:
+    text = series_io._read_text(source)
+    timestamps, values, flags = [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 8:
+            raise ParseError(f"expected 8 columns, found {len(parts)}", lineno)
+        try:
+            y, mo, d, h, mi, s = (int(p) for p in parts[:6])
+            height = float(parts[7])
+        except ValueError as exc:
+            raise ParseError(f"unparseable number: {exc}", lineno) from None
+        try:
+            ts = oracle_epoch_seconds(y, mo, d, h, mi, s)
+        except ValueError as exc:
+            raise ParseError(f"invalid date: {exc}", lineno) from None
+        missing = abs(height - SENTINEL) <= SENTINEL_TOL
+        if not missing and not np.isfinite(height):
+            raise ParseError("non-finite height", lineno)
+        timestamps.append(ts)
+        values.append(height)
+        flags.append(FLAG_MISSING if missing else FLAG_VALID)
+    if not timestamps:
+        raise DataError("no data rows found")
+    ts = np.asarray(timestamps)
+    if np.any(np.diff(ts) <= 0):
+        bad = int(np.argmax(np.diff(ts) <= 0)) + 1
+        raise DataError(f"timestamps not strictly increasing at row {bad + 1}")
+    return RawSeries(timestamps=ts, values=np.asarray(values, dtype=float),
+                     flags=np.asarray(flags, dtype=int))
+
+
+def oracle_emit_dart(series) -> str:
+    lines = ["#YY  MM DD hh mm ss T   HEIGHT"]
+    for ts, value, flag in zip(series.timestamps, series.values, series.flags):
+        dt = datetime.fromtimestamp(float(ts), tz=timezone.utc)
+        height = "9999.000" if flag == FLAG_MISSING else format(float(value), ".17g")
+        lines.append(
+            f"{dt.year:04d} {dt.month:02d} {dt.day:02d} "
+            f"{dt.hour:02d} {dt.minute:02d} {dt.second:02d} 1 {height}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_iso8601(ts) -> str:
+    return datetime.fromtimestamp(float(ts), tz=timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%SZ"
+    )
+
+
+def oracle_write_cleaned_csv(out) -> str:
+    buf = io.StringIO()
+    buf.write(series_io.CSV_HEADER + "\n")
+    for i in range(len(out.timestamps)):
+        buf.write(
+            f"{oracle_iso8601(out.timestamps[i])},{out.raw[i]:.6f},{out.cleaned[i]:.6f},"
+            f"{int(out.spike[i])},{int(out.step[i])},{out.residual[i]:.6f}\n"
+        )
+    return buf.getvalue()
+
+
+def write_csv(out) -> str:
+    buf = io.StringIO()
+    series_io.write_cleaned_csv(out, buf)
+    return buf.getvalue()
+
+
+def assert_same_series(got, want):
+    for name in ("timestamps", "values", "flags"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def outcome(fn, *args):
+    """(exception type, message, line number) of a call that raises, or
+    its result."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def dart_line(y=2022, mo=1, d=1, h=0, mi=0, s=0, height="2584.25"):
+    return f"{y:04d} {mo:02d} {d:02d} {h:02d} {mi:02d} {s:02d} 1 {height}"
+
+
+def dart_text(n):
+    """Header plus ``n`` rows at a 15-minute cadence from 2022-01-01."""
+    series = RawSeries(timestamps=1640995200.0 + 900.0 * np.arange(n),
+                       values=np.linspace(1.0, 2.0, n), flags=np.zeros(n, dtype=int))
+    return oracle_emit_dart(series)
+
+
+def edge_stamps():
+    """Stamps whose fraction lies a few ulps around half a microsecond,
+    near a carry into the next second and a borrow from the previous one,
+    from pre-1970 to the last year ``datetime`` holds."""
+    out = []
+    for base in (0.0, 1.0, -1.0, 86400.0, -86400.0, 1640995200.0,
+                 FIRST_SECOND + 86400.0, LAST_SECOND - 1.0):
+        for us in (0.5, 1.5, 2.5, 499999.5, 500000.5, 999998.5, 999999.5):
+            for sign in (1, -1):
+                t = base + sign * us / 1e6
+                out.extend(t + k * np.spacing(t) for k in range(-4, 5))
+    return np.array(out)
+
+
+class TestParse:
+    def _same(self, text):
+        want = outcome(oracle_parse_dart_file, text)
+        got = outcome(series_io.parse_dart_file, text)
+        if isinstance(want, RawSeries):
+            assert isinstance(got, RawSeries), got
+            assert_same_series(got, want)
+        else:
+            assert got == want
+        return got
+
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   2 * CHUNK_ROWS + 1])
+    def test_row_counts_around_the_chunk(self, n):
+        assert len(self._same(dart_text(n))) == n
+
+    def test_first_and_last_years_and_pre_1970(self):
+        text = "\n".join([dart_line(1, 1, 1, 0, 0, 0), dart_line(1, 3, 1, 12, 30, 59),
+                          dart_line(1969, 12, 31, 23, 59, 59), dart_line(1970, 1, 1),
+                          dart_line(9999, 12, 31, 23, 59, 59)])
+        self._same(text)
+
+    def test_leap_days(self):
+        self._same("\n".join([dart_line(1600, 2, 29), dart_line(2000, 2, 29),
+                              dart_line(2024, 2, 29), dart_line(2024, 3, 1)]))
+        self._same(dart_line(2024, 2, 29) + "\n" + dart_line(2025, 2, 29))
+        assert self._same(dart_line(1900, 2, 29) + "\n")[0] is ParseError
+
+    @pytest.mark.parametrize("height", [
+        "9999", "9999.000", "9999.000001", "9998.999999", "9999.0000010000001",
+        "9998.9999989999999", repr(SENTINEL + SENTINEL_TOL), repr(SENTINEL - SENTINEL_TOL),
+        repr(float(np.nextafter(SENTINEL + SENTINEL_TOL, np.inf))),
+        repr(float(np.nextafter(SENTINEL - SENTINEL_TOL, -np.inf))),
+        "-0.0", "0.0", "1e-320", "1_000.5", "-9999.0", "nan", "inf", "-inf", "NaN",
+    ])
+    def test_heights_near_the_sentinel_and_odd_floats(self, height):
+        self._same(dart_line(height="1.0") + "\n" + dart_line(mi=15, height=height))
+
+    def test_crlf_comments_blank_lines_and_tabs(self):
+        text = ("#YY  MM DD hh mm ss T   HEIGHT\r\n"
+                + dart_line() + "\r\n"
+                + "# a comment between data rows\r\n\r\n   \r\n"
+                + "\t" + dart_line(mi=15).replace(" ", "\t") + "  \r\n"
+                + "  # indented comment\n"
+                + dart_line(mi=30, height="9999.000") + "\r\n")
+        assert len(self._same(text)) == 3
+
+    def test_comment_lines_shift_line_numbers_across_chunks(self):
+        lines = dart_text(CHUNK_ROWS + 50).splitlines()
+        lines[CHUNK_ROWS + 10] = lines[CHUNK_ROWS + 10].replace(" 1 ", " 1 x ")
+        lines[7:7] = ["# inserted", ""]
+        got = self._same("\n".join(lines))
+        assert got[0] is ParseError and got[2] == CHUNK_ROWS + 13
+
+    @pytest.mark.parametrize("line, kind", [
+        (dart_line() + " 7", "columns"),
+        ("2022 01 01 00 00", "columns"),
+        (dart_line().replace("2022", "20x2"), "number"),
+        (dart_line().replace("2022", "2022.0"), "number"),
+        (dart_line(height="2584,25"), "number"),
+        (dart_line(2023, 2, 30), "date"),
+        (dart_line(h=24), "date"),
+        (dart_line(s=60), "date"),
+        (dart_line(mo=13), "date"),
+        (dart_line(y=0), "date"),
+        (dart_line(y=10000), "date"),
+        (dart_line(d=0), "date"),
+        (dart_line(mi=-1), "date"),
+        (dart_line(height="nan"), "non-finite"),
+        (dart_line(height="-inf"), "non-finite"),
+    ])
+    def test_fault_parity(self, line, kind):
+        # the fault is line 3, after the header and one good row
+        text = "#header\n" + dart_line(2021, 12, 31) + "\n" + line + "\n"
+        got = self._same(text)
+        assert got[0] is ParseError and got[2] == 3
+        assert kind in got[1]
+
+    def test_year_beyond_c_int_raises_as_datetime_does(self):
+        got = self._same(dart_line().replace("2022", "99999999999999999999") + "\n")
+        assert got[0] is OverflowError
+
+    @pytest.mark.parametrize("text", [
+        "", "# header only\n", "\n\n  \n",
+        dart_line(mi=15) + "\n" + dart_line(mi=15),
+        dart_line(mi=15) + "\n" + dart_line(mi=0),
+    ], ids=["empty", "header-only", "blank", "repeated", "backwards"])
+    def test_whole_file_faults(self, text):
+        assert self._same(text)[0] is DataError
+
+    @pytest.mark.parametrize("first, second", [
+        (dart_line(h=24), dart_line() + " 9"),
+        (dart_line() + " 9", dart_line(h=24)),
+        (dart_line(height="x"), dart_line(2023, 2, 30)),
+        (dart_line(2023, 2, 30), dart_line(height="inf")),
+        (dart_line(height="inf"), "2022 01"),
+        (dart_line(h=24), dart_line().replace("2022", "99999999999999999999")),
+    ])
+    @pytest.mark.parametrize("gap", [1, CHUNK_ROWS])
+    def test_earlier_line_wins(self, first, second, gap):
+        lines = dart_text(CHUNK_ROWS + gap + 20).splitlines()
+        lines[5], lines[5 + gap] = first, second
+        got = self._same("\n".join(lines))
+        assert got[2] == 6
+
+    def test_row_fault_beats_earlier_non_increasing_stamps(self):
+        lines = dart_text(40).splitlines()
+        lines[3] = lines[2]
+        lines[30] = dart_line(s=60)
+        got = self._same("\n".join(lines))
+        assert got[0] is ParseError and got[2] == 31
+
+
+class TestWrite:
+    def test_iso8601_at_microsecond_rounding_edges(self):
+        ts = edge_stamps()
+        frac = (ts - np.trunc(ts)) * 1e6
+        # the edges include exact halves at the carry and borrow points
+        assert {999999.5, -0.5, -999999.5} <= set(frac.tolist())
+        assert series_io.iso8601(ts) == [oracle_iso8601(t) for t in ts]
+
+    def test_iso8601_first_years_and_pre_1970(self):
+        ts = np.array([FIRST_SECOND, FIRST_SECOND + 0.4999, -31535999999.0, -1.0, -0.25,
+                       0.0, 951782400.0, 1709164800.0, LAST_SECOND, LAST_SECOND + 0.4])
+        assert series_io.iso8601(ts) == [oracle_iso8601(t) for t in ts]
+
+    @pytest.mark.parametrize("stamp", [FIRST_SECOND - 1.0, FIRST_SECOND - 0.5,
+                                       LAST_SECOND + 1.0, LAST_SECOND + 0.9999996,
+                                       np.nan, np.inf, -np.inf, 1e300])
+    def test_out_of_range_stamp_raises_as_fromtimestamp_does(self, stamp):
+        ts = np.array([0.0, stamp, 1.0])
+        want = outcome(lambda: [oracle_iso8601(t) for t in ts])
+        assert isinstance(want, tuple)
+        assert outcome(series_io.iso8601, ts) == want
+        series = RawSeries(timestamps=ts, values=np.zeros(3), flags=np.zeros(3, dtype=int))
+        assert outcome(series_io.emit_dart, series) == outcome(oracle_emit_dart, series)
+
+    def test_cleaned_csv_signed_zeros_and_non_finite(self):
+        raw = np.array([0.0, -0.0, -0.0, np.nan, np.inf, -np.inf, 1e-7, -4e-7, 2584.0000005])
+        cleaned = np.array([-0.0, 0.0, -0.0, 1.0, 3.0, np.inf, -1e-7, 0.0, 0.0])
+        n = len(raw)
+        out = CleanedOutput(timestamps=edge_stamps()[:n], raw=raw, cleaned=cleaned,
+                            spike=np.arange(n) % 2, step=(np.arange(n) % 3 == 0))
+        assert write_csv(out) == oracle_write_cleaned_csv(out)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_cleaned_csv_around_the_chunk(self, n, rng):
+        out = CleanedOutput(timestamps=1640995200.0 + 900.0 * np.arange(n),
+                            raw=rng.normal(2584.0, 0.3, n), cleaned=rng.normal(2584.0, 0.3, n),
+                            spike=rng.integers(0, 2, n), step=rng.integers(0, 2, n))
+        assert write_csv(out) == oracle_write_cleaned_csv(out)
+
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_emit_around_the_chunk(self, n, rng):
+        series = RawSeries(timestamps=-1e6 + 900.0 * np.arange(n),
+                           values=rng.normal(0.0, 1e3, n),
+                           flags=(rng.random(n) < 0.1).astype(int))
+        assert series_io.emit_dart(series) == oracle_emit_dart(series)
+
+    def test_emit_edge_stamps_and_values(self):
+        ts = edge_stamps()
+        values = np.resize(np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 9999.0, 1e-320,
+                                     0.1, 2584.123456789012345]), len(ts))
+        flags = np.resize(np.array([FLAG_VALID, FLAG_MISSING, FLAG_VALID]), len(ts))
+        series = RawSeries(timestamps=ts, values=values, flags=flags)
+        assert series_io.emit_dart(series) == oracle_emit_dart(series)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(steps=st.lists(st.integers(1, 10**7), min_size=1, max_size=300),
+       start=st.integers(FIRST_SECOND, LAST_SECOND - 300 * 10**7),
+       values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.sampled_from([SENTINEL, SENTINEL + SENTINEL_TOL,
+                                                  SENTINEL - 2 * SENTINEL_TOL, -0.0])),
+                       min_size=300, max_size=300),
+       missing=st.lists(st.booleans(), min_size=300, max_size=300))
+def test_parse_emit_round_trip(steps, start, values, missing):
+    n = len(steps)
+    series = RawSeries(timestamps=(start + np.cumsum(steps)).astype(float),
+                       values=np.array(values[:n]), flags=np.array(missing[:n], dtype=int))
+    text = series_io.emit_dart(series)
+    assert text == oracle_emit_dart(series)
+    got = series_io.parse_dart_file(text)
+    assert_same_series(got, oracle_parse_dart_file(text))
+    assert got.timestamps.tobytes() == series.timestamps.tobytes()
+    valid = got.flags == FLAG_VALID
+    assert got.values[valid].tobytes() == series.values[valid].tobytes()
+
+
+class TestWriteText:
+    def test_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old")
+        series_io.write_text(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_failed_write_is_data_error_naming_the_path(self, tmp_path, where):
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / ("nope/out.csv" if where == "missing-dir" else "sub")
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            series_io.write_text(path, "x")
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    def test_file_object_destination(self):
+        buf = io.StringIO()
+        series_io.write_text(buf, "abc")
+        assert buf.getvalue() == "abc"
+
+    def test_a_failing_row_leaves_every_destination_untouched(self, tmp_path):
+        n = CHUNK_ROWS + 5
+        ts = 1640995200.0 + 900.0 * np.arange(n)
+        ts[-1] = np.nan  # raises in the second chunk, after the first is formatted
+        out = CleanedOutput(timestamps=ts, raw=np.zeros(n), cleaned=np.zeros(n),
+                            spike=np.zeros(n), step=np.zeros(n))
+        path = tmp_path / "out.csv"
+        path.write_text("old")
+        with pytest.raises(ValueError, match="NaN"):
+            series_io.write_cleaned_csv(out, path)
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="NaN"):
+            series_io.write_cleaned_csv(out, buf)
+        assert buf.getvalue() == ""
