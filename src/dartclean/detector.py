@@ -59,15 +59,6 @@ def reconstruction_error(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     return np.abs(x - xhat)
 
 
-def re_threshold(re: np.ndarray, kappa: float = 3.0):
-    """Threshold tau = mean + kappa * population std; returns (tau, indices)."""
-    re = np.asarray(re, dtype=float)
-    if re.size == 0:
-        raise DataError("empty reconstruction-error array")
-    tau = float(re.mean() + kappa * re.std())
-    return tau, np.flatnonzero(re > tau)
-
-
 def _window_bounds(n: int, w: int):
     """Centered windows of nominal width w, clamped at the series edges."""
     idx = np.arange(n)

@@ -41,14 +41,17 @@ class Dense:
             raise ShapeError(
                 f"dense layer expects input width {self.in_dim}, got {x.shape}"
             )
-        y = x @ self.W.T + self.b
+        y = x @ self.W.T
+        y += self.b
         return y, x
 
-    def backward(self, gy: np.ndarray, cache):
+    def backward(self, gy: np.ndarray, cache, input_grad: bool = True):
+        """Returns (gx, {"W": gW, "b": gb}); gx is None when ``input_grad``
+        is false, for a first layer whose input gradient nobody reads."""
         x = cache
         gW = gy.T @ x
         gb = gy.sum(axis=0)
-        gx = gy @ self.W
+        gx = gy @ self.W if input_grad else None
         return gx, {"W": gW, "b": gb}
 
 
@@ -57,6 +60,9 @@ class BatchNorm:
 
     Training mode normalizes by batch statistics (population variance) and
     updates the running buffers; inference mode is a frozen affine map.
+    Training mode computes ``x - mean`` once, for the variance and for
+    ``xhat``, with the same operations as ``x.var(axis=0)``; its backward
+    works through one temporary besides the input gradient it returns.
     """
 
     def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
@@ -70,29 +76,40 @@ class BatchNorm:
     def forward(self, x: np.ndarray, train: bool):
         if train:
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            xhat = x - mean
+            y = np.square(xhat)     # as x.var(axis=0) squares; reused for the output
+            var = y.sum(axis=0)
+            var /= x.shape[0]
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
-            mean = self.running_mean
             var = self.running_var
+            xhat = x - self.running_mean
+            y = np.empty_like(xhat)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
-        y = self.gamma * xhat + self.shift
+        xhat *= inv_std
+        np.multiply(xhat, self.gamma, out=y)
+        y += self.shift
         return y, (xhat, inv_std, train)
 
     def backward(self, gy: np.ndarray, cache):
         xhat, inv_std, train = cache
-        ggamma = (gy * xhat).sum(axis=0)
+        tmp = gy * xhat
+        ggamma = tmp.sum(axis=0)
         gshift = gy.sum(axis=0)
-        gxhat = gy * self.gamma
+        gx = gy * self.gamma        # gxhat, turned into gx in place
         if train:
+            # gx = (inv_std / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
             n = gy.shape[0]
-            gx = (inv_std / n) * (
-                n * gxhat - gxhat.sum(axis=0) - xhat * (gxhat * xhat).sum(axis=0)
-            )
+            gxhat_sum = gx.sum(axis=0)
+            proj = np.multiply(gx, xhat, out=tmp).sum(axis=0)
+            np.multiply(xhat, proj, out=tmp)
+            gx *= n
+            gx -= gxhat_sum
+            gx -= tmp
+            gx *= inv_std / n
         else:
-            gx = gxhat * inv_std
+            gx *= inv_std
         return gx, {"gamma": ggamma, "shift": gshift}
 
 
@@ -101,20 +118,28 @@ def relu_forward(x: np.ndarray):
 
 
 def relu_backward(gy: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return gy * mask
+    """Masks ``gy`` in place and returns it."""
+    gy *= mask
+    return gy
 
 
 def dropout_forward(x: np.ndarray, p: float, train: bool, rng):
-    """Inverted dropout.  Identity when inferring or when no rng is supplied."""
+    """Inverted dropout, scaling ``x`` in place.  Identity when inferring or
+    when no rng is supplied."""
     if not train or rng is None or p <= 0.0:
         return x, None
     keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
-    return x * keep * scale, (keep, scale)
+    x *= keep
+    x *= scale
+    return x, (keep, scale)
 
 
 def dropout_backward(gy: np.ndarray, cache) -> np.ndarray:
+    """Scales ``gy`` in place and returns it."""
     if cache is None:
         return gy
     keep, scale = cache
-    return gy * keep * scale
+    gy *= keep
+    gy *= scale
+    return gy

