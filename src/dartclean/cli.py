@@ -268,16 +268,16 @@ def cmd_latent(cfg) -> int:
     raw = series_io.parse_dart_file(_require(cfg, "input"))
     filled = fill_gaps(raw)
     norm = zscore_normalize(filled, stats)
-    batch = make_windows(norm, w=model.config.window, s=1)
-    if len(batch.origins) < 3:
+    origins = np.arange(len(norm.values) - model.config.window + 1)
+    if len(origins) < 3:
         raise DataError("latent projection needs at least 3 windows")
     # the detect pass's latents are unblended, so z == mu + 0.0
     masks, *_, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
-    labels = pipeline.label_windows(batch.origins, model.config.window, masks.segments)
+    labels = pipeline.label_windows(origins, model.config.window, masks.segments)
     proj = metrics.project_latent(first.z)
     series_io.write_text(_require(cfg, "output"), "window_origin,pc1,pc2,is_anomalous\n" + "".join(
         f"{origin},{p1:.6f},{p2:.6f},{flag}\n"
-        for origin, (p1, p2), flag in zip(batch.origins, proj["coords"], labels)))
+        for origin, (p1, p2), flag in zip(origins, proj["coords"], labels)))
     return 0
 
 

@@ -9,7 +9,9 @@ Both rolling statistics run on ``sliding_window_view`` rows and equal the
 plain per-index slice computation bit for bit: a row of the view is a
 contiguous run of the series, and NumPy reduces the last axis of a
 C-ordered operand row by row with the same pairwise summation (and the
-same partition for the median) it applies to a 1-D slice.
+same partition for the median) it applies to a 1-D slice.  Since rows
+reduce independently, the median and std take the view a block of rows
+at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError
 
 STD_FLOOR = 1e-8
+# rows of the sliding-window view per block of rolling_median_std: np.median
+# copies every row it is given, and .std subtracts each row's mean in a new
+# array, so whole-view calls would hold two [n x w] arrays
+ROLLING_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -79,8 +85,11 @@ def rolling_median_std(x: np.ndarray, w: int):
     # is row i - w//2 of the view, so only the w - 1 clamped edges loop
     first, last = w // 2, n - (w - w // 2)
     view = sliding_window_view(x, w)
-    med[first:last + 1] = np.median(view, axis=1)
-    std[first:last + 1] = view.std(axis=1)
+    for lo in range(0, len(view), ROLLING_BLOCK_ROWS):
+        rows = view[lo:lo + ROLLING_BLOCK_ROWS]
+        at = slice(first + lo, first + lo + len(rows))
+        np.median(rows, axis=1, out=med[at])
+        rows.std(axis=1, out=std[at])
     lo, hi = _window_bounds(n, w)
     for i in [*range(first), *range(last + 1, n)]:
         seg = x[lo[i]:hi[i]]

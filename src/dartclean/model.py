@@ -9,9 +9,11 @@ gradient descent: it is recomputed from reconstruction confidence after
 every batch (see :meth:`Vae.update_global_skip`).
 
 All gradients are analytic; the test suite checks every parameter class
-against central finite differences.  Detection and refinement run through
-:meth:`Vae.infer`, an uncached, row-blocked forward that is bit-identical
-to infer-mode :meth:`Vae.encode` then :meth:`Vae.decode`.
+against central finite differences.  Validation, detection and refinement
+run through one uncached, row-blocked forward that is bit-identical to
+infer-mode :meth:`Vae.encode` then :meth:`Vae.decode`: :meth:`Vae.infer`
+on a window batch, :meth:`Vae.infer_series` on every window of a series,
+overlap-added as it is decoded.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .layers import (
     BatchNorm,
     Dense,
@@ -151,13 +154,15 @@ class Vae:
             self.dec_alpha.append(np.array(config.skip_alpha_init))
         self.out_layer = Dense(dec_widths[-1], w, rng)
         self.beta = np.array(config.beta0)
-        self._slots = self._slot_table()
 
     # ---------------------------------------------------------------- params
 
-    def _slot_table(self) -> list:
+    @property
+    def _slots(self) -> list:
         """Every checkpointed array as a (name, container, key) slot, in
-        checkpoint order: trainable arrays first, then the buffers."""
+        checkpoint order: trainable arrays first, then the buffers.  Built
+        on each use, so it follows a rebound attribute (``dec_alpha``
+        included) the way infer, encode and decode do."""
         def layer(prefix, obj, *keys):
             return [(f"{prefix}.{key}", obj.__dict__, key) for key in keys]
 
@@ -184,11 +189,12 @@ class Vae:
         return {name: box[key] for name, box, key in self._slots}
 
     def load_state(self, arrays: dict):
-        missing = {name for name, _, _ in self._slots} - set(arrays)
+        slots = self._slots
+        missing = {name for name, _, _ in slots} - set(arrays)
         if missing:
             raise ShapeError(f"checkpoint missing arrays: {sorted(missing)}")
         values = []
-        for name, box, key in self._slots:
+        for name, box, key in slots:
             value = np.asarray(arrays[name], dtype=float, order="C")
             if value.shape != box[key].shape:
                 raise ShapeError(
@@ -196,7 +202,7 @@ class Vae:
                 )
             values.append(value)
         # assign after full validation so a bad checkpoint leaves no partial state
-        for (_, box, key), value in zip(self._slots, values):
+        for (_, box, key), value in zip(slots, values):
             box[key] = value
 
     def clone_state(self) -> dict:
@@ -359,6 +365,47 @@ class Vae:
 
     # --------------------------------------------------------------- helpers
 
+    def _infer_rows(self, X: np.ndarray, prev_z, blend_alpha: float, logvar_out, emit):
+        """The one infer-mode forward, behind :meth:`infer` and
+        :meth:`infer_series`.  Encodes and blends every row block of the
+        [n x window] windows ``X`` into z, taking each block as a contiguous
+        copy when ``X`` is a strided view; then decodes block by block and
+        hands each decoded block to ``emit(lo, hi, xhat_block)``.  Every block
+        is encoded before any is decoded, so encoder faults come first.
+        Returns z."""
+        n = X.shape[0]
+        if prev_z is not None and np.shape(prev_z) != (n, self.config.latent):
+            raise ShapeError(f"expected [{n} x {self.config.latent}] previous latents, "
+                             f"got {np.shape(prev_z)}")
+        z = np.empty((n, self.config.latent))
+        for lo, hi in _row_blocks(n):
+            h = np.ascontiguousarray(X[lo:hi])
+            for dn, bn in zip(self.enc_dense, self.enc_bn):
+                h = _frozen_block(h, dn, bn)
+            mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
+            mu += self.mu_head.b
+            logvar = np.matmul(h, self.logvar_head.W.T,
+                               out=None if logvar_out is None else logvar_out[lo:hi])
+            logvar += self.logvar_head.b
+            np.clip(logvar, -LOGVAR_CLIP, LOGVAR_CLIP, out=logvar)
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
+                raise NumericError("non-finite encoder outputs")
+            mu += 0.0   # z = mu + exp(0.5 * logvar) * 0, which turns -0.0 into 0.0
+            if prev_z is not None:
+                mu *= blend_alpha
+                mu += (1.0 - blend_alpha) * prev_z[lo:hi]
+        for lo, hi in _row_blocks(n):
+            h = z[lo:hi]
+            for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
+                h = _frozen_block(h, dn, bn, alpha)
+            y = h @ self.out_layer.W.T
+            y += self.out_layer.b
+            y += self.beta * X[lo:hi]
+            if not np.all(np.isfinite(y)):
+                raise NumericError("non-finite decoder outputs")
+            emit(lo, hi, y)
+        return z
+
     def infer(self, X: np.ndarray, prev_z: np.ndarray | None = None,
               blend_alpha: float = 1.0, logvar_out: np.ndarray | None = None):
         """Infer-mode encode, optional latent blend, decode; returns (z, xhat).
@@ -374,38 +421,40 @@ class Vae:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.config.window:
             raise ShapeError(f"expected [batch x {self.config.window}] windows, got {X.shape}")
-        n = X.shape[0]
-        if prev_z is not None and np.shape(prev_z) != (n, self.config.latent):
-            raise ShapeError(f"expected [{n} x {self.config.latent}] previous latents, "
-                             f"got {np.shape(prev_z)}")
-        z = np.empty((n, self.config.latent))
-        for lo, hi in _row_blocks(n):
-            h = X[lo:hi]
-            for dn, bn in zip(self.enc_dense, self.enc_bn):
-                h = _frozen_block(h, dn, bn)
-            mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
-            mu += self.mu_head.b
-            logvar = np.matmul(h, self.logvar_head.W.T,
-                               out=None if logvar_out is None else logvar_out[lo:hi])
-            logvar += self.logvar_head.b
-            np.clip(logvar, -LOGVAR_CLIP, LOGVAR_CLIP, out=logvar)
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
-                raise NumericError("non-finite encoder outputs")
-            mu += 0.0   # z = mu + exp(0.5 * logvar) * 0, which turns -0.0 into 0.0
-            if prev_z is not None:
-                mu *= blend_alpha
-                mu += (1.0 - blend_alpha) * prev_z[lo:hi]
         xhat = np.empty_like(X)
-        for lo, hi in _row_blocks(n):
-            h = z[lo:hi]
-            for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
-                h = _frozen_block(h, dn, bn, alpha)
-            y = np.matmul(h, self.out_layer.W.T, out=xhat[lo:hi])
-            y += self.out_layer.b
-            y += self.beta * X[lo:hi]
-            if not np.all(np.isfinite(y)):
-                raise NumericError("non-finite decoder outputs")
-        return z, xhat
+
+        def keep(lo, hi, block):
+            xhat[lo:hi] = block
+
+        return self._infer_rows(X, prev_z, blend_alpha, logvar_out, keep), xhat
+
+    def infer_series(self, x: np.ndarray, prev_z: np.ndarray | None = None,
+                     blend_alpha: float = 1.0):
+        """:meth:`infer` on every stride-1 window of the series ``x``, with
+        the decoded windows overlap-added back to series length; returns
+        (z, recon), ``recon[i]`` the mean of every decoded window covering
+        sample i.
+
+        Holds no [windows x window] array.  Each encoder block is copied
+        out of a sliding view of ``x``, and each decoded block is added into
+        one running accumulator column by column, j = window-1 ... 0, so
+        every sample sums its covering windows in ascending origin order:
+        the order of the plain window-by-window overlap-add, bit for bit.
+        """
+        x = np.asarray(x, dtype=float)
+        n, w = len(x), self.config.window
+        if n < w:
+            raise DataError(f"series of length {n} is shorter than window {w}")
+        recon = np.zeros(n)
+
+        def overlap_add(lo, hi, block):
+            for j in range(w - 1, -1, -1):
+                recon[lo + j:hi + j] += block[:, j]
+
+        z = self._infer_rows(sliding_window_view(x, w), prev_z, blend_alpha, None, overlap_add)
+        i = np.arange(n)
+        recon /= np.minimum(i, n - w) - np.maximum(i - (w - 1), 0) + 1
+        return z, recon
 
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
         """Deterministic infer-mode encode+decode of a window batch."""

@@ -57,6 +57,7 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
 
     masks, _, _, first = detect_anomalies(model, x_norm, detect_config)
     result = refiner.refine(model, x_norm, masks, detect_config, refine_config, first)
+    del first   # its n x latent z is spent
 
     validated, warned = postprocess.validate_steps(
         result.series, result.step_mask, masks.spike,

@@ -12,8 +12,9 @@ Round 1 sees the unmodified input at undecayed thresholds, which is what
 the initial detection pass computes; :func:`infer_pass` serves both, and
 the pipeline hands its result to :func:`refine` instead of recomputing it.
 
-Overlap-add is one ``np.bincount`` over the flattened window indices; see
-:func:`windows_to_series` for why it equals slice-by-slice accumulation.
+A pass never holds the windows or the decoded windows whole:
+:meth:`Vae.infer_series` overlap-adds each decoded row block into the
+series as it goes, in the order :func:`windows_to_series` adds them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import detector
 from .errors import ConfigError, DataError, NumericError
-from .preprocess import make_windows
+from .preprocess import make_windows  # noqa: F401  kept on this module: tests swap in oracles
 
 
 @dataclass
@@ -72,11 +73,13 @@ class InferPass:
 
 
 def windows_to_series(window_values: np.ndarray, origins: np.ndarray, n: int) -> np.ndarray:
-    """Uniform overlap-add: per-sample average of every covering window.
+    """Uniform overlap-add of windows at any origins: per-sample average
+    of every covering window.
 
     ``np.bincount`` adds its weights in input order, so each sample sums
     its covering windows' values in row order, exactly as adding the rows
-    one slice at a time would.
+    one slice at a time would.  Refinement passes use the fused form in
+    :meth:`Vae.infer_series`, which equals this on stride-1 windows.
     """
     window_values = np.asarray(window_values, dtype=float)
     origins = np.asarray(origins, dtype=int)
@@ -97,9 +100,7 @@ def infer_pass(model, x: np.ndarray, detect_config: detector.DetectConfig,
     """Encode every stride-1 window of ``x``, blend the latents with
     ``prev_z`` if given, decode and overlap-add; run both detectors on ``x``
     (steps at ``tau_l``, default ``detect_config.tau_l``)."""
-    batch = make_windows(x, w=model.config.window, s=1)
-    z, decoded = model.infer(batch.windows, prev_z, blend_alpha)
-    recon = windows_to_series(decoded, batch.origins, len(x))
+    z, recon = model.infer_series(x, prev_z, blend_alpha)
     deviation = detector.spike_deviation(x, detect_config)
     step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
     return InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)

@@ -9,6 +9,8 @@ from dartclean.model import (
     Vae,
     kl_divergence,
 )
+from dartclean.preprocess import NormStats
+from dartclean.series_io import load_checkpoint, save_checkpoint
 from tests.conftest import tiny_model
 
 
@@ -286,3 +288,21 @@ class TestStateRoundTrip:
         del state["beta"]
         with pytest.raises(ShapeError):
             model.load_state(state)
+
+    def test_rebound_alphas_reach_state_and_checkpoint(self, rng, tmp_path):
+        # rebinding the list, not assigning into it: the state, the trained
+        # parameters and a saved checkpoint must all see the new alphas
+        model = tiny_model(hidden=(5, 3), seed=6)
+        model.dec_alpha = [np.array(-0.3), np.array(0.45)]
+        assert model.trainable()["dec1.alpha"] is model.dec_alpha[1]
+        X = rng.normal(size=(30, 6))
+        z, xhat = model.infer(X)
+        twin = tiny_model(hidden=(5, 3), seed=6)
+        twin.load_state(model.clone_state())
+        z_t, xhat_t = twin.infer(X)
+        assert z.tobytes() == z_t.tobytes() and xhat.tobytes() == xhat_t.tobytes()
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, NormStats(0.0, 1.0), path)
+        loaded, _ = load_checkpoint(path)
+        z_l, xhat_l = loaded.infer(X)
+        assert z.tobytes() == z_l.tobytes() and xhat.tobytes() == xhat_l.tobytes()

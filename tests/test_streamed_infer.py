@@ -1,0 +1,178 @@
+"""The streamed refinement pass against the windowed pass it replaced.
+
+``Vae.infer_series`` encodes each row block from a sliding view of the
+series and overlap-adds each decoded block into one accumulator, so a
+clean never holds a windows x window array.  The oracle pass below is the
+one the refiner ran before: copy every stride-1 window (``make_windows``),
+run ``Vae.infer`` on the copy, and overlap-add with one ``np.bincount``
+(``oracle_windows_to_series``).  Every comparison is to the bit.
+"""
+
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
+from dartclean.errors import DataError, NumericError
+from dartclean.model import ModelConfig, Vae
+from tests.conftest import tiny_model
+from tests.test_infer import identical, perturbed_model
+
+
+def oracle_windows_to_series(window_values, origins, n):
+    """Uniform overlap-add: ``np.bincount`` adds its weights in input
+    order, so each sample sums its covering windows in row order."""
+    window_values = np.asarray(window_values, dtype=float)
+    origins = np.asarray(origins, dtype=int)
+    w = window_values.shape[1]
+    index = (origins[:, None] + np.arange(w)).ravel()
+    acc = np.bincount(index, weights=window_values.ravel(), minlength=n)
+    count = np.bincount(index, minlength=n)
+    if np.any(count == 0):
+        raise DataError("overlap-add: some samples are covered by no window")
+    return acc / count
+
+
+def oracle_infer_pass(model, x, detect_config, tau_l=None, prev_z=None, blend_alpha=1.0):
+    batch = preprocess.make_windows(x, w=model.config.window, s=1)
+    z, decoded = model.infer(batch.windows, prev_z, blend_alpha)
+    recon = oracle_windows_to_series(decoded, batch.origins, len(x))
+    deviation = detector.spike_deviation(x, detect_config)
+    step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
+    return refiner.InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)
+
+
+# window counts around the row-block edges: 1 024 rows a block, none under 76
+WINDOW_COUNTS = [1, 75, 76, 1023, 1024, 1025, 2048, 2049, 2085]
+
+
+@pytest.mark.parametrize("blend", [False, True], ids=["plain", "blend"])
+@pytest.mark.parametrize("w", [7, 12])
+@pytest.mark.parametrize("count", WINDOW_COUNTS)
+def test_infer_series_matches_windowed_pass(count, w, blend):
+    model = perturbed_model((16, 8), seed=w, window=w)
+    rng = np.random.default_rng(count + w)
+    n = count + w - 1
+    x = rng.normal(size=n) + np.linspace(0.0, 2.0, n)
+    prev_z = rng.normal(size=(count, model.config.latent)) if blend else None
+    z, recon = model.infer_series(x, prev_z, 0.5)
+    batch = preprocess.make_windows(x, w=w)
+    z_o, decoded = model.infer(batch.windows, prev_z, 0.5)
+    recon_o = oracle_windows_to_series(decoded, batch.origins, n)
+    assert np.array_equal(z, z_o) and identical(z, z_o)
+    assert np.array_equal(recon, recon_o) and identical(recon, recon_o)
+
+
+@pytest.mark.parametrize("w", [7, 12])
+@pytest.mark.parametrize("count", [1, 76, 2049])
+def test_fused_overlap_add_of_arbitrary_values(count, w):
+    # a decoder whose output is far from its input: the overlap-add alone,
+    # on values whose sums round differently in any other order
+    model = perturbed_model((16, 8), seed=1, window=w)
+    rng = np.random.default_rng(count)
+    model.out_layer.b = rng.normal(0.0, 1e3, w)
+    model.beta = np.array(1e-7)
+    x = rng.normal(size=count + w - 1) * 1e4
+    _, recon = model.infer_series(x)
+    _, decoded = model.infer(preprocess.make_windows(x, w=w).windows)
+    assert identical(recon, oracle_windows_to_series(decoded, np.arange(count), len(x)))
+
+
+def test_infer_series_rejects_short_series():
+    with pytest.raises(DataError, match="shorter than window"):
+        perturbed_model((16, 8), window=12).infer_series(np.zeros(11))
+
+
+def test_infer_series_encoder_fault_beats_decoder_fault():
+    model = perturbed_model((16, 8), window=6)
+    model.out_layer.b[0] = np.inf
+    x = np.random.default_rng(0).normal(size=3000)
+    with pytest.raises(NumericError, match="decoder"):
+        model.infer_series(x)
+    x[-1] = np.nan   # only the last window, in the last encoder block
+    with pytest.raises(NumericError, match="encoder"):
+        model.infer_series(x)
+
+
+@pytest.fixture(scope="module")
+def contaminated():
+    spec = synth.SynthSpec(n=3000, spike_count=12, step_count=1,
+                           step_min_separation=1000, seed=11)
+    raw = synth.generate(spec).to_raw_series()
+    model = Vae(ModelConfig(window=24, hidden=(16, 8), latent=4), seed=3)
+    stats = preprocess.NormStats(mean=float(raw.values.mean()),
+                                 std=float(raw.values.std()))
+    configs = (detector.DetectConfig(w_s=24, w_l=240),
+               refiner.RefineConfig(iterations=4),
+               postprocess.SmoothConfig())
+    return model, stats, raw, configs
+
+
+def _clean(contaminated):
+    model, stats, raw, configs = contaminated
+    result = pipeline.clean_series(model, stats, raw, *configs)
+    buf = io.StringIO()
+    series_io.write_cleaned_csv(result.output, buf)
+    return result, buf.getvalue()
+
+
+def test_clean_is_byte_identical_with_windowed_pass(contaminated, monkeypatch):
+    # 2 977 windows of 24 samples: two row blocks per pass
+    result, text = _clean(contaminated)
+    assert result.spike_mask.any() and len(result.refine_log) == 4
+    monkeypatch.setattr(refiner, "infer_pass", oracle_infer_pass)
+    expect, expect_text = _clean(contaminated)
+    assert text == expect_text
+    assert np.array_equal(result.output.cleaned, expect.output.cleaned)
+    assert np.array_equal(result.spike_mask, expect.spike_mask)
+    assert np.array_equal(result.step_mask, expect.step_mask)
+    assert result.segments == expect.segments
+    assert result.refine_log == expect.refine_log
+
+
+# a clean holds its input, the series-length arrays of two refinement
+# passes (latents, n x latent, of this and the previous pass) and
+# row-block scratch; whole-series window copies (48 float64 each per
+# sample) put the windowed pass at ~210 float64 a sample
+PEAK_BYTES_PER_SAMPLE = 150 * 8
+
+
+def test_clean_peak_memory_is_bounded_per_sample():
+    spec = synth.SynthSpec(n=20000, cadence=900.0, noise_sigma=0.05,
+                           spike_count=40, seed=7)
+    raw = synth.generate(spec).to_raw_series()
+    stats = preprocess.NormStats(mean=float(raw.values.mean()),
+                                 std=float(raw.values.std()))
+    model = Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pipeline.clean_series(model, stats, raw)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES_PER_SAMPLE * spec.n, f"{peak / spec.n / 8:.0f} float64 a sample"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(40, 160), seed=st.integers(0, 2**16),
+       spike_p=st.sampled_from([0.0, 0.02, 0.1, 0.4]),
+       step_p=st.sampled_from([0.0, 0.01, 0.05]),
+       tau_s=st.sampled_from([1.0, 2.0, 50.0]))
+def test_refine_leaves_every_sample_outside_the_gate_untouched(n, seed, spike_p, step_p,
+                                                                tau_s):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x[rng.integers(0, n, size=3)] += 6.0
+    masks = detector.AnomalyMasks(spike=rng.random(n) < spike_p, step=rng.random(n) < step_p)
+    config = detector.DetectConfig(w_s=8, w_l=16, tau_s=tau_s, tau_l=0.5)
+    result = refiner.refine(tiny_model(seed=seed % 5), x, masks, config,
+                            refiner.RefineConfig(iterations=3))
+    gate = result.spike_mask | result.step_mask
+    assert not (masks.spike & ~result.spike_mask).any()
+    assert not (masks.step & ~result.step_mask).any()
+    assert result.series[~gate].tobytes() == x[~gate].tobytes()
