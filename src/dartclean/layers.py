@@ -58,11 +58,11 @@ class Dense:
 class BatchNorm:
     """Per-feature batch normalization with running statistics.
 
-    Training mode normalizes by batch statistics (population variance) and
-    updates the running buffers; inference mode is a frozen affine map.
-    Training mode computes ``x - mean`` once, for the variance and for
-    ``xhat``, with the same operations as ``x.var(axis=0)``; its backward
-    works through one temporary besides the input gradient it returns.
+    ``forward`` normalizes by batch statistics (population variance) and
+    updates the running buffers, which only ``Vae.infer`` applies.  It
+    computes ``x - mean`` once, for the variance and for ``xhat``, with the
+    same operations as ``x.var(axis=0)``; its backward works through one
+    temporary besides the input gradient it returns.
     """
 
     def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
@@ -73,43 +73,36 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
 
-    def forward(self, x: np.ndarray, train: bool):
-        if train:
-            mean = x.mean(axis=0)
-            xhat = x - mean
-            y = np.square(xhat)     # as x.var(axis=0) squares; reused for the output
-            var = y.sum(axis=0)
-            var /= x.shape[0]
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            var = self.running_var
-            xhat = x - self.running_mean
-            y = np.empty_like(xhat)
+    def forward(self, x: np.ndarray):
+        mean = x.mean(axis=0)
+        xhat = x - mean
+        y = np.square(xhat)     # as x.var(axis=0) squares; reused for the output
+        var = y.sum(axis=0)
+        var /= x.shape[0]
+        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std
         np.multiply(xhat, self.gamma, out=y)
         y += self.shift
-        return y, (xhat, inv_std, train)
+        return y, (xhat, inv_std)
 
     def backward(self, gy: np.ndarray, cache):
-        xhat, inv_std, train = cache
+        xhat, inv_std = cache
         tmp = gy * xhat
         ggamma = tmp.sum(axis=0)
         gshift = gy.sum(axis=0)
-        gx = gy * self.gamma        # gxhat, turned into gx in place
-        if train:
-            # gx = (inv_std / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
-            n = gy.shape[0]
-            gxhat_sum = gx.sum(axis=0)
-            proj = np.multiply(gx, xhat, out=tmp).sum(axis=0)
-            np.multiply(xhat, proj, out=tmp)
-            gx *= n
-            gx -= gxhat_sum
-            gx -= tmp
-            gx *= inv_std / n
-        else:
-            gx *= inv_std
+        # gx = (inv_std / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat)),
+        # with gxhat = gy * gamma turned into gx in place
+        gx = gy * self.gamma
+        n = gy.shape[0]
+        gxhat_sum = gx.sum(axis=0)
+        proj = np.multiply(gx, xhat, out=tmp).sum(axis=0)
+        np.multiply(xhat, proj, out=tmp)
+        gx *= n
+        gx -= gxhat_sum
+        gx -= tmp
+        gx *= inv_std / n
         return gx, {"gamma": ggamma, "shift": gshift}
 
 
@@ -123,10 +116,10 @@ def relu_backward(gy: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return gy
 
 
-def dropout_forward(x: np.ndarray, p: float, train: bool, rng):
-    """Inverted dropout, scaling ``x`` in place.  Identity when inferring or
-    when no rng is supplied."""
-    if not train or rng is None or p <= 0.0:
+def dropout_forward(x: np.ndarray, p: float, rng):
+    """Inverted dropout, scaling ``x`` in place.  Identity when no rng is
+    supplied: a deterministic forward."""
+    if rng is None or p <= 0.0:
         return x, None
     keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)

@@ -9,9 +9,9 @@ gradient descent: it is recomputed from reconstruction confidence after
 every batch (see :meth:`Vae.update_global_skip`).
 
 All gradients are analytic; the test suite checks every parameter class
-against central finite differences.  Validation, detection and refinement
-run through one uncached, row-blocked forward that is bit-identical to
-infer-mode :meth:`Vae.encode` then :meth:`Vae.decode`: :meth:`Vae.infer`
+against central finite differences.  :meth:`Vae.encode`/:meth:`Vae.decode`
+are the cached training forward; validation, detection and refinement run
+through the one uncached, row-blocked infer-mode forward: :meth:`Vae.infer`
 on a window batch, :meth:`Vae.infer_series` on every window of a series,
 overlap-added as it is decoded.
 """
@@ -114,7 +114,8 @@ def _row_blocks(n: int):
 def _frozen_block(h: np.ndarray, dense: Dense, bn: BatchNorm, alpha=None) -> np.ndarray:
     """One infer-mode hidden block on a row block, in place and uncached:
     Dense (plus the decoder skip when ``alpha`` is given), frozen batch
-    norm, ReLU.  Same operations in the same order as the cached layers."""
+    norm, ReLU; the operations, in order, of the cached infer-mode forward
+    that ``tests/oracles.py`` keeps."""
     u = h @ dense.W.T
     u += dense.b
     if alpha is not None:
@@ -210,11 +211,11 @@ class Vae:
 
     # --------------------------------------------------------------- forward
 
-    def encode(self, X: np.ndarray, train: bool = False, rng=None, eps=None):
-        """Map windows to a LatentState; returns (latent, cache).
+    def encode(self, X: np.ndarray, rng=None, eps=None):
+        """Training forward of the encoder; returns (latent, cache).
 
-        Infer mode forces eps = 0 so z == mu exactly.  An explicit ``eps``
-        array overrides sampling (used by the finite-difference checks).
+        ``rng`` draws the dropout masks and eps; without it there is no
+        dropout and eps = 0.  An explicit ``eps`` array overrides either.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.config.window:
@@ -223,9 +224,9 @@ class Vae:
         caches = []
         for i, (dn, bn) in enumerate(zip(self.enc_dense, self.enc_bn)):
             u, c_dense = dn.forward(h)
-            v, c_bn = bn.forward(u, train)
+            v, c_bn = bn.forward(u)
             a, c_relu = relu_forward(v)
-            h, c_drop = dropout_forward(a, dropout_rate(i), train, rng)
+            h, c_drop = dropout_forward(a, dropout_rate(i), rng)
             caches.append((c_dense, c_bn, c_relu, c_drop))
         mu, c_mu = self.mu_head.forward(h)
         logvar_raw, c_lv = self.logvar_head.forward(h)
@@ -234,10 +235,7 @@ class Vae:
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
             raise NumericError("non-finite encoder outputs")
         if eps is None:
-            if train:
-                eps = (rng or np.random.default_rng()).standard_normal(mu.shape)
-            else:
-                eps = np.zeros_like(mu)
+            eps = np.zeros_like(mu) if rng is None else rng.standard_normal(mu.shape)
         z = mu + np.exp(0.5 * logvar) * eps
         latent = LatentState(mu=mu, logvar=logvar, z=z, eps=eps)
         cache = (caches, c_mu, c_lv, clip_mask, latent)
@@ -260,8 +258,8 @@ class Vae:
             grads[f"enc{i}.W"], grads[f"enc{i}.b"] = g_dn["W"], g_dn["b"]
             grads[f"enc{i}.gamma"], grads[f"enc{i}.shift"] = g_bn["gamma"], g_bn["shift"]
 
-    def decode(self, Z: np.ndarray, X_in: np.ndarray, train: bool = False, rng=None):
-        """Reconstruct windows from latents; returns (xhat, cache).
+    def decode(self, Z: np.ndarray, X_in: np.ndarray, rng=None):
+        """Training forward of the decoder; returns (xhat, cache).
 
         Each block computes Dense(h) + alpha_l * skip(h) before batch norm,
         where skip(h) is h cut or zero-padded to the block's width; the
@@ -280,9 +278,9 @@ class Vae:
             k = min(h.shape[1], s.shape[1])
             s[:, :k] += alpha * h[:, :k]
             s[:, k:] += alpha * 0.0   # the zero-padded skip: may flip the sign of a zero
-            v, c_bn = bn.forward(s, train)
+            v, c_bn = bn.forward(s)
             a, c_relu = relu_forward(v)
-            h, c_drop = dropout_forward(a, dropout_rate(i), train, rng)
+            h, c_drop = dropout_forward(a, dropout_rate(i), rng)
             caches.append((c_dense, c_bn, c_relu, c_drop))
         y, c_out = self.out_layer.forward(h)
         xhat = y + self.beta * X_in
@@ -335,13 +333,13 @@ class Vae:
         return LossBreakdown(recon=recon, kl=kl, temporal=temporal, mean=mean_pen,
                              beta_t=beta_t, lam_temporal=lam_temporal, lam_mean=lam_mean)
 
-    def loss_and_grads(self, X: np.ndarray, step: int, train: bool = True, rng=None,
-                       eps=None, t_anneal: int = 5000, lam_temporal: float = 0.1,
+    def loss_and_grads(self, X: np.ndarray, step: int, rng=None, eps=None,
+                       t_anneal: int = 5000, lam_temporal: float = 0.1,
                        lam_mean: float = 0.1):
-        """Full forward pass plus analytic gradients of the composite loss."""
+        """Training forward plus analytic gradients of the composite loss."""
         X = np.asarray(X, dtype=float)
-        latent, enc_cache = self.encode(X, train=train, rng=rng, eps=eps)
-        xhat, dec_cache = self.decode(latent.z, X, train=train, rng=rng)
+        latent, enc_cache = self.encode(X, rng=rng, eps=eps)
+        xhat, dec_cache = self.decode(latent.z, X, rng=rng)
         lb = self.composite_loss(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)
 
         n_batch, w = X.shape
@@ -413,10 +411,8 @@ class Vae:
         ``z = blend_alpha * mu + (1 - blend_alpha) * prev_z`` when ``prev_z``
         is given, else ``mu``.  ``logvar_out``, an [n x latent] array,
         receives the clipped log-variances when given; otherwise they live
-        one row block at a time.  Bit-identical to :meth:`encode` then
-        :meth:`decode` with ``train=False``, but walks the rows in blocks
-        and keeps no caches; it raises the same errors, encoder faults
-        before decoder faults.
+        one row block at a time.  Walks the rows in blocks and keeps no
+        caches; encoder faults are raised before decoder faults.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.config.window:
@@ -455,10 +451,6 @@ class Vae:
         i = np.arange(n)
         recon /= np.minimum(i, n - w) - np.maximum(i - (w - 1), 0) + 1
         return z, recon
-
-    def reconstruct(self, X: np.ndarray) -> np.ndarray:
-        """Deterministic infer-mode encode+decode of a window batch."""
-        return self.infer(X)[1]
 
     def update_global_skip(self, recon_loss: float) -> float:
         """Recompute beta from reconstruction confidence 1 / (1 + L_recon)."""

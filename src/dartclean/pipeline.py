@@ -45,8 +45,7 @@ def detect_anomalies(model, x_norm: np.ndarray, config: detector.DetectConfig):
 def clean_series(model, stats: NormStats, raw: RawSeries,
                  detect_config: detector.DetectConfig | None = None,
                  refine_config: refiner.RefineConfig | None = None,
-                 smooth_config: postprocess.SmoothConfig | None = None,
-                 realign: bool = True) -> CleanResult:
+                 smooth_config: postprocess.SmoothConfig | None = None) -> CleanResult:
     detect_config = detect_config or detector.DetectConfig()
     refine_config = refine_config or refiner.RefineConfig()
     smooth_config = smooth_config or postprocess.SmoothConfig()
@@ -63,9 +62,7 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
         result.series, result.step_mask, masks.spike,
         w_l=detect_config.w_l, tau_l=detect_config.tau_l, w_s=detect_config.w_s,
     )
-    series = result.series
-    if realign:
-        series = postprocess.realign_steps(series, validated, w_l=detect_config.w_l)
+    series = postprocess.realign_steps(result.series, validated, w_l=detect_config.w_l)
     series = postprocess.gaussian_smooth(series, smooth_config)
     cleaned = postprocess.denormalize(series, stats)
 

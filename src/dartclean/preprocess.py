@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
-from .series_io import FLAG_MISSING, FLAG_VALID, RawSeries
+from .series_io import FLAG_VALID, RawSeries
 
 GAP_OBSERVED = 0
 GAP_INTERPOLATED = 1

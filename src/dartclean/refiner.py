@@ -14,7 +14,7 @@ the pipeline hands its result to :func:`refine` instead of recomputing it.
 
 A pass never holds the windows or the decoded windows whole:
 :meth:`Vae.infer_series` overlap-adds each decoded row block into the
-series as it goes, in the order :func:`windows_to_series` adds them.
+series as it goes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import detector
 from .errors import ConfigError, DataError, NumericError
-from .preprocess import make_windows  # noqa: F401  kept on this module: tests swap in oracles
 
 
 @dataclass
@@ -33,8 +32,7 @@ class RefineConfig:
     iterations: int = 10
     blend_alpha: float = 0.5
     threshold_decay: float = 0.95
-    tolerance: float = 0.0       # mean |change| below this triggers early exit
-    early_exit: bool = False
+    tolerance: float = 0.0       # stop once the mean |change| falls below this
     keep_history: bool = False   # record (series, gate) per iteration
 
     def __post_init__(self):
@@ -70,28 +68,6 @@ class InferPass:
     recon: np.ndarray        # decoded windows, overlap-added to series length
     deviation: np.ndarray    # rolling-median spike deviation of the input
     step_mask: np.ndarray    # point step mask of the input
-
-
-def windows_to_series(window_values: np.ndarray, origins: np.ndarray, n: int) -> np.ndarray:
-    """Uniform overlap-add of windows at any origins: per-sample average
-    of every covering window.
-
-    ``np.bincount`` adds its weights in input order, so each sample sums
-    its covering windows' values in row order, exactly as adding the rows
-    one slice at a time would.  Refinement passes use the fused form in
-    :meth:`Vae.infer_series`, which equals this on stride-1 windows.
-    """
-    window_values = np.asarray(window_values, dtype=float)
-    origins = np.asarray(origins, dtype=int)
-    w = window_values.shape[1]
-    if origins.size and (origins.min() < 0 or origins.max() + w > n):
-        raise DataError(f"overlap-add: a window of {w} samples runs outside [0, {n})")
-    index = (origins[:, None] + np.arange(w)).ravel()
-    acc = np.bincount(index, weights=window_values.ravel(), minlength=n)
-    count = np.bincount(index, minlength=n)
-    if np.any(count == 0):
-        raise DataError("overlap-add: some samples are covered by no window")
-    return acc / count
 
 
 def infer_pass(model, x: np.ndarray, detect_config: detector.DetectConfig,
@@ -154,16 +130,17 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
         nxt = np.where(gate, candidate, current)
         # per-iteration error |xhat_k - xhat_{k-1}| on the gated series
         change = np.abs(nxt - current)
+        mean_change = float(change.mean())
         log.append(IterationRecord(
             iteration=k,
-            mean_change=float(change.mean()),
+            mean_change=mean_change,
             masked_count=int(gate.sum()),
             max_correction=float(change.max()) if n else 0.0,
         ))
         if config.keep_history:
             history.append((nxt.copy(), gate.copy()))
         current = nxt
-        if config.early_exit and float(change.mean()) < config.tolerance:
+        if mean_change < config.tolerance:   # never below the default 0.0
             break
     return RefineResult(series=current, spike_mask=spike_mask,
                         step_mask=step_mask, log=log, history=history)

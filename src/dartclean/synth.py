@@ -7,7 +7,7 @@ persistent baseline steps, and flagged gaps emitted as the 9999 sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

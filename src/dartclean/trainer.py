@@ -162,7 +162,7 @@ def train(model, windows, config: TrainConfig):
             batch = X_train[order[start:start + config.batch_size]]
             lr = schedule.lr_at(global_step, epoch - 1, plateau.multiplier)
             lb, _, grads = model.loss_and_grads(
-                batch, step=global_step, train=True, rng=rng,
+                batch, step=global_step, rng=rng,
                 t_anneal=config.t_anneal, lam_temporal=config.lam_temporal,
                 lam_mean=config.lam_mean,
             )
@@ -230,8 +230,3 @@ def _validation_loss(model, X_val, step, config: TrainConfig):
     return model.composite_loss(X_val, xhat, latent, step, config.t_anneal,
                                 config.lam_temporal, config.lam_mean)
 
-
-def validation_recon_loss(model, X_val) -> float:
-    """Infer-mode reconstruction MSE on a window batch."""
-    xhat = model.reconstruct(np.asarray(X_val, dtype=float))
-    return float(np.mean((xhat - X_val) ** 2))

@@ -1,0 +1,230 @@
+"""Reference implementations the package is compared against, bit for bit.
+
+The layer and model oracles are the cached forward and backward as they
+were before the in-place training step and the row-blocked inference
+forward: allocating dense, batch-norm, ReLU and dropout layers, each with
+a ``train`` flag, so ``train=False`` is the old infer-mode forward (frozen
+batch norm, no dropout, eps = 0).  The windowing and overlap-add oracles
+are the plain slice loops; with the cached infer-mode forward they make up
+the windowed refinement pass that :meth:`Vae.infer_series` streams.
+"""
+
+import numpy as np
+
+from dartclean import detector, refiner
+from dartclean.errors import DataError, NumericError
+from dartclean.layers import dropout_rate
+from dartclean.model import LOGVAR_CLIP, LatentState
+from dartclean.preprocess import WindowBatch
+
+
+# ------------------------------------------------------------------ layers
+
+def oracle_dense_forward(dense, x):
+    return x @ dense.W.T + dense.b, x
+
+
+def oracle_dense_backward(dense, gy, x):
+    return gy @ dense.W, {"W": gy.T @ x, "b": gy.sum(axis=0)}
+
+
+def oracle_bn_forward(bn, x, train):
+    if train:
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        bn.running_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
+        bn.running_var = bn.momentum * bn.running_var + (1 - bn.momentum) * var
+    else:
+        mean = bn.running_mean
+        var = bn.running_var
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x - mean) * inv_std
+    y = bn.gamma * xhat + bn.shift
+    return y, (xhat, inv_std, train)
+
+
+def oracle_bn_backward(bn, gy, cache):
+    xhat, inv_std, train = cache
+    ggamma = (gy * xhat).sum(axis=0)
+    gshift = gy.sum(axis=0)
+    gxhat = gy * bn.gamma
+    if train:
+        n = gy.shape[0]
+        gx = (inv_std / n) * (
+            n * gxhat - gxhat.sum(axis=0) - xhat * (gxhat * xhat).sum(axis=0)
+        )
+    else:
+        gx = gxhat * inv_std
+    return gx, {"gamma": ggamma, "shift": gshift}
+
+
+def oracle_relu_forward(x):
+    return np.maximum(x, 0.0), x > 0
+
+
+def oracle_dropout_forward(x, p, train, rng):
+    if not train or rng is None or p <= 0.0:
+        return x, None
+    keep = rng.random(x.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    return x * keep * scale, (keep, scale)
+
+
+def oracle_dropout_backward(gy, cache):
+    if cache is None:
+        return gy
+    keep, scale = cache
+    return gy * keep * scale
+
+
+# ------------------------------------------------------------------- model
+
+def oracle_encode(model, X, train, rng=None, eps=None):
+    h = X
+    caches = []
+    for i, (dn, bn) in enumerate(zip(model.enc_dense, model.enc_bn)):
+        u, c_dense = oracle_dense_forward(dn, h)
+        v, c_bn = oracle_bn_forward(bn, u, train)
+        a, c_relu = oracle_relu_forward(v)
+        h, c_drop = oracle_dropout_forward(a, dropout_rate(i), train, rng)
+        caches.append((c_dense, c_bn, c_relu, c_drop))
+    mu, c_mu = oracle_dense_forward(model.mu_head, h)
+    logvar_raw, c_lv = oracle_dense_forward(model.logvar_head, h)
+    logvar = np.clip(logvar_raw, -LOGVAR_CLIP, LOGVAR_CLIP)
+    clip_mask = np.abs(logvar_raw) < LOGVAR_CLIP
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
+        raise NumericError("non-finite encoder outputs")
+    if eps is None:
+        eps = rng.standard_normal(mu.shape) if train else np.zeros_like(mu)
+    z = mu + np.exp(0.5 * logvar) * eps
+    latent = LatentState(mu=mu, logvar=logvar, z=z, eps=eps)
+    return latent, (caches, c_mu, c_lv, clip_mask)
+
+
+def oracle_encode_backward(model, gmu, glogvar, cache, grads):
+    caches, c_mu, c_lv, clip_mask = cache
+    gh_mu, g_mu = oracle_dense_backward(model.mu_head, gmu, c_mu)
+    gh_lv, g_lv = oracle_dense_backward(model.logvar_head, glogvar * clip_mask, c_lv)
+    grads["mu.W"], grads["mu.b"] = g_mu["W"], g_mu["b"]
+    grads["logvar.W"], grads["logvar.b"] = g_lv["W"], g_lv["b"]
+    gh = gh_mu + gh_lv
+    for i in range(len(model.enc_dense) - 1, -1, -1):
+        c_dense, c_bn, c_relu, c_drop = caches[i]
+        gv = oracle_dropout_backward(gh, c_drop) * c_relu
+        gu, g_bn = oracle_bn_backward(model.enc_bn[i], gv, c_bn)
+        gh, g_dn = oracle_dense_backward(model.enc_dense[i], gu, c_dense)
+        grads[f"enc{i}.W"], grads[f"enc{i}.b"] = g_dn["W"], g_dn["b"]
+        grads[f"enc{i}.gamma"], grads[f"enc{i}.shift"] = g_bn["gamma"], g_bn["shift"]
+
+
+def oracle_decode(model, Z, X_in, train, rng=None):
+    h = Z
+    caches = []
+    for i, (dn, bn) in enumerate(zip(model.dec_dense, model.dec_bn)):
+        u, c_dense = oracle_dense_forward(dn, h)
+        k = min(h.shape[1], u.shape[1])
+        skip_in = np.zeros_like(u)
+        skip_in[:, :k] = h[:, :k]
+        s = u + model.dec_alpha[i] * skip_in
+        v, c_bn = oracle_bn_forward(bn, s, train)
+        a, c_relu = oracle_relu_forward(v)
+        h, c_drop = oracle_dropout_forward(a, dropout_rate(i), train, rng)
+        caches.append((c_dense, skip_in, c_bn, c_relu, c_drop))
+    y, c_out = oracle_dense_forward(model.out_layer, h)
+    xhat = y + model.beta * X_in
+    if not np.all(np.isfinite(xhat)):
+        raise NumericError("non-finite decoder outputs")
+    return xhat, (caches, c_out, X_in)
+
+
+def oracle_decode_backward(model, gxhat, cache, grads):
+    caches, c_out, X_in = cache
+    grads["beta"] = np.array(np.sum(gxhat * X_in))
+    gh, g_out = oracle_dense_backward(model.out_layer, gxhat, c_out)
+    grads["out.W"], grads["out.b"] = g_out["W"], g_out["b"]
+    for i in range(len(model.dec_dense) - 1, -1, -1):
+        c_dense, skip_in, c_bn, c_relu, c_drop = caches[i]
+        gv = oracle_dropout_backward(gh, c_drop) * c_relu
+        gs, g_bn = oracle_bn_backward(model.dec_bn[i], gv, c_bn)
+        gh, g_dn = oracle_dense_backward(model.dec_dense[i], gs, c_dense)
+        grads[f"dec{i}.alpha"] = np.array(np.sum(gs * skip_in))
+        k = min(gh.shape[1], gs.shape[1])
+        gh[:, :k] += model.dec_alpha[i] * gs[:, :k]
+        grads[f"dec{i}.W"], grads[f"dec{i}.b"] = g_dn["W"], g_dn["b"]
+        grads[f"dec{i}.gamma"], grads[f"dec{i}.shift"] = g_bn["gamma"], g_bn["shift"]
+    return gh
+
+
+def oracle_loss_and_grads(model, X, step, train=True, rng=None, eps=None, t_anneal=5000,
+                          lam_temporal=0.1, lam_mean=0.1):
+    latent, enc_cache = oracle_encode(model, X, train, rng, eps)
+    xhat, dec_cache = oracle_decode(model, latent.z, X, train, rng)
+    lb = model.composite_loss(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)
+    n_batch, w = X.shape
+    gxhat = 2.0 * (xhat - X) / (n_batch * w)
+    gdiff = lam_temporal * 2.0 * (np.diff(xhat, axis=1) - np.diff(X, axis=1)) / (
+        n_batch * (w - 1)
+    )
+    gxhat[:, 1:] += gdiff
+    gxhat[:, :-1] -= gdiff
+    mean_gap = X.mean() - xhat.mean()
+    gxhat += lam_mean * (-np.sign(mean_gap)) / (n_batch * w)
+    grads = {}
+    gz = oracle_decode_backward(model, gxhat, dec_cache, grads)
+    gmu = gz.copy()
+    glogvar = gz * latent.eps * 0.5 * np.exp(0.5 * latent.logvar)
+    gmu += lb.beta_t * latent.mu / n_batch
+    glogvar += lb.beta_t * 0.5 * (np.exp(latent.logvar) - 1.0) / n_batch
+    oracle_encode_backward(model, gmu, glogvar, enc_cache, grads)
+    return lb, xhat, grads
+
+
+def oracle_infer(model, X, prev_z=None, blend_alpha=1.0):
+    """:meth:`Vae.infer`: cached infer-mode encode, blend, decode."""
+    X = np.asarray(X, dtype=float)
+    latent, _ = oracle_encode(model, X, train=False)
+    z = latent.z
+    if prev_z is not None:
+        z = blend_alpha * z + (1.0 - blend_alpha) * prev_z
+    xhat, _ = oracle_decode(model, z, X, train=False)
+    return z, xhat
+
+
+# ------------------------------------------------------- windows and passes
+
+def oracle_make_windows(series, w=48, s=1):
+    values = np.asarray(series, dtype=float)
+    origins = np.arange(0, len(values) - w + 1, s)
+    windows = np.stack([values[o:o + w] for o in origins])
+    return WindowBatch(windows=windows, origins=origins, window=w, stride=s)
+
+
+def overlap_add(window_values, origins, n):
+    """Per-sample mean of every covering window, added one slice at a time
+    in row order."""
+    window_values = np.asarray(window_values, dtype=float)
+    acc = np.zeros(n)
+    count = np.zeros(n)
+    w = window_values.shape[1]
+    for row, origin in zip(window_values, origins):
+        acc[origin:origin + w] += row
+        count[origin:origin + w] += 1
+    if np.any(count == 0):
+        raise DataError("overlap-add: some samples are covered by no window")
+    return acc / count
+
+
+def oracle_infer_series(model, x, prev_z=None, blend_alpha=1.0):
+    """:meth:`Vae.infer_series`: every stride-1 window copied, run through
+    the cached infer-mode forward and overlap-added."""
+    batch = oracle_make_windows(x, w=model.config.window)
+    z, xhat = oracle_infer(model, batch.windows, prev_z, blend_alpha)
+    return z, overlap_add(xhat, batch.origins, len(x))
+
+
+def oracle_infer_pass(model, x, detect_config, tau_l=None, prev_z=None, blend_alpha=1.0):
+    """:func:`refiner.infer_pass` on :func:`oracle_infer_series`."""
+    z, recon = oracle_infer_series(model, x, prev_z, blend_alpha)
+    deviation = detector.spike_deviation(x, detect_config)
+    step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
+    return refiner.InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)

@@ -82,11 +82,11 @@ def test_01_analytic_gradients_match_finite_differences():
         eps = rng.standard_normal((3, 4))
 
         def total():
-            latent, _ = model.encode(X, train=True, rng=None, eps=eps)
-            xhat, _ = model.decode(latent.z, X, train=True, rng=None)
+            latent, _ = model.encode(X, rng=None, eps=eps)
+            xhat, _ = model.decode(latent.z, X, rng=None)
             return model.composite_loss(X, xhat, latent, step=2500).total
 
-        _, _, grads = model.loss_and_grads(X, step=2500, train=True,
+        _, _, grads = model.loss_and_grads(X, step=2500,
                                            rng=None, eps=eps)
         params = model.trainable()
         params["beta"] = model.beta
@@ -233,11 +233,12 @@ def test_08_oracle_equivalences():
                     w += kj
             assert abs(smoothed[i] - acc / w) <= 1e-12
 
+        model = Vae(ModelConfig(window=48, hidden=(16, 8), latent=4), seed=0)
+        recon = model.infer_series(x)[1]
         batch = make_windows(x, w=48)
-        recon = refiner.windows_to_series(batch.windows, batch.origins, len(x))
         acc = np.zeros(len(x))
         cnt = np.zeros(len(x))
-        for origin, window in zip(batch.origins, batch.windows):
+        for origin, window in zip(batch.origins, model.infer(batch.windows)[1]):
             acc[origin:origin + 48] += window
             cnt[origin:origin + 48] += 1.0
         assert np.array_equal(recon, acc / cnt)

@@ -54,6 +54,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="tau_q"):
             load_config(path)
 
+    def test_early_exit_key_rejected(self, tmp_path, capsys):
+        # folded into refine.tolerance: refinement stops once the mean change
+        # falls below it
+        cfg = _write_config(tmp_path, refine={"early_exit": True},
+                            input=str(tmp_path / "series.dart"),
+                            checkpoint=str(tmp_path / "ck.json"),
+                            output=str(tmp_path / "cleaned.csv"))
+        assert main(["clean", "--config", cfg]) == 2
+        assert "early_exit" in capsys.readouterr().err
+
     def test_set_overrides(self, tmp_path):
         path = _write_config(tmp_path, train={"epochs": 5})
         cfg = load_config(path, overrides=["train.epochs=9", "detect.kappa=2.5"])
@@ -167,7 +177,7 @@ class TestCmdTrain:
         assert override.partition("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
-        'model.hidden=[8,"a"]', "refine.early_exit=1", "detect.tau_s=true",
+        'model.hidden=[8,"a"]', "refine.keep_history=1", "detect.tau_s=true",
         "seed=x", "model=5",
     ])
     def test_wrong_typed_item_or_section_is_config_error(self, capsys, override):

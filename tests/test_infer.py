@@ -1,10 +1,9 @@
 """The row-blocked inference forward against the cached encode/decode.
 
-``Vae.infer`` must equal infer-mode ``encode`` then ``decode`` bit for
+``Vae.infer`` must equal the cached infer-mode encode -> blend -> decode
+the refiner ran before ``Vae.infer`` existed (``oracle_infer``) bit for
 bit, so every comparison here is ``np.array_equal`` and, where the sign
-of a zero could differ, a byte comparison.  The oracle below is
-the encode -> blend -> decode sequence the refiner ran before
-``Vae.infer`` existed.
+of a zero could differ, a byte comparison.
 """
 
 import io
@@ -15,39 +14,13 @@ import pytest
 from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
 from dartclean.errors import NumericError, ShapeError
 from dartclean.model import INFER_BLOCK_ROWS, ModelConfig, Vae, _row_blocks
-
-
-def oracle_infer(model, X, prev_z=None, blend_alpha=1.0):
-    latent, _ = model.encode(X, train=False)
-    z = latent.z
-    if prev_z is not None:
-        z = blend_alpha * z + (1.0 - blend_alpha) * prev_z
-    xhat, _ = model.decode(z, X, train=False)
-    return z, xhat
+from tests.conftest import perturbed_model
+from tests.oracles import oracle_infer, oracle_infer_series
 
 
 def identical(a, b):
     """Equal to the bit: unlike ``np.array_equal``, tells -0.0 from 0.0."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def perturbed_model(hidden, seed=0, window=48):
-    """A seeded model whose batch-norm buffers, affine parameters, skip
-    scales and biases are moved off their initial values, so the frozen
-    batch norm and both skips do real arithmetic."""
-    model = Vae(ModelConfig(window=window, hidden=hidden), seed=seed)
-    rng = np.random.default_rng(seed + 100)
-    for bn in model.enc_bn + model.dec_bn:
-        bn.running_mean = rng.normal(0.0, 0.5, bn.running_mean.shape)
-        bn.running_var = rng.uniform(0.3, 3.0, bn.running_var.shape)
-        bn.gamma = rng.uniform(0.5, 1.5, bn.gamma.shape)
-        bn.shift = rng.normal(0.0, 0.2, bn.shift.shape)
-    for dense in model.enc_dense + model.dec_dense + [model.mu_head, model.logvar_head,
-                                                      model.out_layer]:
-        dense.b = rng.normal(0.0, 0.1, dense.b.shape)
-    model.dec_alpha = [np.array(a) for a in rng.uniform(-1.0, 1.0, len(model.dec_alpha))]
-    model.beta = np.array(0.6)
-    return model
 
 
 WIDTHS = [(128, 64, 32), ModelConfig().hidden]
@@ -69,12 +42,6 @@ def test_infer_matches_encode_decode(model, rows, blend):
     z_o, xhat_o = oracle_infer(model, X, prev_z, 0.5)
     assert np.array_equal(z, z_o) and identical(z, z_o)
     assert np.array_equal(xhat, xhat_o) and identical(xhat, xhat_o)
-
-
-def test_reconstruct_is_infer():
-    model = perturbed_model((16, 8), window=6)
-    X = np.random.default_rng(3).normal(size=(40, 6))
-    assert identical(model.reconstruct(X), oracle_infer(model, X)[1])
 
 
 @pytest.mark.parametrize("n", [1, 75, 1023, 1024, 1025, 2047, 2048, 2085, 19953])
@@ -146,7 +113,7 @@ def test_clean_is_byte_identical_with_oracle(monkeypatch):
     model = Vae(ModelConfig(window=24, hidden=(16, 8), latent=4), seed=3)
     result, text = _clean(model)
     assert result.spike_mask.any() and len(result.refine_log) == 4
-    monkeypatch.setattr(Vae, "infer", oracle_infer)
+    monkeypatch.setattr(Vae, "infer_series", oracle_infer_series)
     expect, expect_text = _clean(model)
     assert text == expect_text
     assert np.array_equal(result.output.cleaned, expect.output.cleaned)

@@ -1,9 +1,10 @@
 """The sliding-window kernels against the per-index loops they replaced.
 
-Each oracle below is the plain loop the package used before its
-vectorised kernel; every comparison is ``np.array_equal``, not a
-tolerance.  The end-to-end test swaps all five oracles into a full clean
-and checks that the written output does not change by a byte.
+Each oracle is the plain loop the package used before its vectorised
+kernel; every comparison is ``np.array_equal``, not a tolerance.  The
+end-to-end test swaps the oracles, with the windowed refinement pass of
+``tests/oracles.py``, into a full clean and checks that the written output
+does not change by a byte.
 """
 
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
 from dartclean.errors import DataError
 from dartclean.model import ModelConfig, Vae
-from dartclean.preprocess import WindowBatch
+from tests.oracles import oracle_infer_pass, oracle_make_windows, overlap_add
 
 
 def oracle_rolling_median_std(x, w):
@@ -46,19 +47,6 @@ def oracle_step_mean_shift(x, w_l):
     return delta
 
 
-def oracle_windows_to_series(window_values, origins, n):
-    window_values = np.asarray(window_values, dtype=float)
-    acc = np.zeros(n)
-    count = np.zeros(n)
-    w = window_values.shape[1]
-    for row, origin in zip(window_values, origins):
-        acc[origin:origin + w] += row
-        count[origin:origin + w] += 1
-    if np.any(count == 0):
-        raise DataError("overlap-add: some samples are covered by no window")
-    return acc / count
-
-
 def oracle_gaussian_smooth(x, config=None):
     config = config or postprocess.SmoothConfig()
     x = np.asarray(x, dtype=float)
@@ -75,13 +63,6 @@ def oracle_gaussian_smooth(x, config=None):
         taps = kernel[inside]
         out[i] = float(np.dot(taps, x[pos[inside]]) / taps.sum())
     return out
-
-
-def oracle_make_windows(series, w=48, s=1):
-    values = np.asarray(series, dtype=float)
-    origins = np.arange(0, len(values) - w + 1, s)
-    windows = np.stack([values[o:o + w] for o in origins])
-    return WindowBatch(windows=windows, origins=origins, window=w, stride=s)
 
 
 def _series(n, seed):
@@ -129,23 +110,8 @@ def test_strided_windows_feed_overlap_add(w, s):
     assert np.array_equal(batch.windows, expect.windows)
     assert np.array_equal(batch.origins, expect.origins)
     assert batch.windows.flags.c_contiguous and batch.windows.base is None
-    values = batch.windows * np.random.default_rng(s).normal(size=batch.windows.shape)
-    assert np.array_equal(refiner.windows_to_series(values, batch.origins, n),
-                          oracle_windows_to_series(values, batch.origins, n))
-
-
-def test_overlap_add_arbitrary_origins():
-    rng = np.random.default_rng(4)
-    origins = np.array([5, 0, 3, 5, 1, 6])
-    values = rng.normal(size=(len(origins), 4))
-    assert np.array_equal(refiner.windows_to_series(values, origins, 10),
-                          oracle_windows_to_series(values, origins, 10))
-
-
-@pytest.mark.parametrize("origins", [[0, 7], [-1, 0, 4]], ids=["past-end", "before-start"])
-def test_window_outside_series_rejected(origins):
-    with pytest.raises(DataError, match="outside"):
-        refiner.windows_to_series(np.ones((len(origins), 4)), np.array(origins), 10)
+    # the strided windows cover every sample, so they overlap-add back to x
+    assert np.allclose(overlap_add(batch.windows, batch.origins, n), x, rtol=0.0, atol=1e-9)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -163,9 +129,6 @@ def test_kernels_match_oracles_property(w, extra, seed):
                           oracle_gaussian_smooth(x, config))
     batch = preprocess.make_windows(x, w=w, s=1)
     assert np.array_equal(batch.windows, oracle_make_windows(x, w=w).windows)
-    values = np.sin(batch.windows * (seed % 7 + 1))
-    assert np.array_equal(refiner.windows_to_series(values, batch.origins, n),
-                          oracle_windows_to_series(values, batch.origins, n))
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +158,7 @@ def test_clean_is_byte_identical_with_oracles(contaminated, monkeypatch):
     assert result.spike_mask.any() and result.refine_log
     monkeypatch.setattr(detector, "rolling_median_std", oracle_rolling_median_std)
     monkeypatch.setattr(detector, "step_mean_shift", oracle_step_mean_shift)
-    monkeypatch.setattr(refiner, "windows_to_series", oracle_windows_to_series)
-    monkeypatch.setattr(refiner, "make_windows", oracle_make_windows)
+    monkeypatch.setattr(refiner, "infer_pass", oracle_infer_pass)
     monkeypatch.setattr(postprocess, "gaussian_smooth", oracle_gaussian_smooth)
     expect, expect_text = _clean(contaminated)
     assert text == expect_text

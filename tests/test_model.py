@@ -11,7 +11,8 @@ from dartclean.model import (
 )
 from dartclean.preprocess import NormStats
 from dartclean.series_io import load_checkpoint, save_checkpoint
-from tests.conftest import tiny_model
+from tests.conftest import plain_decoder, tiny_model
+from tests.oracles import oracle_bn_forward, oracle_encode
 
 
 def _latent(mu, logvar):
@@ -48,22 +49,25 @@ class TestKlDivergence:
 class TestEncode:
     def test_infer_z_equals_mu(self, rng):
         model = tiny_model()
-        latent, _ = model.encode(rng.normal(size=(5, 6)), train=False)
-        assert np.array_equal(latent.z, latent.mu)
-        assert not latent.eps.any()
+        X = rng.normal(size=(5, 6))
+        z, _ = model.infer(X)
+        assert np.array_equal(z, oracle_encode(model, X, train=False)[0].mu)
+        model.logvar_head.b[:] = 3.0   # no noise scaled by the variance reaches z
+        assert np.array_equal(model.infer(X)[0], z)
 
     def test_train_mode_deterministic_per_seed(self):
         model = tiny_model()
         x = np.random.default_rng(0).normal(size=(4, 6))
-        a, _ = model.encode(x, train=True, rng=np.random.default_rng(9))
-        b, _ = model.encode(x, train=True, rng=np.random.default_rng(9))
+        a, _ = model.encode(x, rng=np.random.default_rng(9))
+        b, _ = model.encode(x, rng=np.random.default_rng(9))
         assert np.array_equal(a.z, b.z)
 
     def test_fresh_model_outputs_finite_and_clamped(self, rng):
         model = tiny_model(seed=7)
-        latent, _ = model.encode(rng.normal(size=(16, 6)), train=False)
-        assert np.all(np.isfinite(latent.mu))
-        assert np.all(np.abs(latent.logvar) <= 10.0)
+        logvar = np.empty((16, 4))
+        z, _ = model.infer(rng.normal(size=(16, 6)), logvar_out=logvar)
+        assert np.all(np.isfinite(z))
+        assert np.all(np.abs(logvar) <= 10.0)
 
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(ShapeError):
@@ -71,18 +75,13 @@ class TestEncode:
 
 
 class TestDecode:
+    """The infer-mode decoder, fed chosen latents: with ``blend_alpha`` 0,
+    ``Vae.infer`` decodes ``prev_z`` itself."""
+
     def test_zero_decoder_beta_one_is_identity(self, rng):
-        model = tiny_model()
-        for layer in model.dec_dense + [model.out_layer]:
-            layer.W[:] = 0.0
-            layer.b[:] = 0.0
-        for i in range(len(model.dec_alpha)):
-            model.dec_alpha[i] = np.array(0.0)
-        for bn in model.dec_bn:
-            bn.shift[:] = 0.0
-        model.beta = np.array(1.0)
+        model = plain_decoder(tiny_model(), 1.0)
         x = rng.normal(size=(3, 6))
-        xhat, _ = model.decode(np.zeros((3, 4)), x, train=False)
+        _, xhat = model.infer(x, prev_z=np.zeros((3, 4)), blend_alpha=0.0)
         assert np.array_equal(xhat, x)
 
     def test_alpha_zero_removes_layer_skips(self, rng):
@@ -91,12 +90,12 @@ class TestDecode:
         z = rng.normal(size=(2, 4))
         for i in range(len(model.dec_alpha)):
             model.dec_alpha[i] = np.array(0.0)
-        without_skip, _ = model.decode(z, x, train=False)
+        _, without_skip = model.infer(x, prev_z=z, blend_alpha=0.0)
         # recompute the plain stack by hand
         h = z
         for dn, bn in zip(model.dec_dense, model.dec_bn):
             u = h @ dn.W.T + dn.b
-            v, _ = bn.forward(u, train=False)
+            v, _ = oracle_bn_forward(bn, u, train=False)
             h = np.maximum(v, 0.0)
         expect = h @ model.out_layer.W.T + model.out_layer.b + model.beta * x
         assert np.allclose(without_skip, expect, atol=1e-12)
@@ -106,7 +105,7 @@ class TestDecode:
         w = rng.normal(size=6)
         x = np.tile(w, (3, 1))
         z = np.tile(rng.normal(size=4), (3, 1))
-        xhat, _ = model.decode(z, x, train=False)
+        _, xhat = model.infer(x, prev_z=z, blend_alpha=0.0)
         assert np.array_equal(xhat[0], xhat[1])
         assert np.array_equal(xhat[0], xhat[2])
 
@@ -122,7 +121,7 @@ class TestLayerSkip:
             proj = np.zeros((u.shape[1], h.shape[1]))
             k = min(proj.shape)
             proj[:k, :k] = np.eye(k)
-            v, _ = bn.forward(u + alpha * (h @ proj.T), train=False)
+            v, _ = oracle_bn_forward(bn, u + alpha * (h @ proj.T), train=False)
             h = np.maximum(v, 0.0)
         y, _ = model.out_layer.forward(h)
         return y + model.beta * x
@@ -135,7 +134,7 @@ class TestLayerSkip:
             bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
         x = rng.normal(size=(7, 6))
         z = rng.normal(size=(7, 4))
-        xhat, _ = model.decode(z, x, train=False)
+        _, xhat = model.infer(x, prev_z=z, blend_alpha=0.0)
         assert np.array_equal(xhat, self._oracle(model, z, x))
 
 
@@ -199,34 +198,26 @@ class TestGlobalSkip:
 
     def test_identity_bound_with_zero_decoder(self, rng):
         # with the decoder zeroed, MSE == (1-beta)^2 * mean(x^2)
-        model = tiny_model()
-        for layer in model.dec_dense + [model.out_layer]:
-            layer.W[:] = 0.0
-            layer.b[:] = 0.0
-        for i in range(len(model.dec_alpha)):
-            model.dec_alpha[i] = np.array(0.0)
-        for bn in model.dec_bn:
-            bn.shift[:] = 0.0
-        model.beta = np.array(0.6)
+        model = plain_decoder(tiny_model(), 0.6)
         x = rng.normal(size=(4, 6))
-        xhat, _ = model.decode(np.zeros((4, 4)), x, train=False)
+        _, xhat = model.infer(x, prev_z=np.zeros((4, 4)), blend_alpha=0.0)
         mse = np.mean((xhat - x) ** 2)
         assert mse == pytest.approx((1 - 0.6) ** 2 * np.mean(x ** 2), rel=1e-12)
 
 
 class TestGradients:
-    def _check(self, train, use_eps, drop_rng, hidden=(5,)):
+    def _check(self, use_eps, hidden=(5,)):
         model = tiny_model(window=6, hidden=hidden, latent=4, seed=1)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(3, 6))
         eps = rng.standard_normal((3, 4)) if use_eps else np.zeros((3, 4))
 
         def total():
-            latent, _ = model.encode(X, train=train, rng=None, eps=eps)
-            xhat, _ = model.decode(latent.z, X, train=train, rng=None)
+            latent, _ = model.encode(X, eps=eps)
+            xhat, _ = model.decode(latent.z, X)
             return model.composite_loss(X, xhat, latent, step=2500).total
 
-        _, _, grads = model.loss_and_grads(X, step=2500, train=train, rng=None, eps=eps)
+        _, _, grads = model.loss_and_grads(X, step=2500, eps=eps)
         params = model.trainable()
         params["beta"] = model.beta
         h = 1e-5
@@ -249,21 +240,20 @@ class TestGradients:
 
     def test_gradcheck_infer_style(self):
         # dropout off, eps = 0: pure deterministic path
-        assert self._check(train=True, use_eps=False, drop_rng=None) <= 1e-4
+        assert self._check(use_eps=False) <= 1e-4
 
     def test_gradcheck_with_reparameterized_noise(self):
-        assert self._check(train=True, use_eps=True, drop_rng=None) <= 1e-4
+        assert self._check(use_eps=True) <= 1e-4
 
     def test_gradcheck_shrinking_decoder_skip(self):
         # decoder widths 4 -> 5 -> 3: the second block's skip is cut, not padded
-        assert self._check(train=True, use_eps=True, drop_rng=None, hidden=(3, 5)) <= 1e-4
+        assert self._check(use_eps=True, hidden=(3, 5)) <= 1e-4
 
     def test_zero_output_gradient_gives_zero_grads(self, rng):
         model = tiny_model()
         X = rng.normal(size=(2, 6))
-        latent, enc_cache = model.encode(X, train=True, rng=None,
-                                         eps=np.zeros((2, 4)))
-        xhat, dec_cache = model.decode(latent.z, X, train=True, rng=None)
+        latent, enc_cache = model.encode(X, eps=np.zeros((2, 4)))
+        xhat, dec_cache = model.decode(latent.z, X)
         grads = {}
         gz = model.decode_backward(np.zeros_like(xhat), dec_cache, grads)
         model.encode_backward(gz, np.zeros_like(gz), enc_cache, grads)
@@ -275,8 +265,7 @@ class TestStateRoundTrip:
     def test_clone_then_load_is_identity(self, rng):
         model = tiny_model(seed=4)
         state = model.clone_state()
-        model.loss_and_grads(rng.normal(size=(8, 6)), step=0, train=True,
-                             rng=np.random.default_rng(1))
+        model.loss_and_grads(rng.normal(size=(8, 6)), step=0, rng=np.random.default_rng(1))
         model.update_global_skip(0.3)
         model.load_state(state)
         for name, arr in model.state_arrays().items():

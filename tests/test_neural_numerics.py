@@ -19,6 +19,7 @@ from dartclean.optim import (
     clip_by_global_norm,
     global_norm,
 )
+from tests.conftest import tiny_model
 
 
 class TestDropoutRate:
@@ -89,38 +90,24 @@ class TestBatchNorm:
     def test_train_mode_standardizes(self, rng):
         bn = BatchNorm(4)
         x = rng.normal(3.0, 2.0, size=(256, 4))
-        y, _ = bn.forward(x, train=True)
+        y, _ = bn.forward(x)
         assert np.allclose(y.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(y.std(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_update(self, rng):
         bn = BatchNorm(2, momentum=0.9)
         x = rng.normal(size=(64, 2))
-        bn.forward(x, train=True)
+        bn.forward(x)
         assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=0))
         assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0))
 
-    def test_infer_mode_is_affine(self, rng):
-        bn = BatchNorm(3)
-        bn.running_mean = rng.normal(size=3)
-        bn.running_var = rng.uniform(0.5, 2.0, size=3)
-        x1 = rng.normal(size=(5, 3))
-        x2 = rng.normal(size=(5, 3))
-        a, b = 2.0, -1.5
-        y_mix, _ = bn.forward(a * x1 + b * x2, train=False)
-        y1, _ = bn.forward(x1, train=False)
-        y2, _ = bn.forward(x2, train=False)
-        # affine map: f(ax+bx') - f(0) == a(f(x)-f(0)) + b(f(x')-f(0))
-        y0, _ = bn.forward(np.zeros((5, 3)), train=False)
-        assert np.allclose(y_mix - y0, a * (y1 - y0) + b * (y2 - y0), atol=1e-10)
-
     def test_infer_mode_does_not_touch_running_stats(self, rng):
-        bn = BatchNorm(3)
-        mean0 = bn.running_mean.copy()
-        var0 = bn.running_var.copy()
-        bn.forward(rng.normal(size=(8, 3)), train=False)
-        assert np.array_equal(bn.running_mean, mean0)
-        assert np.array_equal(bn.running_var, var0)
+        # the frozen batch norm runs only inside Vae.infer
+        model = tiny_model(hidden=(5, 3))
+        before = model.clone_state()
+        model.infer(rng.normal(size=(8, 6)))
+        for name, arr in model.state_arrays().items():
+            assert np.array_equal(arr, before[name]), name
 
     def test_backward_matches_finite_differences(self, rng):
         bn = BatchNorm(3)
@@ -130,10 +117,10 @@ class TestBatchNorm:
         target = rng.normal(size=(7, 3))
 
         def loss(xv):
-            y, _ = bn.forward(xv, train=True)
+            y, _ = bn.forward(xv)
             return float(np.sum((y - target) ** 2))
 
-        y, cache = bn.forward(x, train=True)
+        y, cache = bn.forward(x)
         gx, grads = bn.backward(2.0 * (y - target), cache)
         h = 1e-6
         for r in range(7):
@@ -153,21 +140,22 @@ class TestReluDropout:
         assert np.array_equal(gx, [[0.0, 0.0, 1.0]])
 
     def test_dropout_identity_when_inferring(self, rng):
+        # no rng: the deterministic forward, which draws no mask
         x = rng.normal(size=(4, 4))
-        y, cache = dropout_forward(x, 0.3, train=False, rng=rng)
+        y, cache = dropout_forward(x, 0.3, rng=None)
         assert y is x and cache is None
         assert dropout_backward(x, None) is x
 
     def test_dropout_inverted_scaling(self, rng):
         x = np.ones((2000, 10))
-        y, _ = dropout_forward(x, 0.3, train=True, rng=rng)
+        y, _ = dropout_forward(x, 0.3, rng=rng)
         kept = y != 0.0
         assert np.allclose(y[kept], 1.0 / 0.7)
         assert abs(kept.mean() - 0.7) < 0.03
 
     def test_dropout_backward_uses_same_mask(self, rng):
         x = rng.normal(size=(8, 8))
-        y, cache = dropout_forward(x, 0.2, train=True, rng=rng)
+        y, cache = dropout_forward(x, 0.2, rng=rng)
         gy = np.ones_like(x)
         gx = dropout_backward(gy, cache)
         assert np.array_equal(gx == 0.0, y == 0.0)

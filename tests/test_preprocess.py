@@ -11,8 +11,8 @@ from dartclean.preprocess import (
     make_windows,
     zscore_normalize,
 )
-from dartclean.refiner import windows_to_series
 from dartclean.series_io import FLAG_MISSING, FLAG_VALID, RawSeries
+from tests.oracles import overlap_add
 
 
 def _series(values, flags=None):
@@ -133,7 +133,7 @@ class TestMakeWindows:
     def test_overlap_add_identity(self, rng):
         x = rng.normal(size=300)
         batch = make_windows(x, w=48)
-        back = windows_to_series(batch.windows, batch.origins, len(x))
+        back = overlap_add(batch.windows, batch.origins, len(x))
         assert np.max(np.abs(back - x)) <= 1e-9
 
 

@@ -4,13 +4,9 @@ import pytest
 from dartclean.detector import AnomalyMasks, DetectConfig
 from dartclean.errors import ConfigError, DataError
 from dartclean.preprocess import make_windows
-from dartclean.refiner import (
-    RefineConfig,
-    iteration_log_rows,
-    refine,
-    windows_to_series,
-)
-from tests.conftest import tiny_model
+from dartclean.refiner import RefineConfig, iteration_log_rows, refine
+from tests.conftest import plain_decoder, tiny_model
+from tests.oracles import overlap_add
 
 
 def _masks(n, spike_idx=(), step_idx=()):
@@ -27,37 +23,34 @@ def _detect_cfg():
 
 
 class TestWindowsToSeries:
+    """The overlap-add of a refinement pass, ``Vae.infer_series``."""
+
     def test_unmodified_windows_identity(self, rng):
         x = rng.normal(size=120)
-        batch = make_windows(x, w=16)
-        back = windows_to_series(batch.windows, batch.origins, len(x))
+        _, back = plain_decoder(tiny_model(window=16), 1.0).infer_series(x)
         assert np.max(np.abs(back - x)) <= 1e-9
 
     def test_coverage_weights(self):
-        # N=49, w=48: sample 0 covered once, sample 24 covered twice
-        values = np.zeros((2, 48))
-        values[0, :] = 1.0   # window at origin 0
-        values[1, :] = 3.0   # window at origin 1
-        out = windows_to_series(values, np.array([0, 1]), 49)
-        assert out[0] == 1.0
-        assert out[24] == 2.0  # average of 1 and 3
-        assert out[48] == 3.0
+        # N=49, w=48: sample 0 covered once, sample 24 twice (by column 24 of
+        # the window at origin 0 and column 23 of the one at origin 1)
+        model = plain_decoder(tiny_model(window=48), 0.0, bias=np.arange(48.0))
+        _, out = model.infer_series(np.zeros(49))
+        assert out[0] == 0.0
+        assert out[24] == 23.5
+        assert out[48] == 47.0
 
     def test_matches_naive_accumulation(self, rng):
+        model = tiny_model(window=12, seed=1)
         x = rng.normal(size=90)
+        _, out = model.infer_series(x)
         batch = make_windows(x, w=12)
-        perturbed = batch.windows + rng.normal(size=batch.windows.shape)
-        out = windows_to_series(perturbed, batch.origins, len(x))
-        acc = np.zeros(90)
-        count = np.zeros(90)
-        for row, origin in zip(perturbed, batch.origins):
-            acc[origin:origin + 12] += row
-            count[origin:origin + 12] += 1
-        assert np.array_equal(out, acc / count)
+        _, decoded = model.infer(batch.windows)
+        assert np.array_equal(out, overlap_add(decoded, batch.origins, 90))
 
     def test_uncovered_sample_rejected(self):
+        # a series shorter than one window leaves every sample uncovered
         with pytest.raises(DataError):
-            windows_to_series(np.zeros((1, 4)), np.array([0]), 10)
+            tiny_model(window=12).infer_series(np.zeros(10))
 
 
 class TestRefine:
@@ -113,9 +106,11 @@ class TestRefine:
     def test_early_exit(self, rng):
         model = tiny_model(seed=5)
         x = rng.normal(size=80)
-        cfg = RefineConfig(iterations=10, tolerance=1e6, early_exit=True)
-        result = refine(model, x, _masks(80, spike_idx=(30, 31)), _detect_cfg(), cfg)
+        masks = _masks(80, spike_idx=(30, 31))
+        result = refine(model, x, masks, _detect_cfg(), RefineConfig(iterations=10, tolerance=1e6))
         assert len(result.log) == 1  # huge tolerance: exit after round 1
+        # the default tolerance 0.0 never exits: no mean |change| is below it
+        assert len(refine(model, x, masks, _detect_cfg()).log) == 10
 
     def test_mask_length_mismatch_rejected(self, rng):
         model = tiny_model()

@@ -149,14 +149,14 @@ class TestCheckpoint:
     def test_round_trip_non_default_config(self, tmp_path, rng):
         model = tiny_model(seed=8, bn_eps=0.5, bn_momentum=0.7, beta0=0.6,
                            conf_decay=0.3, skip_alpha_init=0.5)
-        model.loss_and_grads(rng.normal(size=(16, 6)), step=0, train=True,
-                             rng=np.random.default_rng(2))
+        model.loss_and_grads(rng.normal(size=(16, 6)), step=0, rng=np.random.default_rng(2))
         path = tmp_path / "ck.json"
         save_checkpoint(model, NormStats(0.0, 1.0), path)
         loaded, _ = load_checkpoint(path)
         assert loaded.config == model.config
         x = rng.normal(size=(10, 6))
-        assert np.array_equal(loaded.reconstruct(x), model.reconstruct(x))
+        for got, expect in zip(loaded.infer(x), model.infer(x)):
+            assert np.array_equal(got, expect)
 
     def test_version_1_file_loads_with_defaults(self, tmp_path):
         import json

@@ -2,10 +2,10 @@
 
 ``Vae.infer_series`` encodes each row block from a sliding view of the
 series and overlap-adds each decoded block into one accumulator, so a
-clean never holds a windows x window array.  The oracle pass below is the
-one the refiner ran before: copy every stride-1 window (``make_windows``),
-run ``Vae.infer`` on the copy, and overlap-add with one ``np.bincount``
-(``oracle_windows_to_series``).  Every comparison is to the bit.
+clean never holds a windows x window array.  The oracle pass is the one
+the refiner ran before: copy every stride-1 window, run the infer-mode
+forward on the copy, and overlap-add (``tests/oracles.py``).  Every
+comparison is to the bit.
 """
 
 import io
@@ -19,31 +19,9 @@ from hypothesis import strategies as st
 from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
 from dartclean.errors import DataError, NumericError
 from dartclean.model import ModelConfig, Vae
-from tests.conftest import tiny_model
-from tests.test_infer import identical, perturbed_model
-
-
-def oracle_windows_to_series(window_values, origins, n):
-    """Uniform overlap-add: ``np.bincount`` adds its weights in input
-    order, so each sample sums its covering windows in row order."""
-    window_values = np.asarray(window_values, dtype=float)
-    origins = np.asarray(origins, dtype=int)
-    w = window_values.shape[1]
-    index = (origins[:, None] + np.arange(w)).ravel()
-    acc = np.bincount(index, weights=window_values.ravel(), minlength=n)
-    count = np.bincount(index, minlength=n)
-    if np.any(count == 0):
-        raise DataError("overlap-add: some samples are covered by no window")
-    return acc / count
-
-
-def oracle_infer_pass(model, x, detect_config, tau_l=None, prev_z=None, blend_alpha=1.0):
-    batch = preprocess.make_windows(x, w=model.config.window, s=1)
-    z, decoded = model.infer(batch.windows, prev_z, blend_alpha)
-    recon = oracle_windows_to_series(decoded, batch.origins, len(x))
-    deviation = detector.spike_deviation(x, detect_config)
-    step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
-    return refiner.InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)
+from tests.conftest import perturbed_model, tiny_model
+from tests.oracles import oracle_infer_pass, overlap_add
+from tests.test_infer import identical
 
 
 # window counts around the row-block edges: 1 024 rows a block, none under 76
@@ -62,7 +40,7 @@ def test_infer_series_matches_windowed_pass(count, w, blend):
     z, recon = model.infer_series(x, prev_z, 0.5)
     batch = preprocess.make_windows(x, w=w)
     z_o, decoded = model.infer(batch.windows, prev_z, 0.5)
-    recon_o = oracle_windows_to_series(decoded, batch.origins, n)
+    recon_o = overlap_add(decoded, batch.origins, n)
     assert np.array_equal(z, z_o) and identical(z, z_o)
     assert np.array_equal(recon, recon_o) and identical(recon, recon_o)
 
@@ -79,7 +57,7 @@ def test_fused_overlap_add_of_arbitrary_values(count, w):
     x = rng.normal(size=count + w - 1) * 1e4
     _, recon = model.infer_series(x)
     _, decoded = model.infer(preprocess.make_windows(x, w=w).windows)
-    assert identical(recon, oracle_windows_to_series(decoded, np.arange(count), len(x)))
+    assert identical(recon, overlap_add(decoded, np.arange(count), len(x)))
 
 
 def test_infer_series_rejects_short_series():

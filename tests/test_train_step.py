@@ -1,10 +1,10 @@
 """The lean training step against the step it replaced.
 
-The oracles below are the training step as it was before the in-place
-rewrite: the allocating dense, batch-norm, ReLU and dropout layers, the
-cached forward and backward of the model, global-norm clipping that
-copies, the per-array Adam update and the training loop that always
-accumulates.  The package must reproduce them bit for bit, so every
+The oracles are the training step as it was before the in-place rewrite:
+the allocating dense, batch-norm, ReLU and dropout layers and the cached
+forward and backward of the model (in ``tests/oracles.py``), and below,
+global-norm clipping that copies, the per-array Adam update and the
+training loop that always accumulates.  The package must reproduce them bit for bit, so every
 comparison is ``np.array_equal`` plus a byte comparison, which also tells
 -0.0 from 0.0.
 """
@@ -16,8 +16,8 @@ import pytest
 
 from dartclean import layers, model as model_module, optim, trainer
 from dartclean.errors import ConfigError, NumericError
-from dartclean.layers import BatchNorm, Dense, dropout_backward, dropout_forward, dropout_rate
-from dartclean.model import LOGVAR_CLIP, LatentState, ModelConfig, Vae
+from dartclean.layers import BatchNorm, Dense, dropout_backward, dropout_forward
+from dartclean.model import ModelConfig, Vae
 from dartclean.optim import (
     ADAM_CHUNK,
     Adam,
@@ -28,6 +28,17 @@ from dartclean.optim import (
     global_norm,
 )
 from dartclean.trainer import EpochRecord, TrainConfig, TrainLog, early_stop_check
+from tests.conftest import perturbed_model
+from tests.oracles import (
+    oracle_bn_backward,
+    oracle_bn_forward,
+    oracle_decode,
+    oracle_dense_backward,
+    oracle_dropout_backward,
+    oracle_dropout_forward,
+    oracle_encode,
+    oracle_loss_and_grads,
+)
 
 
 def identical(a, b):
@@ -41,158 +52,6 @@ def same_dicts(a, b):
 
 
 # ------------------------------------------------------------------ oracles
-
-def oracle_dense_forward(dense, x):
-    return x @ dense.W.T + dense.b, x
-
-
-def oracle_dense_backward(dense, gy, x):
-    return gy @ dense.W, {"W": gy.T @ x, "b": gy.sum(axis=0)}
-
-
-def oracle_bn_forward(bn, x, train):
-    if train:
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        bn.running_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
-        bn.running_var = bn.momentum * bn.running_var + (1 - bn.momentum) * var
-    else:
-        mean = bn.running_mean
-        var = bn.running_var
-    inv_std = 1.0 / np.sqrt(var + bn.eps)
-    xhat = (x - mean) * inv_std
-    y = bn.gamma * xhat + bn.shift
-    return y, (xhat, inv_std, train)
-
-
-def oracle_bn_backward(bn, gy, cache):
-    xhat, inv_std, train = cache
-    ggamma = (gy * xhat).sum(axis=0)
-    gshift = gy.sum(axis=0)
-    gxhat = gy * bn.gamma
-    if train:
-        n = gy.shape[0]
-        gx = (inv_std / n) * (
-            n * gxhat - gxhat.sum(axis=0) - xhat * (gxhat * xhat).sum(axis=0)
-        )
-    else:
-        gx = gxhat * inv_std
-    return gx, {"gamma": ggamma, "shift": gshift}
-
-
-def oracle_relu_forward(x):
-    return np.maximum(x, 0.0), x > 0
-
-
-def oracle_dropout_forward(x, p, train, rng):
-    if not train or rng is None or p <= 0.0:
-        return x, None
-    keep = rng.random(x.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    return x * keep * scale, (keep, scale)
-
-
-def oracle_dropout_backward(gy, cache):
-    if cache is None:
-        return gy
-    keep, scale = cache
-    return gy * keep * scale
-
-
-def oracle_encode(model, X, train, rng=None, eps=None):
-    h = X
-    caches = []
-    for i, (dn, bn) in enumerate(zip(model.enc_dense, model.enc_bn)):
-        u, c_dense = oracle_dense_forward(dn, h)
-        v, c_bn = oracle_bn_forward(bn, u, train)
-        a, c_relu = oracle_relu_forward(v)
-        h, c_drop = oracle_dropout_forward(a, dropout_rate(i), train, rng)
-        caches.append((c_dense, c_bn, c_relu, c_drop))
-    mu, c_mu = oracle_dense_forward(model.mu_head, h)
-    logvar_raw, c_lv = oracle_dense_forward(model.logvar_head, h)
-    logvar = np.clip(logvar_raw, -LOGVAR_CLIP, LOGVAR_CLIP)
-    clip_mask = np.abs(logvar_raw) < LOGVAR_CLIP
-    if eps is None:
-        eps = rng.standard_normal(mu.shape) if train else np.zeros_like(mu)
-    z = mu + np.exp(0.5 * logvar) * eps
-    latent = LatentState(mu=mu, logvar=logvar, z=z, eps=eps)
-    return latent, (caches, c_mu, c_lv, clip_mask)
-
-
-def oracle_encode_backward(model, gmu, glogvar, cache, grads):
-    caches, c_mu, c_lv, clip_mask = cache
-    gh_mu, g_mu = oracle_dense_backward(model.mu_head, gmu, c_mu)
-    gh_lv, g_lv = oracle_dense_backward(model.logvar_head, glogvar * clip_mask, c_lv)
-    grads["mu.W"], grads["mu.b"] = g_mu["W"], g_mu["b"]
-    grads["logvar.W"], grads["logvar.b"] = g_lv["W"], g_lv["b"]
-    gh = gh_mu + gh_lv
-    for i in range(len(model.enc_dense) - 1, -1, -1):
-        c_dense, c_bn, c_relu, c_drop = caches[i]
-        gv = oracle_dropout_backward(gh, c_drop) * c_relu
-        gu, g_bn = oracle_bn_backward(model.enc_bn[i], gv, c_bn)
-        gh, g_dn = oracle_dense_backward(model.enc_dense[i], gu, c_dense)
-        grads[f"enc{i}.W"], grads[f"enc{i}.b"] = g_dn["W"], g_dn["b"]
-        grads[f"enc{i}.gamma"], grads[f"enc{i}.shift"] = g_bn["gamma"], g_bn["shift"]
-
-
-def oracle_decode(model, Z, X_in, train, rng=None):
-    h = Z
-    caches = []
-    for i, (dn, bn) in enumerate(zip(model.dec_dense, model.dec_bn)):
-        u, c_dense = oracle_dense_forward(dn, h)
-        k = min(h.shape[1], u.shape[1])
-        skip_in = np.zeros_like(u)
-        skip_in[:, :k] = h[:, :k]
-        s = u + model.dec_alpha[i] * skip_in
-        v, c_bn = oracle_bn_forward(bn, s, train)
-        a, c_relu = oracle_relu_forward(v)
-        h, c_drop = oracle_dropout_forward(a, dropout_rate(i), train, rng)
-        caches.append((c_dense, skip_in, c_bn, c_relu, c_drop))
-    y, c_out = oracle_dense_forward(model.out_layer, h)
-    return y + model.beta * X_in, (caches, c_out, X_in)
-
-
-def oracle_decode_backward(model, gxhat, cache, grads):
-    caches, c_out, X_in = cache
-    grads["beta"] = np.array(np.sum(gxhat * X_in))
-    gh, g_out = oracle_dense_backward(model.out_layer, gxhat, c_out)
-    grads["out.W"], grads["out.b"] = g_out["W"], g_out["b"]
-    for i in range(len(model.dec_dense) - 1, -1, -1):
-        c_dense, skip_in, c_bn, c_relu, c_drop = caches[i]
-        gv = oracle_dropout_backward(gh, c_drop) * c_relu
-        gs, g_bn = oracle_bn_backward(model.dec_bn[i], gv, c_bn)
-        gh, g_dn = oracle_dense_backward(model.dec_dense[i], gs, c_dense)
-        grads[f"dec{i}.alpha"] = np.array(np.sum(gs * skip_in))
-        k = min(gh.shape[1], gs.shape[1])
-        gh[:, :k] += model.dec_alpha[i] * gs[:, :k]
-        grads[f"dec{i}.W"], grads[f"dec{i}.b"] = g_dn["W"], g_dn["b"]
-        grads[f"dec{i}.gamma"], grads[f"dec{i}.shift"] = g_bn["gamma"], g_bn["shift"]
-    return gh
-
-
-def oracle_loss_and_grads(model, X, step, train=True, rng=None, eps=None, t_anneal=5000,
-                          lam_temporal=0.1, lam_mean=0.1):
-    latent, enc_cache = oracle_encode(model, X, train, rng, eps)
-    xhat, dec_cache = oracle_decode(model, latent.z, X, train, rng)
-    lb = model.composite_loss(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)
-    n_batch, w = X.shape
-    gxhat = 2.0 * (xhat - X) / (n_batch * w)
-    gdiff = lam_temporal * 2.0 * (np.diff(xhat, axis=1) - np.diff(X, axis=1)) / (
-        n_batch * (w - 1)
-    )
-    gxhat[:, 1:] += gdiff
-    gxhat[:, :-1] -= gdiff
-    mean_gap = X.mean() - xhat.mean()
-    gxhat += lam_mean * (-np.sign(mean_gap)) / (n_batch * w)
-    grads = {}
-    gz = oracle_decode_backward(model, gxhat, dec_cache, grads)
-    gmu = gz.copy()
-    glogvar = gz * latent.eps * 0.5 * np.exp(0.5 * latent.logvar)
-    gmu += lb.beta_t * latent.mu / n_batch
-    glogvar += lb.beta_t * 0.5 * (np.exp(latent.logvar) - 1.0) / n_batch
-    oracle_encode_backward(model, gmu, glogvar, enc_cache, grads)
-    return lb, xhat, grads
-
 
 def oracle_clip_by_global_norm(grads, tau):
     norm = math.sqrt(sum(float(np.sum(np.asarray(g) ** 2)) for g in grads.values()))
@@ -300,28 +159,6 @@ def oracle_train(model, X, config):
 
 # -------------------------------------------------------------------- data
 
-def perturbed_model(hidden, seed=0, window=48):
-    """A model with batch-norm buffers, affine parameters, biases and skip
-    scales moved off their initial values; one skip scale is negative, so
-    the zero-padded skip adds -0.0."""
-    model = Vae(ModelConfig(window=window, hidden=hidden), seed=seed)
-    rng = np.random.default_rng(seed + 100)
-    for bn in model.enc_bn + model.dec_bn:
-        bn.running_mean = rng.normal(0.0, 0.5, bn.running_mean.shape)
-        bn.running_var = rng.uniform(0.3, 3.0, bn.running_var.shape)
-        bn.gamma = rng.uniform(0.5, 1.5, bn.gamma.shape)
-        bn.shift = rng.normal(0.0, 0.2, bn.shift.shape)
-    for dense in model.enc_dense + model.dec_dense + [model.mu_head, model.logvar_head,
-                                                      model.out_layer]:
-        dense.b = rng.normal(0.0, 0.1, dense.b.shape)
-    # assigned item by item: the parameter table holds the list itself
-    for i, alpha in enumerate(rng.uniform(-1.0, 1.0, len(model.dec_alpha))):
-        model.dec_alpha[i] = np.array(alpha)
-    model.dec_alpha[0] = np.array(-0.4)
-    model.beta = np.array(0.6)
-    return model
-
-
 def twin(model):
     other = Vae(model.config, seed=1)
     other.load_state(model.clone_state())
@@ -355,21 +192,19 @@ def test_batchnorm_train_forward_matches_oracle(shape):
     bn.shift = rng.normal(0.0, 0.2, shape[1])
     ref.gamma, ref.shift = bn.gamma.copy(), bn.shift.copy()
     x_before = x.copy()
-    y, (xhat, inv_std, train) = bn.forward(x, train=True)
+    y, (xhat, inv_std) = bn.forward(x)
     y_o, (xhat_o, inv_std_o, _) = oracle_bn_forward(ref, x, True)
     assert identical(x, x_before)
     assert identical(y, y_o) and identical(xhat, xhat_o) and identical(inv_std, inv_std_o)
-    assert train is True
     assert identical(bn.running_mean, ref.running_mean)
     assert identical(bn.running_var, ref.running_var)
     # with momentum 0 the running variance is the batch variance itself
     bn0 = BatchNorm(shape[1], momentum=0.0)
-    bn0.forward(x, train=True)
+    bn0.forward(x)
     assert identical(bn0.running_var, x.var(axis=0))
 
 
-@pytest.mark.parametrize("train", [True, False])
-def test_batchnorm_forward_backward_matches_oracle(train):
+def test_batchnorm_forward_backward_matches_oracle():
     rng = np.random.default_rng(5)
     bn, ref = BatchNorm(33), BatchNorm(33)
     for b in (bn, ref):
@@ -378,8 +213,8 @@ def test_batchnorm_forward_backward_matches_oracle(train):
     x = rng.normal(size=(130, 33))
     gy = rng.normal(size=(130, 33))
     gy[3, :5] = -0.0
-    y, cache = bn.forward(x, train=train)
-    y_o, cache_o = oracle_bn_forward(ref, x, train)
+    y, cache = bn.forward(x)
+    y_o, cache_o = oracle_bn_forward(ref, x, True)
     assert identical(y, y_o) and all(identical(a, b) for a, b in zip(cache, cache_o))
     gy_before = gy.copy()
     gx, grads = bn.backward(gy, cache)
@@ -393,7 +228,7 @@ def test_dropout_matches_oracle(p):
     x = np.random.default_rng(1).normal(size=(96, 40))
     x[x < 0] = 0.0
     rng, rng_o = np.random.default_rng(3), np.random.default_rng(3)
-    y, cache = dropout_forward(x.copy(), p, True, rng)
+    y, cache = dropout_forward(x.copy(), p, rng)
     y_o, cache_o = oracle_dropout_forward(x.copy(), p, True, rng_o)
     assert identical(y, y_o)
     # the same draws, in the same order, so the generators stay in step
@@ -404,7 +239,7 @@ def test_dropout_matches_oracle(p):
 
 def test_dropout_scales_in_place():
     x = np.ones((8, 8))
-    y, _ = dropout_forward(x, 0.2, True, np.random.default_rng(0))
+    y, _ = dropout_forward(x, 0.2, np.random.default_rng(0))
     assert y is x
 
 
