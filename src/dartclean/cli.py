@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 
 import numpy as np
 
 from . import detector, metrics, pipeline, postprocess, refiner, series_io, synth, trainer
-from .errors import ConfigError, DartCleanError, DataError, NumericError, ParseError
+from .errors import ConfigError, DartCleanError, DataError, NumericError
 from .model import ModelConfig, Vae
 from .preprocess import fill_gaps, make_windows, zscore_normalize
+from .series_io import build_section, read_ground_truth, typed
 
 SECTION_TYPES = {
     "model": ModelConfig,
@@ -33,53 +33,22 @@ SECTION_TYPES = {
     "synth": synth.SynthSpec,
 }
 
-PATH_KEYS = ("input", "output", "checkpoint", "ground_truth",
-             "train_log", "segments", "iteration_log")
-TOP_KEYS = set(PATH_KEYS) | set(SECTION_TYPES) | {"seed", "verbosity"}
-TRUTH_HEADER = "time_iso8601,clean_m,contaminated_m,is_spike,is_step,is_gap"
-TRUTH_ROW = "%s,%.6f,%.6f,%d,%d,%d\n"
-
-
-def _typed(value, like, key: str):
-    """``value`` checked against ``like``, the field's default: an int for
-    an int, any number for a float, a bool, a string, or a list for a tuple
-    (returned as a tuple), whose items each match the default's first."""
-    if isinstance(like, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        return tuple(_typed(item, like[0], key) for item in value)
-    if isinstance(like, bool):
-        ok, kind = isinstance(value, bool), "true or false"
-    elif isinstance(like, (int, float)):
-        numeric = (int,) if isinstance(like, int) else (int, float)
-        ok = isinstance(value, numeric) and not isinstance(value, bool)
-        kind = "an integer" if isinstance(like, int) else "a number"
-    else:
-        ok, kind = isinstance(value, type(like)), f"a {type(like).__name__}"
-    if not ok:
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    return value
-
-
-def _build_section(cls, data: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown key(s) under {path!r}: {sorted(unknown)}")
-    return cls(**{key: _typed(value, fields[key].default, f"{path}.{key}")
-                  for key, value in data.items()})
+# the top-level keys that are no section, with their defaults
+TOP_DEFAULTS = dict.fromkeys(("input", "output", "checkpoint", "ground_truth", "train_log",
+                              "segments", "iteration_log"), "") | {"seed": 0, "verbosity": 1}
 
 
 def load_config(path=None, overrides=(), seed=None):
     data = {}
     if path:
         try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+            data = json.loads(series_io.read_text(path))
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON: {exc}")
+            raise ConfigError(f"invalid config JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -95,15 +64,12 @@ def load_config(path=None, overrides=(), seed=None):
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: {part!r} is not a section")
         node[parts[-1]] = value
-    unknown = set(data) - TOP_KEYS
+    unknown = set(data) - set(TOP_DEFAULTS) - set(SECTION_TYPES)
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
     if seed is not None:
         data["seed"] = seed
-    cfg = {"seed": _typed(data.get("seed", 0), 0, "seed"), "paths": {},
-           "verbosity": data.get("verbosity", 1)}
-    for key in PATH_KEYS:
-        cfg["paths"][key] = data.get(key)
+    cfg = {key: typed(data.get(key, like), like, key) for key, like in TOP_DEFAULTS.items()}
     for name, cls in SECTION_TYPES.items():
         section = data.get(name, {})
         if not isinstance(section, dict):
@@ -111,19 +77,19 @@ def load_config(path=None, overrides=(), seed=None):
         section = dict(section)
         if name in ("train", "synth") and "seed" not in section:
             section["seed"] = cfg["seed"]
-        cfg[name] = _build_section(cls, section, name)
+        cfg[name] = build_section(cls, section, name)
     return cfg
 
 
 def _require(cfg, key):
-    value = cfg["paths"].get(key)
+    value = cfg[key]
     if not value:
         raise ConfigError(f"config must set {key!r} for this command")
     return value
 
 
 def _derived(cfg, key, suffix):
-    return cfg["paths"].get(key) or _require(cfg, "output") + suffix
+    return cfg[key] or _require(cfg, "output") + suffix
 
 
 def cmd_synth(cfg) -> int:
@@ -131,55 +97,8 @@ def cmd_synth(cfg) -> int:
     truth = synth.generate(spec)
     out_path = _require(cfg, "output")
     series_io.emit_dart(truth.to_raw_series(), out_path)
-    gt_path = _derived(cfg, "ground_truth", ".truth.csv")
-    spike = np.zeros(spec.n, dtype=int)
-    spike[truth.spike_indices] = 1
-    step = np.zeros(spec.n, dtype=int)
-    step[truth.step_locations] = 1
-    gap = np.zeros(spec.n, dtype=int)
-    gap[truth.gap_indices] = 1
-    rows = series_io.format_rows(TRUTH_ROW.__mod__, series_io.iso8601, truth.timestamps,
-                                 [truth.clean, truth.contaminated, spike, step, gap])
-    series_io.write_text(gt_path, itertools.chain(
-        [f"# seed={spec.seed} cadence={spec.cadence}\n{TRUTH_HEADER}\n"], rows))
+    series_io.write_ground_truth(truth, spec, _derived(cfg, "ground_truth", ".truth.csv"))
     return 0
-
-
-def read_ground_truth(path):
-    clean, contaminated, spike, step, gap = [], [], [], [], []
-    cadence = None
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("time_iso8601"):
-            continue
-        try:
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("cadence="):
-                        cadence = float(token.split("=", 1)[1])
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"expected 6 fields, found {len(parts)}")
-            clean.append(float(parts[1]))
-            contaminated.append(float(parts[2]))
-            spike.append(int(parts[3]))
-            step.append(int(parts[4]))
-            gap.append(int(parts[5]))
-        except ValueError as exc:
-            raise ParseError(f"bad ground-truth row in {path}: {exc}", lineno) from None
-    if not clean:
-        raise DataError(f"no ground-truth rows in {path}")
-    return {
-        "clean": np.asarray(clean), "contaminated": np.asarray(contaminated),
-        "spike": np.asarray(spike, dtype=bool), "step": np.asarray(step, dtype=bool),
-        "gap": np.asarray(gap, dtype=bool), "cadence": cadence or 900.0,
-    }
 
 
 def cmd_train(cfg) -> int:

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
-import io
 import itertools
 import json
 import os
@@ -24,6 +22,8 @@ CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
 CSV_HEADER = "time_iso8601,raw_m,cleaned_m,spike,step,residual_m"
 CSV_ROW = "%s,%.6f,%.6f,%d,%d,%.6f\n"
+TRUTH_HEADER = "time_iso8601,clean_m,contaminated_m,is_spike,is_step,is_gap"
+TRUTH_ROW = "%s,%.6f,%.6f,%d,%d,%d\n"
 
 FLAG_VALID = 0
 FLAG_MISSING = 1
@@ -111,6 +111,33 @@ def _epoch_days(y, mo, d):
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
+def _column(tokens, kind):
+    """``kind(token)`` (float or int) of every token, and the mask of the
+    tokens it rejects (their values are 0)."""
+    try:
+        return np.fromiter(map(kind, tokens), kind, len(tokens)), np.zeros(len(tokens), bool)
+    except (ValueError, OverflowError):
+        values, bad = np.zeros(len(tokens), kind), np.zeros(len(tokens), bool)
+        for i, token in enumerate(tokens):
+            try:
+                values[i] = kind(token)
+            except (ValueError, OverflowError):
+                bad[i] = True
+        return values, bad
+
+
+def _calendar(date):
+    """Epoch seconds of the [6, n] int64 rows Y M D h m s, and the mask of
+    the columns that are no valid date and time."""
+    fault = np.zeros(date.shape[1], dtype=bool)
+    for row, (lo, hi) in zip(date, _DATE_LIMITS):
+        fault |= (row < lo) | (row > hi)
+    y, mo, d, h, mi, s = date
+    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    fault |= d > _DAYS_IN_MONTH[np.clip(mo, 1, 12) - 1] + (leap & (mo == 2))
+    return _epoch_days(y, mo, d) * 86400 + h * 3600 + mi * 60 + s, fault
+
+
 def _parse_rows(rows, ints: dict):
     """Timestamps, heights, missing mask and fault mask of 8-column rows.
 
@@ -118,32 +145,16 @@ def _parse_rows(rows, ints: dict):
     that is no integer, or one outside every date field's range (so none
     overflows int64), maps to ``_BAD_INT``."""
     n = len(rows)
-    if not n:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=bool)
     tokens = list(itertools.chain.from_iterable(rows))
     date = np.empty((6, n), dtype=np.int64)
     for j in range(6):
         column = tokens[j::8]
         ints.update((t, _date_int(t)) for t in set(column).difference(ints))
         date[j] = np.fromiter(map(ints.__getitem__, column), np.int64, n)
-    fault = np.zeros(n, dtype=bool)
-    try:
-        heights = np.fromiter(map(float, tokens[7::8]), float, n)
-    except ValueError:
-        heights = np.full(n, np.nan)
-        for i, token in enumerate(tokens[7::8]):
-            try:
-                heights[i] = float(token)
-            except ValueError:
-                fault[i] = True
-    for row, (lo, hi) in zip(date, _DATE_LIMITS):
-        fault |= (row < lo) | (row > hi)
-    y, mo, d, h, mi, s = date
-    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
-    fault |= d > _DAYS_IN_MONTH[np.clip(mo, 1, 12) - 1] + (leap & (mo == 2))
+    heights, fault = _column(tokens[7::8], float)
+    seconds, bad_date = _calendar(date)
     missing = np.abs(heights - SENTINEL) <= SENTINEL_TOL
-    fault |= ~missing & ~np.isfinite(heights)
-    seconds = _epoch_days(y, mo, d) * 86400 + h * 3600 + mi * 60 + s
+    fault |= bad_date | (~missing & ~np.isfinite(heights))
     return seconds.astype(float), heights, missing, fault
 
 
@@ -167,12 +178,11 @@ def parse_dart_file(source) -> RawSeries:
     """Parse NOAA DART text (YEAR MONTH DAY HOUR MIN SEC T HEIGHT columns).
 
     Lines starting with '#' are headers.  Heights within 1e-6 of the 9999
-    sentinel are marked missing.  ``source`` may be a path, text, bytes, or
-    a file object.  Rows are converted ``CHUNK_ROWS`` at a time, a column
-    at a time; the first faulty line (by line number) raises ``ParseError``
-    naming it.
+    sentinel are marked missing.  ``source`` is a path or a text stream.
+    Rows are converted ``CHUNK_ROWS`` at a time, a column at a time; the
+    first faulty line (by line number) raises ``ParseError`` naming it.
     """
-    lines = _read_text(source).splitlines()
+    lines = read_text(source).splitlines()
     ints = {}
     chunks = [_parse_chunk(lines, start, ints) for start in range(0, len(lines), CHUNK_ROWS)]
     if not any(len(c[0]) for c in chunks):
@@ -281,20 +291,60 @@ def emit_dart(series: RawSeries, destination=None) -> str:
     return text
 
 
-def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+def read_text(source) -> str:
+    """The text of ``source``: a text stream, or a path read as UTF-8.  A
+    path that cannot be opened or decoded raises ``DataError`` naming it."""
     if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    text = str(source)
-    if "\n" in text:
-        return text
+        return source.read()
+    path = os.fspath(source)
     try:
-        with open(text, "rb") as fh:
-            return fh.read().decode("utf-8")
-    except FileNotFoundError:
-        raise DataError(f"file not found: {text}") from None
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+_ISO_TEMPLATE = np.array(["0000-00-00T00:00:00Z"]).view(np.uint32)
+
+
+def _stamp_seconds(stamps):
+    """Epoch seconds of ``YYYY-MM-DDTHH:MM:SSZ`` stamps (as ``iso8601``
+    writes the years 1000-9999), and the mask of the stamps that are not."""
+    codes = np.array(stamps, dtype="U21").view(np.uint32).reshape(-1, 21)
+    digits = codes[:, :20] - np.uint32(ord("0"))  # wraps above 9 below "0"
+    bad = (codes[:, 20] != 0) | np.any(np.where(
+        _ISO_TEMPLATE == ord("0"), digits > 9, codes[:, :20] != _ISO_TEMPLATE), axis=1)
+    digits = np.where(bad[:, None], 0, digits).astype(np.int64)
+    seconds, bad_date = _calendar(np.vstack([digits[:, :4] @ [1000, 100, 10, 1],
+                                             (10 * digits[:, 5:18:3] + digits[:, 6:19:3]).T]))
+    return seconds.astype(float), bad | bad_date
+
+
+def _read_csv(lines, header, kinds) -> list:
+    """The columns of a 6-column CSV's ``lines`` (leading ``#`` lines, ``header``,
+    one row a line): stamp seconds, then ``kind(token)`` per value column, read
+    ``CHUNK_ROWS`` lines at a time; the first faulty line raises ``ParseError``."""
+    top = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    if lines[top:top + 1] != [header]:
+        raise ParseError(f"expected the header {header!r}", top + 1)
+    chunks = []
+    for start in range(top + 1, len(lines), CHUNK_ROWS):
+        rows = [line.split(",") for line in lines[start:start + CHUNK_ROWS]]
+        count = len(rows)
+        if set(map(len, rows)) - {6}:
+            count = next(i for i, fields in enumerate(rows) if len(fields) != 6)
+        tokens = list(itertools.chain.from_iterable(rows[:count]))
+        seconds, fault = _stamp_seconds(tokens[0::6])
+        chunks.append([seconds])
+        for j, kind in enumerate(kinds, start=1):
+            values, bad = _column(tokens[j::6], kind)
+            chunks[-1].append(values)
+            fault |= bad
+        first = int(np.argmax(fault)) if fault.any() else count
+        if first < len(rows):
+            raise ParseError(f"not a row of {header}: {lines[start + first]!r}",
+                             start + first + 1)
+    return [np.concatenate(c) for c in zip(*chunks)] if chunks else [np.empty(0)] * 6
 
 
 def write_cleaned_csv(out: CleanedOutput, destination) -> None:
@@ -305,31 +355,40 @@ def write_cleaned_csv(out: CleanedOutput, destination) -> None:
 
 
 def read_cleaned_csv(source) -> CleanedOutput:
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
-    if ",".join(header) != CSV_HEADER:
-        raise ParseError(f"unexpected header {header}")
-    ts, raw, cleaned, spike, step, resid = [], [], [], [], [], []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            if len(row) != 6:
-                raise ValueError(f"expected 6 fields, found {len(row)}")
-            ts.append(datetime.strptime(row[0], ISO_FORMAT)
-                      .replace(tzinfo=timezone.utc).timestamp())
-            raw.append(float(row[1]))
-            cleaned.append(float(row[2]))
-            spike.append(int(row[3]))
-            step.append(int(row[4]))
-            resid.append(float(row[5]))
-        except ValueError as exc:
-            raise ParseError(f"bad cleaned-CSV row: {exc}", reader.line_num) from None
-    return CleanedOutput(
-        timestamps=np.asarray(ts), raw=np.asarray(raw), cleaned=np.asarray(cleaned),
-        spike=np.asarray(spike), step=np.asarray(step), residual=np.asarray(resid),
-    )
+    """The CSV ``write_cleaned_csv`` writes, from a path or a text stream."""
+    return CleanedOutput(*_read_csv(read_text(source).splitlines(), CSV_HEADER,
+                                    (float, float, int, int, float)))
+
+
+def write_ground_truth(truth, spec, destination) -> None:
+    """The ground-truth CSV of a ``synth.GroundTruth`` made from ``spec``:
+    clean and contaminated heights and 0/1 spike, step and gap flags."""
+    flags = [np.isin(np.arange(len(truth.timestamps)), where).astype(int)
+             for where in (truth.spike_indices, truth.step_locations, truth.gap_indices)]
+    write_text(destination, itertools.chain(
+        [f"# seed={spec.seed} cadence={spec.cadence}\n{TRUTH_HEADER}\n"],
+        format_rows(TRUTH_ROW.__mod__, iso8601, truth.timestamps,
+                    [truth.clean, truth.contaminated, *flags])))
+
+
+def read_ground_truth(source) -> dict:
+    """The CSV ``write_ground_truth`` writes, from a path or a text stream;
+    the last ``cadence=`` token of its leading ``#`` lines sets the
+    cadence (default 900 s)."""
+    lines = read_text(source).splitlines()
+    try:
+        cadences = [float(token[8:])
+                    for line in itertools.takewhile(lambda x: x.startswith("#"), lines)
+                    for token in line[1:].split() if token.startswith("cadence=")]
+    except ValueError as exc:
+        raise ParseError(f"bad ground-truth cadence: {exc}") from None
+    _, clean, contaminated, spike, step, gap = _read_csv(lines, TRUTH_HEADER,
+                                                         (float, float, int, int, int))
+    if not len(clean):
+        raise DataError(f"no ground-truth rows in {source}")
+    return {"clean": clean, "contaminated": contaminated, "spike": spike.astype(bool),
+            "step": step.astype(bool), "gap": gap.astype(bool),
+            "cadence": (cadences or [0.0])[-1] or 900.0}
 
 
 def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
@@ -353,26 +412,35 @@ def _object(doc: dict, key: str) -> dict:
     return value
 
 
-def _model_config(arch: dict):
-    from .model import ModelConfig
+def typed(value, like, key: str):
+    """``value`` checked against ``like``, the field's default: an int for
+    an int, any number for a float (returned as a float), a bool, a string,
+    or a list for a tuple (returned as a tuple) of items like ``like[0]``."""
+    if isinstance(like, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(typed(item, like[0], key) for item in value)
+    if isinstance(like, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(like, (int, float)):
+        numeric = (int,) if isinstance(like, int) else (int, float)
+        ok = isinstance(value, numeric) and not isinstance(value, bool)
+        kind = "an integer" if isinstance(like, int) else "a number"
+    else:
+        ok, kind = isinstance(value, type(like)), f"a {type(like).__name__}"
+    if not ok:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return float(value) if isinstance(like, float) else value
 
-    defaults = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
-    unknown = set(arch) - set(defaults)
+
+def build_section(cls, data: dict, path: str):
+    """The dataclass ``cls`` from ``data``, every key known and ``typed``."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise DataError(f"unknown checkpoint architecture key(s): {sorted(unknown)}")
-    kwargs = {}
-    for key, value in arch.items():
-        try:
-            if key == "hidden":
-                kwargs[key] = tuple(int(h) for h in value)
-            else:
-                kwargs[key] = type(defaults[key])(value)
-        except (TypeError, ValueError):
-            raise DataError(f"checkpoint architecture {key!r}: bad value {value!r}") from None
-    try:
-        return ModelConfig(**kwargs)
-    except ConfigError as exc:
-        raise DataError(f"checkpoint architecture: {exc}") from None
+        raise ConfigError(f"unknown key(s) under {path!r}: {sorted(unknown)}")
+    return cls(**{key: typed(value, fields[key].default, f"{path}.{key}")
+                  for key, value in data.items()})
 
 
 def load_checkpoint(source):
@@ -382,14 +450,11 @@ def load_checkpoint(source):
     array shape before touching the model, so a corrupt file never yields
     a partially loaded network.
     """
-    from .model import Vae
+    from .model import ModelConfig, Vae
     from .preprocess import NormStats
 
-    text = _read_text(source)
-    if not text.strip():
-        raise ParseError("empty checkpoint file")
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(source))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid checkpoint JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -397,7 +462,11 @@ def load_checkpoint(source):
     version = doc.get("format_version")
     if version not in READABLE_VERSIONS:
         raise DataError(f"unsupported checkpoint version {version!r}")
-    model = Vae(_model_config(_object(doc, "architecture")), seed=0)
+    try:
+        config = build_section(ModelConfig, _object(doc, "architecture"), "model")
+    except ConfigError as exc:
+        raise DataError(f"checkpoint architecture: {exc}") from None
+    model = Vae(config, seed=0)
     arrays = {}
     for name, value in _object(doc, "params").items():
         try:

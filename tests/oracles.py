@@ -7,12 +7,19 @@ a ``train`` flag, so ``train=False`` is the old infer-mode forward (frozen
 batch norm, no dropout, eps = 0).  The windowing and overlap-add oracles
 are the plain slice loops; with the cached infer-mode forward they make up
 the windowed refinement pass that :meth:`Vae.infer_series` streams.
+The two CSV reader oracles are the row-by-row readers the array reader of
+``series_io`` replaced, reading text instead of a path or a stream.
 """
+
+import csv
+import io
+from datetime import datetime, timezone
 
 import numpy as np
 
 from dartclean import detector, refiner
-from dartclean.errors import DataError, NumericError
+from dartclean.errors import DataError, NumericError, ParseError
+from dartclean.series_io import CSV_HEADER, ISO_FORMAT, CleanedOutput
 from dartclean.layers import dropout_rate
 from dartclean.model import LOGVAR_CLIP, LatentState
 from dartclean.preprocess import WindowBatch
@@ -228,3 +235,67 @@ def oracle_infer_pass(model, x, detect_config, tau_l=None, prev_z=None, blend_al
     deviation = detector.spike_deviation(x, detect_config)
     step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
     return refiner.InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)
+
+
+# ------------------------------------------------------------- CSV readers
+
+def oracle_read_cleaned_csv(text) -> CleanedOutput:
+    """``series_io.read_cleaned_csv``: ``csv.reader`` and ``strptime`` per row."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    if ",".join(header) != CSV_HEADER:
+        raise ParseError(f"unexpected header {header}")
+    ts, raw, cleaned, spike, step, resid = [], [], [], [], [], []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != 6:
+                raise ValueError(f"expected 6 fields, found {len(row)}")
+            ts.append(datetime.strptime(row[0], ISO_FORMAT)
+                      .replace(tzinfo=timezone.utc).timestamp())
+            raw.append(float(row[1]))
+            cleaned.append(float(row[2]))
+            spike.append(int(row[3]))
+            step.append(int(row[4]))
+            resid.append(float(row[5]))
+        except ValueError as exc:
+            raise ParseError(f"bad cleaned-CSV row: {exc}", reader.line_num) from None
+    return CleanedOutput(
+        timestamps=np.asarray(ts), raw=np.asarray(raw), cleaned=np.asarray(cleaned),
+        spike=np.asarray(spike), step=np.asarray(step), residual=np.asarray(resid),
+    )
+
+
+def oracle_read_ground_truth(text) -> dict:
+    """``series_io.read_ground_truth``: one line at a time; the stamps are
+    not read."""
+    clean, contaminated, spike, step, gap = [], [], [], [], []
+    cadence = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("time_iso8601"):
+            continue
+        try:
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    if token.startswith("cadence="):
+                        cadence = float(token.split("=", 1)[1])
+                continue
+            parts = line.split(",")
+            if len(parts) != 6:
+                raise ValueError(f"expected 6 fields, found {len(parts)}")
+            clean.append(float(parts[1]))
+            contaminated.append(float(parts[2]))
+            spike.append(int(parts[3]))
+            step.append(int(parts[4]))
+            gap.append(int(parts[5]))
+        except ValueError as exc:
+            raise ParseError(f"bad ground-truth row: {exc}", lineno) from None
+    if not clean:
+        raise DataError("no ground-truth rows")
+    return {
+        "clean": np.asarray(clean), "contaminated": np.asarray(contaminated),
+        "spike": np.asarray(spike, dtype=bool), "step": np.asarray(step, dtype=bool),
+        "gap": np.asarray(gap, dtype=bool), "cadence": cadence or 900.0,
+    }

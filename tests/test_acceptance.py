@@ -17,7 +17,7 @@ import pytest
 from dartclean import detector, metrics, postprocess, refiner, series_io, synth, trainer
 from dartclean.cli import main
 from dartclean.model import LatentState, ModelConfig, Vae, kl_divergence
-from dartclean.pipeline import clean_series, detect_anomalies
+from dartclean.pipeline import clean_series
 from dartclean.preprocess import fill_gaps, make_windows, zscore_normalize
 
 

@@ -1,9 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from dartclean import cli, series_io, synth
+from dartclean import series_io, synth
 from dartclean.cli import load_config, main, read_ground_truth
 from dartclean.errors import ConfigError, ParseError
 
@@ -77,6 +78,19 @@ class TestLoadConfig:
     def test_missing_config_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/cfg.json")
+
+    @pytest.mark.parametrize("doc", ["5", "[1, 2]", '"cfg"', "null", '{"output": ["a"]}',
+                                     '{"input": 3}', '{"checkpoint": null}', '{"verbosity": 1.5}'])
+    def test_top_level_is_typed(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        assert main(["synth", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "object" in err if doc[0] != "{" else json.loads(doc).popitem()[0] in err
+
+    def test_verbosity_must_be_an_integer(self, capsys):
+        assert main(["synth", "--set", "verbosity=abc"]) == 2
+        assert "verbosity must be an integer" in capsys.readouterr().err
 
     def test_seed_propagates_to_sections(self, tmp_path):
         path = _write_config(tmp_path, synth={"n": 100})
@@ -184,12 +198,30 @@ class TestCmdTrain:
         assert main(["clean", "--set", override]) == 2
         assert override.partition("=")[0] in capsys.readouterr().err
 
-    def test_typed_values_keep_their_json_form(self):
+    def test_typed_values_take_their_key_type(self):
         cfg = load_config(None, ["train.base_lr=1", "synth.tides=[[0.3,43200,0]]",
-                                 "model.hidden=[32,16]"])
-        assert cfg["train"].base_lr == 1 and isinstance(cfg["train"].base_lr, int)
-        assert cfg["synth"].tides == ((0.3, 43200, 0),)
+                                 "model.hidden=[32,16]", "train.epochs=3"])
+        assert cfg["train"].base_lr == 1.0 and isinstance(cfg["train"].base_lr, float)
+        assert cfg["synth"].tides == ((0.3, 43200.0, 0.0),)
+        assert all(isinstance(v, float) for v in cfg["synth"].tides[0])
         assert cfg["model"].hidden == (32, 16)
+        assert isinstance(cfg["train"].epochs, int)
+
+    def test_integer_for_a_float_key(self, trained, tmp_path):
+        # an int for skip_alpha_init made the skip scales int64, which Adam's
+        # in-place update could not take; 1 and 1.0 now train the same model
+        checkpoints = []
+        for value in ("1", "1.0"):
+            ck = tmp_path / f"ck_{value}.json"
+            cfg = _write_config(tmp_path, name=f"train_{value}.json", input=str(trained["dart"]),
+                                checkpoint=str(ck), train_log=str(tmp_path / "log.csv"),
+                                model={"window": 24, "hidden": [8], "latent": 4},
+                                train={"epochs": 1}, verbosity=0)
+            assert main(["train", "--config", cfg, "--set",
+                         f"model.skip_alpha_init={value}"]) == 0
+            checkpoints.append(ck.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+        assert json.loads(checkpoints[0])["architecture"]["skip_alpha_init"] == 1.0
 
 
 class TestCmdClean:
@@ -309,7 +341,7 @@ class TestTypedReadErrors:
         text = (series_io.CSV_HEADER + "\n2022-01-01T00:00:00Z,1.0,1.0,0,0,0.0\n"
                 + row + "\n")
         with pytest.raises(ParseError, match="line 3"):
-            series_io.read_cleaned_csv(text)
+            series_io.read_cleaned_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("row", ["2022-01-01T00:15:00Z,1.0,2.0",
                                      "2022-01-01T00:15:00Z,1.0,2.0,0,one,0"])
@@ -338,6 +370,39 @@ class TestTypedReadErrors:
                             detect={"w_s": 24, "w_l": 96})
         assert main(["eval", "--config", cfg]) == 3
         assert "line 6" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """A directory or a non-UTF-8 file given as an input exits 3 naming the
+    path; given as the config, it exits 2."""
+
+    @staticmethod
+    def _bad(tmp_path, kind):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir(exist_ok=True)
+        else:
+            path.write_bytes(b"2022 01 01 00 00 00 1 2584.25 \xff\xfe caf\xe9\n")
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    @pytest.mark.parametrize("command, key", [("clean", "input"), ("clean", "checkpoint"),
+                                              ("eval", "input")])
+    def test_input_exits_3(self, trained, tmp_path, capsys, kind, command, key):
+        paths = {"clean": {"input": str(trained["dart"]), "checkpoint": str(trained["checkpoint"]),
+                           "detect": {"w_s": 24, "w_l": 96}},
+                 "eval": {"ground_truth": str(trained["dir"] / "truth.csv")}}[command]
+        paths[key] = self._bad(tmp_path, kind)
+        cfg = _write_config(tmp_path, output=str(tmp_path / "out"), **paths)
+        assert main([command, "--config", cfg]) == 3
+        assert f"cannot read {paths[key]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_config_exits_2(self, tmp_path, capsys, kind):
+        path = self._bad(tmp_path, kind)
+        assert main(["synth", "--config", path]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
 
 
 class TestWritesIntoMissingDirectory:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dartclean.detector import (
-    AnomalyMasks,
     DetectConfig,
     build_masks,
     detect_spikes,
@@ -11,7 +10,6 @@ from dartclean.detector import (
     merge_segments,
     reconstruction_error,
     rolling_median_std,
-    spike_deviation,
     step_mean_shift,
 )
 from dartclean.errors import ConfigError, DataError

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in it or re-exported.
+"""Every name a package or test module imports is used in it or re-exported.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dartclean"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dartclean"
 
 
 def imported_names(tree):
@@ -31,7 +32,8 @@ def exported_names(tree):
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_import_is_used_or_exported(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

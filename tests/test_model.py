@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from dartclean.errors import ShapeError
-from dartclean.model import (
-    LatentState,
-    LossBreakdown,
-    ModelConfig,
-    Vae,
-    kl_divergence,
-)
+from dartclean.model import LatentState, kl_divergence
 from dartclean.preprocess import NormStats
 from dartclean.series_io import load_checkpoint, save_checkpoint
 from tests.conftest import plain_decoder, tiny_model

@@ -4,7 +4,6 @@ import pytest
 from dartclean.errors import ConfigError, DataError
 from dartclean.postprocess import (
     SmoothConfig,
-    denormalize,
     gaussian_kernel,
     gaussian_smooth,
     realign_steps,

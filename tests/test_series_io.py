@@ -10,7 +10,6 @@ from dartclean.series_io import (
     FLAG_MISSING,
     FLAG_VALID,
     CleanedOutput,
-    RawSeries,
     parse_dart_file,
     emit_dart,
     load_checkpoint,
@@ -30,7 +29,7 @@ SAMPLE = (
 
 class TestParseDartFile:
     def test_two_valid_rows(self):
-        series = parse_dart_file(SAMPLE)
+        series = parse_dart_file(io.StringIO(SAMPLE))
         assert len(series) == 2
         assert np.allclose(series.values, [2584.234, 2584.301])
         assert list(series.flags) == [FLAG_VALID, FLAG_VALID]
@@ -38,43 +37,55 @@ class TestParseDartFile:
 
     def test_sentinel_marks_missing(self):
         text = SAMPLE + "2022 01 01 00 30 00 1 9999.000\n"
-        series = parse_dart_file(text)
+        series = parse_dart_file(io.StringIO(text))
         assert series.flags[2] == FLAG_MISSING
         # sentinel without decimals too
         text2 = SAMPLE.replace("2584.301", "9999")
-        assert parse_dart_file(text2).flags[1] == FLAG_MISSING
+        assert parse_dart_file(io.StringIO(text2)).flags[1] == FLAG_MISSING
 
     def test_wrong_column_count_reports_line(self):
         with pytest.raises(ParseError, match="columns"):
-            parse_dart_file(SAMPLE + "2022 01 01 00 30 00 1\n")
+            parse_dart_file(io.StringIO(SAMPLE + "2022 01 01 00 30 00 1\n"))
 
     def test_unparseable_number_reports_line(self):
         with pytest.raises(ParseError):
-            parse_dart_file(SAMPLE + "2022 01 01 00 30 00 1 not-a-number\n")
+            parse_dart_file(io.StringIO(SAMPLE + "2022 01 01 00 30 00 1 not-a-number\n"))
 
     def test_non_monotone_timestamps_rejected(self):
         text = SAMPLE + "2022 01 01 00 15 00 1 2584.5\n"
         with pytest.raises(DataError, match="increasing"):
-            parse_dart_file(text)
+            parse_dart_file(io.StringIO(text))
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            parse_dart_file("# header only\n")
+            parse_dart_file(io.StringIO("# header only\n"))
 
-    def test_bytes_and_file_object_inputs(self):
-        from_bytes = parse_dart_file(SAMPLE.encode())
+    def test_path_and_stream_inputs(self, tmp_path):
+        path = tmp_path / "series.dart"
+        path.write_text(SAMPLE)
+        from_path = parse_dart_file(path)
         from_obj = parse_dart_file(io.StringIO(SAMPLE))
-        assert np.array_equal(from_bytes.values, from_obj.values)
+        assert np.array_equal(from_path.values, from_obj.values)
+        assert np.array_equal(parse_dart_file(str(path)).timestamps, from_obj.timestamps)
+
+    def test_one_row_text_stream(self):
+        series = parse_dart_file(io.StringIO("2022 01 01 00 00 00 1 2584.234"))
+        assert len(series) == 1 and series.values[0] == 2584.234
+
+    def test_text_is_not_taken_for_input(self):
+        # a string is always a path, even one holding DART text
+        with pytest.raises(DataError, match="cannot read"):
+            parse_dart_file(SAMPLE)
 
     def test_crlf_accepted(self):
-        series = parse_dart_file(SAMPLE.replace("\n", "\r\n"))
+        series = parse_dart_file(io.StringIO(SAMPLE.replace("\n", "\r\n")))
         assert len(series) == 2
 
     def test_emit_parse_round_trip_synth(self):
         truth = synth.generate(synth.SynthSpec(n=1000, spike_count=3, gap_count=2,
                                                seed=11))
         raw = truth.to_raw_series()
-        parsed = parse_dart_file(emit_dart(raw))
+        parsed = parse_dart_file(io.StringIO(emit_dart(raw)))
         valid = raw.flags == FLAG_VALID
         assert np.array_equal(parsed.flags, raw.flags)
         # bitwise equality for every valid sample
@@ -113,7 +124,7 @@ class TestCleanedCsv:
         )
         buf = io.StringIO()
         write_cleaned_csv(out, buf)
-        back = read_cleaned_csv(buf.getvalue())
+        back = read_cleaned_csv(io.StringIO(buf.getvalue()))
         assert np.allclose(back.raw, out.raw, atol=1e-6)
         assert np.allclose(back.cleaned, out.cleaned, atol=1e-6)
         assert np.allclose(back.residual, out.residual, atol=2e-6)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dartclean import metrics, synth
-from dartclean.detector import DetectConfig
 from dartclean.errors import ConfigError, DataError
 from dartclean.series_io import FLAG_MISSING
 

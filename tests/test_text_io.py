@@ -5,29 +5,38 @@ Each oracle below is the row-by-row implementation the package used
 before its text layer worked a column at a time.  Parsed arrays are
 compared by dtype and ``tobytes()``, text by ``==``; every fault a parse
 can raise must match the oracle's exception type, message and line
-number.
+number.  The two CSV readers are compared with the row-by-row readers of
+``tests/oracles.py`` by dtype and ``np.array_equal``; their faults must
+match the oracles' exception type and line number.
 """
 
 import io
+import json
 import re
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dartclean import series_io
+from dartclean import cli, series_io
 from dartclean.errors import DataError, ParseError
+from dartclean.model import ModelConfig, Vae
+from dartclean.preprocess import NormStats
 from dartclean.series_io import (
     CHUNK_ROWS,
+    CSV_HEADER,
     FLAG_MISSING,
     FLAG_VALID,
     SENTINEL,
     SENTINEL_TOL,
+    TRUTH_HEADER,
     CleanedOutput,
     RawSeries,
 )
+from tests.oracles import oracle_read_cleaned_csv, oracle_read_ground_truth
 
 FIRST_SECOND, LAST_SECOND = series_io.FIRST_SECOND, series_io.LAST_SECOND
 
@@ -38,7 +47,7 @@ def oracle_epoch_seconds(year, month, day, hour, minute, second):
 
 
 def oracle_parse_dart_file(source) -> RawSeries:
-    text = series_io._read_text(source)
+    text = series_io.read_text(source)
     timestamps, values, flags = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -150,8 +159,8 @@ def edge_stamps():
 
 class TestParse:
     def _same(self, text):
-        want = outcome(oracle_parse_dart_file, text)
-        got = outcome(series_io.parse_dart_file, text)
+        want = outcome(oracle_parse_dart_file, io.StringIO(text))
+        got = outcome(series_io.parse_dart_file, io.StringIO(text))
         if isinstance(want, RawSeries):
             assert isinstance(got, RawSeries), got
             assert_same_series(got, want)
@@ -330,8 +339,8 @@ def test_parse_emit_round_trip(steps, start, values, missing):
                        values=np.array(values[:n]), flags=np.array(missing[:n], dtype=int))
     text = series_io.emit_dart(series)
     assert text == oracle_emit_dart(series)
-    got = series_io.parse_dart_file(text)
-    assert_same_series(got, oracle_parse_dart_file(text))
+    got = series_io.parse_dart_file(io.StringIO(text))
+    assert_same_series(got, oracle_parse_dart_file(io.StringIO(text)))
     assert got.timestamps.tobytes() == series.timestamps.tobytes()
     valid = got.flags == FLAG_VALID
     assert got.values[valid].tobytes() == series.values[valid].tobytes()
@@ -375,3 +384,156 @@ class TestWriteText:
         with pytest.raises(ValueError, match="NaN"):
             series_io.write_cleaned_csv(out, buf)
         assert buf.getvalue() == ""
+
+
+def cleaned_csv_text(n, rng) -> str:
+    return write_csv(CleanedOutput(
+        timestamps=1640995200.0 + 900.0 * np.arange(n), raw=rng.normal(2584.0, 0.3, n),
+        cleaned=rng.normal(2584.0, 0.3, n), spike=rng.integers(0, 2, n),
+        step=rng.integers(0, 2, n)))
+
+
+def truth_csv_text(n, rng) -> str:
+    def flagged():
+        return np.flatnonzero(rng.random(n) < 0.1)
+    truth = SimpleNamespace(timestamps=-1e6 + 60.0 * np.arange(n),
+                            clean=rng.normal(0.0, 1.0, n), contaminated=rng.normal(0.0, 1.0, n),
+                            spike_indices=flagged(), step_locations=flagged(),
+                            gap_indices=flagged())
+    buf = io.StringIO()
+    series_io.write_ground_truth(truth, SimpleNamespace(seed=4, cadence=60.0), buf)
+    return buf.getvalue()
+
+
+def assert_same_columns(got, want):
+    got, want = (vars(x) if isinstance(x, CleanedOutput) else x for x in (got, want))
+    assert got.keys() == want.keys()
+    for name, b in want.items():
+        a = got[name]
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+READERS = {
+    "cleaned": (series_io.read_cleaned_csv, oracle_read_cleaned_csv, cleaned_csv_text),
+    "truth": (series_io.read_ground_truth, oracle_read_ground_truth, truth_csv_text),
+}
+
+
+class TestReadCsv:
+    def _same(self, reader, text):
+        read, oracle, _ = READERS[reader]
+        got, want = outcome(read, io.StringIO(text)), outcome(oracle, text)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got[0] is want[0] and got[2] == want[2], got
+        else:
+            assert_same_columns(got, want)
+        return got
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_row_counts_around_the_chunk(self, reader, n, rng):
+        got = self._same(reader, READERS[reader][2](n, rng))
+        if reader == "truth" and n == 0:
+            assert got[0] is DataError
+        else:
+            assert len(got["clean"] if reader == "truth" else got.raw) == n
+
+    def test_synth_and_clean_output(self, tmp_path):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({
+            "output": str(tmp_path / "s.dart"), "ground_truth": str(tmp_path / "truth.csv"),
+            "synth": {"n": 1500, "spike_count": 6, "step_count": 1, "step_min_separation": 400,
+                      "gap_count": 3, "drift": "linear", "drift_rate": 1e-5, "seed": 5}}))
+        assert cli.main(["synth", "--config", str(cfg)]) == 0
+        truth = tmp_path / "truth.csv"
+        got = self._same("truth", truth.read_text())
+        assert_same_columns(series_io.read_ground_truth(truth), got)
+        assert got["gap"].any() and got["spike"].any() and got["step"].any()
+        model = Vae(ModelConfig(window=24, hidden=(8,), latent=4), seed=0)
+        series_io.save_checkpoint(model, NormStats(0.0, 1.0), tmp_path / "ck.json")
+        cfg.write_text(json.dumps({
+            "input": str(tmp_path / "s.dart"), "checkpoint": str(tmp_path / "ck.json"),
+            "output": str(tmp_path / "cleaned.csv"), "detect": {"w_s": 24, "w_l": 96},
+            "refine": {"iterations": 2}}))
+        assert cli.main(["clean", "--config", str(cfg)]) == 0
+        self._same("cleaned", (tmp_path / "cleaned.csv").read_text())
+
+    @pytest.mark.parametrize("fields, kind", [
+        (3, "short"), (7, "long"), ({2: "x"}, "number"), ({5: "0.5.1"}, "number"),
+        ({3: "1.0"}, "float-in-a-flag"), ({4: "one"}, "flag"),
+    ])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_row_faults(self, reader, fields, kind, rng):
+        lines = READERS[reader][2](5, rng).splitlines()
+        bad = lines[-2].split(",")
+        bad = bad[:fields] if fields == 3 else bad + ["0"] if fields == 7 else [
+            fields.get(j, token) for j, token in enumerate(bad)]
+        lines[-2] = ",".join(bad)
+        got = self._same(reader, "\n".join(lines) + "\n")
+        assert got[0] is ParseError and got[2] == len(lines) - 1
+
+    @pytest.mark.parametrize("stamp", [
+        "2022-1-01T00:30:00Z", "2022-01-01T0:30:00Z", "2022-01-01T00:30:00",
+        "2022-01-01 00:30:00Z", " 2022-01-01T00:30:00Z", "2022-01-01T00:30:00.0Z",
+        "2022-01-01T00:30:00z", "2022-02-30T00:30:00Z", "2022-01-01T24:00:00Z",
+        "1900-02-29T00:00:00Z", "0000-01-01T00:00:00Z", "２022-01-01T00:30:00Z", "",
+    ])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_only_the_stamps_iso8601_writes(self, reader, stamp):
+        # the oracles took unpadded fields (strptime) or any stamp at all
+        header = CSV_HEADER if reader == "cleaned" else TRUTH_HEADER
+        text = f"{header}\n2022-01-01T00:00:00Z,1,1,0,0,0\n{stamp},1,1,0,0,0\n"
+        got = outcome(READERS[reader][0], io.StringIO(text))
+        assert got[0] is ParseError and got[2] == 3
+
+    def test_stamps_of_the_first_and_last_years_and_leap_days(self):
+        ts = np.array([-30610224000.0, -1.0, 0.0, 951782400.0, 1709164800.0,
+                       series_io.LAST_SECOND])
+        n = len(ts)
+        out = CleanedOutput(timestamps=ts, raw=np.zeros(n), cleaned=np.ones(n),
+                            spike=np.zeros(n, dtype=int), step=np.ones(n, dtype=int))
+        text = write_csv(out)
+        assert "1000-01-01T00:00:00Z" in text and "2024-02-29T00:00:00Z" in text
+        got = self._same("cleaned", text)
+        assert got.timestamps.tobytes() == ts.tobytes()
+
+    def test_leading_comment_lines(self, rng):
+        text = truth_csv_text(3, rng)
+        assert text.startswith("# seed=4 cadence=60.0\n")
+        assert self._same("truth", "# site=x cadence=30\n#\n" + text)["cadence"] == 60.0
+        assert self._same("truth", "# no cadence\n" + text.partition("\n")[2])["cadence"] == 900.0
+        # the cleaned-CSV oracle read no comment lines; the array reader skips them
+        text = cleaned_csv_text(3, rng)
+        assert outcome(oracle_read_cleaned_csv, "# note\n" + text)[0] is ParseError
+        assert_same_columns(series_io.read_cleaned_csv(io.StringIO("# note\n#\n" + text)),
+                            oracle_read_cleaned_csv(text))
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1), ("# comment only\n", 2), ("time_iso8601,raw_m\n", 1),
+        (TRUTH_HEADER + "\n", 1), (CSV_HEADER + "\n\n", 2),
+        (CSV_HEADER + "\n2022-01-01T00:00:00Z,1,1,0,0,0\n# late comment\n", 3),
+    ], ids=["empty", "comment-only", "short-header", "other-header", "blank-line",
+            "late-comment"])
+    def test_header_and_line_faults(self, text, line):
+        got = outcome(series_io.read_cleaned_csv, io.StringIO(text))
+        assert got[0] is ParseError and got[2] == line
+
+    @pytest.mark.parametrize("gap", [1, CHUNK_ROWS])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_earlier_line_wins(self, reader, gap, rng):
+        lines = READERS[reader][2](CHUNK_ROWS + gap + 20, rng).splitlines()
+        for first, second in [(5, 5 + gap), (5 + gap, 5)]:
+            bad = lines.copy()
+            bad[first] = ",".join(bad[first].split(",")[:4])
+            bad[second] = bad[second].replace(",", ",x", 1)
+            got = self._same(reader, "\n".join(bad) + "\n")
+            assert got[0] is ParseError and got[2] == min(first, second) + 1
+
+    def test_bad_cadence(self, rng):
+        # the oracle named the comment line too
+        text = "# cadence=fast\n" + truth_csv_text(3, rng)
+        assert outcome(oracle_read_ground_truth, text)[0] is ParseError
+        assert outcome(series_io.read_ground_truth, io.StringIO(text))[0] is ParseError
