@@ -11,7 +11,8 @@ contiguous run of the series, and NumPy reduces the last axis of a
 C-ordered operand row by row with the same pairwise summation (and the
 same partition for the median) it applies to a 1-D slice.  Since rows
 reduce independently, the median and std take the view a block of rows
-at a time.
+at a time, the blocks spread over the usable CPUs by
+:func:`blocks.map_blocks`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .blocks import map_blocks, workers
 from .errors import ConfigError, DataError
 
 STD_FLOOR = 1e-8
@@ -85,11 +87,16 @@ def rolling_median_std(x: np.ndarray, w: int):
     # is row i - w//2 of the view, so only the w - 1 clamped edges loop
     first, last = w // 2, n - (w - w // 2)
     view = sliding_window_view(x, w)
-    for lo in range(0, len(view), ROLLING_BLOCK_ROWS):
+
+    def block(lo):
         rows = view[lo:lo + ROLLING_BLOCK_ROWS]
         at = slice(first + lo, first + lo + len(rows))
         np.median(rows, axis=1, out=med[at])
         rows.std(axis=1, out=std[at])
+
+    starts = range(0, len(view), ROLLING_BLOCK_ROWS)
+    for _ in map_blocks(block, starts, workers(len(starts))):
+        pass
     lo, hi = _window_bounds(n, w)
     for i in [*range(first), *range(last + 1, n)]:
         seg = x[lo[i]:hi[i]]

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, DataError (a
+ParseError or ShapeError among them) -> 3, NumericError -> 4.
 """
 
 
@@ -27,7 +27,7 @@ class ParseError(DataError):
         self.line_number = line_number
 
 
-class ShapeError(DartCleanError):
+class ShapeError(DataError):
     """Array shape inconsistent with the declared architecture."""
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .blocks import map_blocks, row_blocks, workers
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .layers import (
     BatchNorm,
@@ -103,24 +104,23 @@ def kl_divergence(latent: LatentState) -> float:
     return float(per_row.mean())
 
 
-def _row_blocks(n: int):
-    """Near-equal (lo, hi) row blocks covering [0, n), none shorter than
-    INFER_BLOCK_ROWS unless n itself is."""
-    count = max(1, n // INFER_BLOCK_ROWS)
-    edges = [i * n // count for i in range(count + 1)]
-    return zip(edges[:-1], edges[1:])
+def _rows(buffer: np.ndarray, m: int, k: int) -> np.ndarray:
+    """An [m x k] C-ordered array over the start of the flat ``buffer``."""
+    return buffer[:m * k].reshape(m, k)
 
 
-def _frozen_block(h: np.ndarray, dense: Dense, bn: BatchNorm, alpha=None) -> np.ndarray:
-    """One infer-mode hidden block on a row block, in place and uncached:
-    Dense (plus the decoder skip when ``alpha`` is given), frozen batch
-    norm, ReLU; the operations, in order, of the cached infer-mode forward
-    that ``tests/oracles.py`` keeps."""
-    u = h @ dense.W.T
+def _frozen_block(h: np.ndarray, dense: Dense, bn: BatchNorm, out: np.ndarray,
+                  alpha=None, skip=None) -> np.ndarray:
+    """One infer-mode hidden block on a row block, uncached, into the flat
+    buffer ``out``: Dense (plus the decoder skip when ``alpha`` is given,
+    its products written into ``skip``, an array shaped like ``h`` or ``h``
+    itself), frozen batch norm, ReLU; the operations, in order, of the
+    cached infer-mode forward that ``tests/oracles.py`` keeps."""
+    u = np.matmul(h, dense.W.T, out=_rows(out, len(h), dense.W.shape[0]))
     u += dense.b
     if alpha is not None:
         k = min(h.shape[1], u.shape[1])
-        u[:, :k] += alpha * h[:, :k]
+        u[:, :k] += np.multiply(alpha, h[:, :k], out=skip[:, :k])
         u[:, k:] += alpha * 0.0   # the zero-padded skip: may flip the sign of a zero
     u -= bn.running_mean
     u *= 1.0 / np.sqrt(bn.running_var + bn.eps)
@@ -366,24 +366,42 @@ class Vae:
     def _infer_rows(self, X: np.ndarray, prev_z, blend_alpha: float, logvar_out, emit):
         """The one infer-mode forward, behind :meth:`infer` and
         :meth:`infer_series`.  Encodes and blends every row block of the
-        [n x window] windows ``X`` into z, taking each block as a contiguous
-        copy when ``X`` is a strided view; then decodes block by block and
-        hands each decoded block to ``emit(lo, hi, xhat_block)``.  Every block
-        is encoded before any is decoded, so encoder faults come first.
-        Returns z."""
-        n = X.shape[0]
-        if prev_z is not None and np.shape(prev_z) != (n, self.config.latent):
-            raise ShapeError(f"expected [{n} x {self.config.latent}] previous latents, "
+        [n x window] windows ``X`` into z; then decodes the blocks and hands
+        each decoded block, in block order, to ``emit(lo, hi, xhat_block)``
+        in the calling thread, which must be done with the block when it
+        returns.  The blocks of each pass run on :func:`blocks.map_blocks`;
+        every block is encoded before any is decoded, so encoder faults come
+        first.  Returns z."""
+        n, w, latent = X.shape[0], self.config.window, self.config.latent
+        if prev_z is not None and np.shape(prev_z) != (n, latent):
+            raise ShapeError(f"expected [{n} x {latent}] previous latents, "
                              f"got {np.shape(prev_z)}")
-        z = np.empty((n, self.config.latent))
-        for lo, hi in _row_blocks(n):
-            h = np.ascontiguousarray(X[lo:hi])
+        z = np.empty((n, latent))
+        spans = row_blocks(n, INFER_BLOCK_ROWS)
+        count = workers(len(spans))
+        # Every block-sized array a block writes lives in one of three flat
+        # buffers per block in flight, allocated by this thread: a pool
+        # thread's malloc arena would keep what the thread frees for the
+        # life of the process.  A layer reads one of the first two buffers
+        # and writes the other; the third takes the log-variances and the
+        # products of the first decoder skip and the global skip.  A later
+        # decoder layer writes its skip products over its spent input.
+        rows = max(hi - lo for lo, hi in spans)
+        widths = [max(w, latent, *self.config.hidden)] * 2 + [max(w, latent)]
+        scratch = [[np.empty(rows * k) for k in widths] for _ in range(count)]
+
+        def encode(i):
+            lo, hi = spans[i]
+            a, b, c = scratch[i % count]
+            h = _rows(a, hi - lo, w)
+            np.copyto(h, X[lo:hi])
             for dn, bn in zip(self.enc_dense, self.enc_bn):
-                h = _frozen_block(h, dn, bn)
+                a, b = b, a
+                h = _frozen_block(h, dn, bn, a)
             mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
             mu += self.mu_head.b
-            logvar = np.matmul(h, self.logvar_head.W.T,
-                               out=None if logvar_out is None else logvar_out[lo:hi])
+            logvar = np.matmul(h, self.logvar_head.W.T, out=_rows(c, hi - lo, latent)
+                               if logvar_out is None else logvar_out[lo:hi])
             logvar += self.logvar_head.b
             np.clip(logvar, -LOGVAR_CLIP, LOGVAR_CLIP, out=logvar)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
@@ -391,16 +409,27 @@ class Vae:
             mu += 0.0   # z = mu + exp(0.5 * logvar) * 0, which turns -0.0 into 0.0
             if prev_z is not None:
                 mu *= blend_alpha
-                mu += (1.0 - blend_alpha) * prev_z[lo:hi]
-        for lo, hi in _row_blocks(n):
+                mu += np.multiply(1.0 - blend_alpha, prev_z[lo:hi],
+                                  out=_rows(b, hi - lo, latent))
+
+        def decode(i):
+            lo, hi = spans[i]
+            a, b, c = scratch[i % count]
             h = z[lo:hi]
+            skip = _rows(c, hi - lo, latent)
             for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
-                h = _frozen_block(h, dn, bn, alpha)
-            y = h @ self.out_layer.W.T
+                h = skip = _frozen_block(h, dn, bn, a, alpha, skip)
+                a, b = b, a
+            y = np.matmul(h, self.out_layer.W.T, out=_rows(a, hi - lo, w))
             y += self.out_layer.b
-            y += self.beta * X[lo:hi]
+            y += np.multiply(self.beta, X[lo:hi], out=_rows(c, hi - lo, w))
             if not np.all(np.isfinite(y)):
                 raise NumericError("non-finite decoder outputs")
+            return y
+
+        for _ in map_blocks(encode, range(len(spans)), count):
+            pass
+        for (lo, hi), y in zip(spans, map_blocks(decode, range(len(spans)), count)):
             emit(lo, hi, y)
         return z
 

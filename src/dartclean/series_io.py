@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, ShapeError
 
 SENTINEL = 9999.0
 SENTINEL_TOL = 1e-6
@@ -65,7 +65,6 @@ class CleanedOutput:
 # once would add ~25 MB, and even 4 096-row chunks leave ~2 MB of freed
 # small-object pools behind that a later training adds to its peak.
 CHUNK_ROWS = 1024
-ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 # Whole-second range of ``datetime``: 0001-01-01T00:00:00 .. 9999-12-31T23:59:59
 FIRST_SECOND, LAST_SECOND = -62135596800, 253402300799
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
@@ -222,15 +221,11 @@ def _stamp_codes(timestamps) -> np.ndarray:
 
 
 def iso8601(timestamps) -> list:
-    """``datetime.fromtimestamp(ts, tz=utc).strftime(ISO_FORMAT)`` of every
-    stamp."""
+    """``YYYY-MM-DDTHH:MM:SSZ`` of every stamp's UTC second (``_utc_seconds``),
+    the year zero-padded to four digits."""
     codes = _stamp_codes(timestamps)
     codes[:, 19] = ord("Z")
-    stamps = codes.view("U20").ravel()
-    # strftime's %Y pads no year below 1000 with zeros on glibc; let it decide
-    for i in np.flatnonzero(stamps < "1000"):
-        stamps[i] = datetime.strptime(stamps[i], ISO_FORMAT).strftime(ISO_FORMAT)
-    return stamps.tolist()
+    return codes.view("U20").ravel().tolist()
 
 
 def _dart_stamps(timestamps) -> list:
@@ -309,7 +304,7 @@ _ISO_TEMPLATE = np.array(["0000-00-00T00:00:00Z"]).view(np.uint32)
 
 def _stamp_seconds(stamps):
     """Epoch seconds of ``YYYY-MM-DDTHH:MM:SSZ`` stamps (as ``iso8601``
-    writes the years 1000-9999), and the mask of the stamps that are not."""
+    writes them), and the mask of the stamps that are not."""
     codes = np.array(stamps, dtype="U21").view(np.uint32).reshape(-1, 21)
     digits = codes[:, :20] - np.uint32(ord("0"))  # wraps above 9 below "0"
     bad = (codes[:, 20] != 0) | np.any(np.where(
@@ -323,7 +318,8 @@ def _stamp_seconds(stamps):
 def _read_csv(lines, header, kinds) -> list:
     """The columns of a 6-column CSV's ``lines`` (leading ``#`` lines, ``header``,
     one row a line): stamp seconds, then ``kind(token)`` per value column, read
-    ``CHUNK_ROWS`` lines at a time; the first faulty line raises ``ParseError``."""
+    ``CHUNK_ROWS`` lines at a time; the first faulty line (a malformed row,
+    or a value that is not a finite number) raises ``ParseError``."""
     top = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
     if lines[top:top + 1] != [header]:
         raise ParseError(f"expected the header {header!r}", top + 1)
@@ -339,7 +335,7 @@ def _read_csv(lines, header, kinds) -> list:
         for j, kind in enumerate(kinds, start=1):
             values, bad = _column(tokens[j::6], kind)
             chunks[-1].append(values)
-            fault |= bad
+            fault |= bad | ~np.isfinite(values)
         first = int(np.argmax(fault)) if fault.any() else count
         if first < len(rows):
             raise ParseError(f"not a row of {header}: {lines[start + first]!r}",
@@ -476,7 +472,10 @@ def load_checkpoint(source):
         if not np.all(np.isfinite(arr)):
             raise DataError(f"corrupted numbers in array {name!r}")
         arrays[name] = arr
-    model.load_state(arrays)
+    try:
+        model.load_state(arrays)
+    except ShapeError as exc:
+        raise ShapeError(f"checkpoint {source}: {exc}") from None
     norm = _object(doc, "norm_stats")
     try:
         stats = NormStats(mean=float(norm["mean"]), std=float(norm["std"]))

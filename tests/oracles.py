@@ -19,10 +19,12 @@ import numpy as np
 
 from dartclean import detector, refiner
 from dartclean.errors import DataError, NumericError, ParseError
-from dartclean.series_io import CSV_HEADER, ISO_FORMAT, CleanedOutput
+from dartclean.series_io import CSV_HEADER, CleanedOutput
 from dartclean.layers import dropout_rate
 from dartclean.model import LOGVAR_CLIP, LatentState
 from dartclean.preprocess import WindowBatch
+
+ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 
 # ------------------------------------------------------------------ layers

@@ -279,6 +279,18 @@ class TestCmdClean:
         assert main(["clean", "--config", cfg]) == 3
         assert f"model.{key}" in capsys.readouterr().err
 
+    def test_checkpoint_shape_fault_is_data_error(self, trained, capsys):
+        tmp_path = trained["dir"]
+        doc = json.loads(trained["checkpoint"].read_text())
+        doc["params"]["enc0.W"] = [row[:-1] for row in doc["params"]["enc0.W"]]
+        ck = tmp_path / "bad_shape.ckpt"
+        ck.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path, name="badshape.json", input=str(trained["dart"]),
+                            checkpoint=str(ck), output=str(tmp_path / "x.csv"))
+        assert main(["clean", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "'enc0.W'" in err and "expected shape" in err and str(ck) in err
+
     def test_missing_checkpoint_is_error(self, trained):
         tmp_path = trained["dir"]
         cfg = _write_config(tmp_path, name="nock.json", input=str(trained["dart"]),
@@ -304,6 +316,23 @@ class TestCmdEvalLatent:
             for key in ("mse", "temporal_consistency", "precision", "recall",
                         "f1_spike", "step_recall", "residual", "rate_of_change"):
                 assert key in report[block], (block, key)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_eval_rejects_non_finite_cleaned_value(self, trained, capsys, value):
+        tmp_path = trained["dir"]
+        clean_cfg, out = TestCmdClean()._clean_cfg(trained, suffix="_nf")
+        assert main(["clean", "--config", clean_cfg]) == 0
+        lines = out.read_text().splitlines()
+        fields = lines[7].split(",")
+        fields[2] = value
+        lines[7] = ",".join(fields)
+        out.write_text("\n".join(lines) + "\n")
+        cfg = _write_config(tmp_path, name="eval_nf.json", input=str(out),
+                            ground_truth=str(tmp_path / "truth.csv"),
+                            output=str(tmp_path / "report_nf.json"),
+                            detect={"w_s": 24, "w_l": 96})
+        assert main(["eval", "--config", cfg]) == 3
+        assert "line 8:" in capsys.readouterr().err
 
     def test_eval_f1_matches_library(self, trained):
         from dartclean import metrics

@@ -1,8 +1,10 @@
-"""Every name a package or test module imports is used in it or re-exported.
+"""Every name a package or test module imports is used in it or re-exported,
+and no package module reads the environment.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
-dead code.
+dead code.  Settings come from the config file and ``--set`` alone, so an
+environment variable read by the package would be a hidden setting.
 """
 
 import ast
@@ -39,3 +41,14 @@ def test_every_import_is_used_or_exported(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(imported_names(tree)) - used - exported_names(tree)
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_module_reads_the_environment(path):
+    tree = ast.parse(path.read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= set(imported_names(tree))
+    assert not used & ENVIRONMENT_READERS, f"{path.name} reads the environment"

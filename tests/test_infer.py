@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
+from dartclean.blocks import row_blocks
 from dartclean.errors import NumericError, ShapeError
-from dartclean.model import INFER_BLOCK_ROWS, ModelConfig, Vae, _row_blocks
+from dartclean.model import INFER_BLOCK_ROWS, ModelConfig, Vae
 from tests.conftest import perturbed_model
 from tests.oracles import oracle_infer, oracle_infer_series
 
@@ -46,7 +47,7 @@ def test_infer_matches_encode_decode(model, rows, blend):
 
 @pytest.mark.parametrize("n", [1, 75, 1023, 1024, 1025, 2047, 2048, 2085, 19953])
 def test_row_blocks_cover_in_near_equal_blocks(n):
-    blocks = list(_row_blocks(n))
+    blocks = row_blocks(n, INFER_BLOCK_ROWS)
     assert blocks[0][0] == 0 and blocks[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     sizes = [hi - lo for lo, hi in blocks]

@@ -94,9 +94,9 @@ def oracle_emit_dart(series) -> str:
 
 
 def oracle_iso8601(ts) -> str:
-    return datetime.fromtimestamp(float(ts), tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    # the year zero-padded, as strftime's %Y does not pad it on glibc
+    dt = datetime.fromtimestamp(float(ts), tz=timezone.utc)
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}Z"
 
 
 def oracle_write_cleaned_csv(out) -> str:
@@ -499,6 +499,28 @@ class TestReadCsv:
         assert "1000-01-01T00:00:00Z" in text and "2024-02-29T00:00:00Z" in text
         got = self._same("cleaned", text)
         assert got.timestamps.tobytes() == ts.tobytes()
+
+    def test_year_below_1000_round_trips(self):
+        ts = np.array([-31535999999.0, series_io.FIRST_SECOND, -30610224001.0])
+        out = CleanedOutput(timestamps=ts, raw=np.zeros(3), cleaned=np.ones(3),
+                            spike=np.zeros(3, dtype=int), step=np.ones(3, dtype=int))
+        text = write_csv(out)
+        assert text.splitlines()[1].startswith("0970-08-31T00:00:01Z,")
+        assert "0001-01-01T00:00:00Z" in text and "0999-12-31T23:59:59Z" in text
+        got = series_io.read_cleaned_csv(io.StringIO(text))
+        assert got.timestamps.tobytes() == ts.tobytes()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN", "1e999"])
+    @pytest.mark.parametrize("reader, column", [
+        ("cleaned", 1), ("cleaned", 2), ("cleaned", 5), ("truth", 1), ("truth", 2)])
+    def test_non_finite_value_names_its_line(self, reader, column, value, rng):
+        lines = READERS[reader][2](CHUNK_ROWS + 20, rng).splitlines()
+        for at in (len(lines) - 5, 7):   # in the second chunk, then in the first too
+            fields = lines[at].split(",")
+            fields[column] = value
+            lines[at] = ",".join(fields)
+            got = outcome(READERS[reader][0], io.StringIO("\n".join(lines) + "\n"))
+            assert got[0] is ParseError and got[2] == at + 1, got
 
     def test_leading_comment_lines(self, rng):
         text = truth_csv_text(3, rng)
