@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -30,29 +31,104 @@ def workers(count: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), count))
 
 
-def map_blocks(fn, spans, at_once: int):
-    """Yield ``fn(span)`` for each span, in span order, running ``at_once``
-    spans (see :func:`workers`) at a time.
+def _pin(cpus: set) -> None:
+    """Run the calling thread on ``cpus`` only.  Placement does not change
+    any result, so a CPU that cannot be set (it went offline, say) is
+    skipped."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
-    The spans run in groups of ``at_once``: the calling thread runs the
-    first span of a group and a thread pool the others, and a group starts
-    once the consumer has asked for the result after the last one.  So
-    spans i and j with i = j (mod ``at_once``) are never in flight at once,
-    counting from a span's start until the consumer asks for the result
-    after it: span i may use the (i mod ``at_once``)-th of ``at_once``
-    scratch buffers, and its result may live there.  With one at once,
-    every span runs in the calling thread.  The pool closes before the
-    generator returns or raises, so no thread outlives it; its spans run
-    in a copy of the caller's context, so NumPy's error state
-    (``np.errstate``) holds in them too.  A failing span raises its
-    exception when its turn in span order comes.
+
+def map_blocks(fn, spans, at_once: int, ahead: int):
+    """Yield ``fn(span, worker)`` for each span, in span order, on
+    ``at_once`` workers (see :func:`workers`): the calling thread is worker
+    0 and a thread pool runs workers 1 to ``at_once - 1``.
+
+    Each worker takes the next span not yet started when it is free, so a
+    worker on a slower CPU runs fewer spans instead of holding up the
+    others.  The calling thread runs spans while the result it waits for
+    is not ready.  A worker runs one span at a time: per-worker scratch
+    buffers, picked by ``worker``, never clash.  Span i starts only once
+    the consumer has asked for the result after span i - ``ahead``, so at
+    most ``ahead`` spans are started and not yet done with: span i may
+    keep its result in the (i mod ``ahead``)-th of ``ahead`` buffers.
+
+    Each worker keeps to its own usable CPU while the map runs, and the
+    calling thread gets its CPU set back when the map ends: left to
+    itself, the scheduler of a 2-vCPU guest ran a new pool thread on the
+    calling thread's CPU for a second or two after an idle spell, and two
+    workers took as long as one.  With one worker every span runs in the
+    calling thread, which stays where it is.
+
+    The pool closes before the generator returns or raises, so no thread
+    outlives it; its workers run in a copy of the caller's context, so
+    NumPy's error state (``np.errstate``) holds in them too.  A failing
+    span raises its exception when its turn in span order comes.
     """
     spans = list(spans)
+    ahead = max(1, ahead)
+    cpus = sorted(os.sched_getaffinity(0))
+    ready = threading.Condition()
+    done = {}       # span index -> (ok, result or exception), not yet yielded
+    started = 0     # spans started, in span order
+    taken = 0       # spans whose results the consumer is done with
+    stop = False
+
+    def claim():
+        """The next span a worker may start, or None; under ``ready``."""
+        nonlocal started
+        if stop or started == len(spans) or started == taken + ahead:
+            return None
+        started += 1
+        return started - 1
+
+    def run(i, worker):
+        try:
+            out = True, fn(spans[i], worker)
+        except BaseException as exc:
+            out = False, exc
+        with ready:
+            done[i] = out
+            ready.notify_all()
+
+    def serve(worker):
+        _pin({cpus[worker % len(cpus)]})
+        while True:
+            with ready:
+                while (i := claim()) is None:
+                    if stop or started == len(spans):
+                        return
+                    ready.wait()
+            run(i, worker)
+
     with ThreadPoolExecutor(max_workers=max(1, at_once - 1)) as pool:
-        for first in range(0, len(spans), at_once):
-            group = spans[first:first + at_once]
-            others = [pool.submit(contextvars.copy_context().run, fn, span)
-                      for span in group[1:]]
-            yield fn(group[0])
-            for future in others:
-                yield future.result()
+        try:
+            if at_once > 1:
+                _pin({cpus[0]})
+            for worker in range(1, at_once):
+                pool.submit(contextvars.copy_context().run, serve, worker)
+            for i in range(len(spans)):
+                while True:
+                    with ready:
+                        if i in done:
+                            ok, out = done.pop(i)
+                            break
+                        j = claim()
+                        if j is None:
+                            ready.wait()
+                            continue
+                    run(j, 0)
+                if not ok:
+                    raise out
+                yield out
+                with ready:
+                    taken = i + 1
+                    ready.notify_all()
+        finally:
+            with ready:
+                stop = True
+                ready.notify_all()
+            if at_once > 1:
+                _pin(set(cpus))

@@ -88,14 +88,14 @@ def rolling_median_std(x: np.ndarray, w: int):
     first, last = w // 2, n - (w - w // 2)
     view = sliding_window_view(x, w)
 
-    def block(lo):
+    def block(lo, worker):
         rows = view[lo:lo + ROLLING_BLOCK_ROWS]
         at = slice(first + lo, first + lo + len(rows))
         np.median(rows, axis=1, out=med[at])
         rows.std(axis=1, out=std[at])
 
     starts = range(0, len(view), ROLLING_BLOCK_ROWS)
-    for _ in map_blocks(block, starts, workers(len(starts))):
+    for _ in map_blocks(block, starts, workers(len(starts)), len(starts)):
         pass
     lo, hi = _window_bounds(n, w)
     for i in [*range(first), *range(last + 1, n)]:

@@ -40,6 +40,10 @@ LOGVAR_CLIP = 10.0
 # activation stays in cache, large enough to keep the BLAS kernel of a full
 # batch (OpenBLAS 0.3.31 rounds batches of 75 rows or fewer differently)
 INFER_BLOCK_ROWS = 1024
+# decoded blocks of :meth:`Vae.infer` that may wait for their turn in the
+# overlap-add, per worker: enough that the other workers run on while one
+# worker's CPU is held up
+DECODED_AHEAD = 2
 # slot keys of the checkpointed arrays that gradient descent does not train
 BUFFER_KEYS = {"running_mean", "running_var", "beta"}
 
@@ -379,20 +383,24 @@ class Vae:
         z = np.empty((n, latent))
         spans = row_blocks(n, INFER_BLOCK_ROWS)
         count = workers(len(spans))
-        # Every block-sized array a block writes lives in one of three flat
-        # buffers per block in flight, allocated by this thread: a pool
-        # thread's malloc arena would keep what the thread frees for the
-        # life of the process.  A layer reads one of the first two buffers
-        # and writes the other; the third takes the log-variances and the
-        # products of the first decoder skip and the global skip.  A later
-        # decoder layer writes its skip products over its spent input.
+        # Every block-sized array a block writes lives in a flat buffer
+        # allocated by this thread: a pool thread's malloc arena would keep
+        # what the thread frees for the life of the process.  Each worker
+        # has three.  A layer reads one of the first two and writes the
+        # other; the third takes the log-variances and the products of the
+        # first decoder skip and the global skip.  A later decoder layer
+        # writes its skip products over its spent input.  A decoded block
+        # waits for the overlap-add in the (block mod ahead)-th of ``ahead``
+        # more.
         rows = max(hi - lo for lo, hi in spans)
         widths = [max(w, latent, *self.config.hidden)] * 2 + [max(w, latent)]
         scratch = [[np.empty(rows * k) for k in widths] for _ in range(count)]
+        ahead = min(DECODED_AHEAD * count, len(spans))
+        decoded = [np.empty(rows * w) for _ in range(ahead)]
 
-        def encode(i):
+        def encode(i, worker):
             lo, hi = spans[i]
-            a, b, c = scratch[i % count]
+            a, b, c = scratch[worker]
             h = _rows(a, hi - lo, w)
             np.copyto(h, X[lo:hi])
             for dn, bn in zip(self.enc_dense, self.enc_bn):
@@ -412,24 +420,24 @@ class Vae:
                 mu += np.multiply(1.0 - blend_alpha, prev_z[lo:hi],
                                   out=_rows(b, hi - lo, latent))
 
-        def decode(i):
+        def decode(i, worker):
             lo, hi = spans[i]
-            a, b, c = scratch[i % count]
+            a, b, c = scratch[worker]
             h = z[lo:hi]
             skip = _rows(c, hi - lo, latent)
             for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
                 h = skip = _frozen_block(h, dn, bn, a, alpha, skip)
                 a, b = b, a
-            y = np.matmul(h, self.out_layer.W.T, out=_rows(a, hi - lo, w))
+            y = np.matmul(h, self.out_layer.W.T, out=_rows(decoded[i % ahead], hi - lo, w))
             y += self.out_layer.b
             y += np.multiply(self.beta, X[lo:hi], out=_rows(c, hi - lo, w))
             if not np.all(np.isfinite(y)):
                 raise NumericError("non-finite decoder outputs")
             return y
 
-        for _ in map_blocks(encode, range(len(spans)), count):
+        for _ in map_blocks(encode, range(len(spans)), count, len(spans)):
             pass
-        for (lo, hi), y in zip(spans, map_blocks(decode, range(len(spans)), count)):
+        for (lo, hi), y in zip(spans, map_blocks(decode, range(len(spans)), count, ahead)):
             emit(lo, hi, y)
         return z
 

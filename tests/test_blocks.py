@@ -1,7 +1,8 @@
 """The ordered, bounded block map, and byte identity across CPU counts.
 
-``map_blocks`` runs row blocks on one thread per usable CPU.  Its results
-come back in span order with a bounded number of spans in flight, and the
+``map_blocks`` runs row blocks on one thread per usable CPU, each thread
+taking the next block when it is free.  Its results come back in span
+order with a bounded number of spans in flight, and the
 forward and rolling statistics built on it are byte-identical whether the
 process may use one CPU or several.
 """
@@ -24,58 +25,101 @@ from tests.oracles import oracle_infer
 from tests.test_infer import identical
 
 
+# the CPUs the test process may use, taken before any map runs: a map that
+# left the calling thread pinned would shrink every later reading
+CPUS = os.sched_getaffinity(0)
+
+
 def usable_cpus(monkeypatch, count):
+    """Make the process see ``count`` usable CPUs; the workers' pinning to
+    those made-up CPUs is dropped, so the test process keeps its own."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
 
 
 class Tracker:
-    """Counts the spans in flight, from the start of ``fn`` until the
-    consumer has taken the span's result and asked for the next, and the
-    slots (span mod workers) in use.  The first ``workers`` spans meet at
-    a barrier, so they must run at once."""
+    """Counts the spans running, from the start of ``fn`` to its return,
+    and the spans pending, from the start of ``fn`` until the consumer has
+    taken the span's result and asked for the next; and the workers and
+    result slots (span mod ``ahead``) in use.  The first spans, as many as
+    may run at once, meet at a barrier, so they must run at once."""
 
-    def __init__(self, workers):
-        self.workers = workers
-        self.barrier = threading.Barrier(workers, timeout=10)
+    def __init__(self, workers, ahead, spans):
+        self.ahead = ahead
+        self.parties = min(workers, ahead, spans)
+        self.barrier = threading.Barrier(self.parties, timeout=10)
         self.lock = threading.Lock()
-        self.in_flight = 0
-        self.most = 0
-        self.slots = set()
+        self.running = self.pending = 0
+        self.most_running = self.most_pending = 0
+        self.busy, self.slots = set(), set()
         self.clashes = 0
 
-    def fn(self, span):
+    def fn(self, span, worker):
         with self.lock:
-            self.in_flight += 1
-            self.most = max(self.most, self.in_flight)
-            self.clashes += span % self.workers in self.slots
-            self.slots.add(span % self.workers)
-        if span < self.workers:
+            self.running += 1
+            self.pending += 1
+            self.most_running = max(self.most_running, self.running)
+            self.most_pending = max(self.most_pending, self.pending)
+            self.clashes += (worker in self.busy) + (span % self.ahead in self.slots)
+            self.busy.add(worker)
+            self.slots.add(span % self.ahead)
+        if span < self.parties:
             self.barrier.wait()
         time.sleep(0.0005 * (span % 3))   # later spans often finish first
+        with self.lock:
+            self.running -= 1
+            self.busy.discard(worker)
         return span
 
     def taken(self, span):
         with self.lock:
-            self.in_flight -= 1
-            self.slots.discard(span % self.workers)
+            self.pending -= 1
+            self.slots.discard(span % self.ahead)
 
 
-@pytest.mark.parametrize("workers, spans", [(1, 7), (1, 1), (2, 9), (3, 3), (4, 40)])
-def test_yields_in_order_with_at_most_workers_spans_in_flight(workers, spans):
-    tracker = Tracker(workers)
+@pytest.mark.parametrize("workers, ahead, spans", [
+    (1, 1, 7), (1, 3, 7), (1, 1, 1), (2, 1, 5), (2, 2, 9), (2, 4, 9), (3, 3, 3), (3, 5, 20),
+    (4, 8, 40)])
+def test_yields_in_order_with_bounded_spans_in_flight(workers, ahead, spans):
+    tracker = Tracker(workers, ahead, spans)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = []
-        for result in map_blocks(tracker.fn, range(spans), workers):
+        for result in map_blocks(tracker.fn, range(spans), workers, ahead):
             got.append(result)
             time.sleep(0.0002)   # the consumer's own work, as the overlap-add
             tracker.taken(result)
     finally:
         sys.setswitchinterval(interval)
     assert got == list(range(spans))
-    assert tracker.in_flight == 0
-    assert tracker.most == workers and tracker.clashes == 0
+    assert tracker.running == tracker.pending == 0
+    assert tracker.most_running == tracker.parties and tracker.most_pending <= ahead
+    assert tracker.clashes == 0
+
+
+@pytest.mark.parametrize("ahead", [2, 4, 12])
+def test_a_held_up_worker_holds_up_no_other(ahead):
+    # a pool worker whose CPU is taken away on its first span: while that
+    # span is held up, the calling thread runs every later span that the
+    # look-ahead allows
+    held, released = [], threading.Event()
+    during = {}   # span -> started while the held span was running
+
+    def fn(span, worker):
+        if worker == 1 and not held:
+            held.append(span)
+            time.sleep(0.3)
+            released.set()
+        else:
+            while not held:   # let the pool worker take its span first
+                time.sleep(0.0001)
+            during[span] = not released.is_set()
+        return span
+
+    assert list(map_blocks(fn, range(12), 2, ahead)) == list(range(12))
+    h = held[0]
+    assert all(during[span] for span in range(h + 1, min(12, h + ahead)))
 
 
 @pytest.mark.parametrize("cpus, count, expect", [(1, 5, 1), (2, 5, 2), (2, 1, 1), (4, 3, 3),
@@ -87,7 +131,7 @@ def test_one_worker_per_usable_cpu(monkeypatch, cpus, count, expect):
 
 def test_no_spans_runs_nothing():
     before = threading.active_count()
-    assert list(map_blocks(lambda span: 1 / 0, [], 2)) == []
+    assert list(map_blocks(lambda span, worker: 1 / 0, [], 2, 2)) == []
     assert threading.active_count() == before
 
 
@@ -95,7 +139,7 @@ def test_no_spans_runs_nothing():
 def test_first_failing_span_in_span_order_raises(count):
     before = threading.active_count()
 
-    def fn(span):
+    def fn(span, worker):
         if span == 3:
             time.sleep(0.01)   # fails after span 4 has failed
             raise ValueError("span 3")
@@ -105,32 +149,58 @@ def test_first_failing_span_in_span_order_raises(count):
 
     got = []
     with pytest.raises(ValueError, match="span 3"):
-        for result in map_blocks(fn, range(8), count):
+        for result in map_blocks(fn, range(8), count, 2 * count):
             got.append(result)
     assert got == [0, 1, 2]
     assert threading.active_count() == before
+    assert os.sched_getaffinity(0) == CPUS
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_no_thread_outlives_the_map(count):
     before = threading.active_count()
-    assert list(map_blocks(lambda span: span * 2, range(10), count)) == list(range(0, 20, 2))
+    doubled = map_blocks(lambda span, worker: span * 2, range(10), count, count)
+    assert list(doubled) == list(range(0, 20, 2))
     assert threading.active_count() == before
-    blocks = map_blocks(lambda span: span, range(10), count)
+    assert os.sched_getaffinity(0) == CPUS
+    blocks = map_blocks(lambda span, worker: span, range(10), count, count)
     assert next(blocks) == 0
     blocks.close()   # a consumer that stops early
     assert threading.active_count() == before
+    assert os.sched_getaffinity(0) == CPUS
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_each_worker_keeps_to_its_own_cpu(count):
+    cpus = sorted(CPUS)
+    barrier = threading.Barrier(count, timeout=10)
+
+    def fn(span, worker):   # the spans meet, so each runs on its own worker
+        barrier.wait()
+        return worker, os.sched_getaffinity(0)
+
+    got = sorted(map_blocks(fn, range(count), count, count))
+    if count == 1:   # the calling thread alone stays where it is
+        assert got == [(0, set(cpus))]
+    else:
+        assert got == [(0, {cpus[0]}), (1, {cpus[1 % len(cpus)]})]
+    assert os.sched_getaffinity(0) == CPUS
 
 
 def test_workers_keep_the_callers_numpy_error_state():
-    def fn(span):   # with two workers, the odd spans run in the pool
-        return np.ones(4) / (np.zeros(4) if span % 2 else np.ones(4))
+    barrier = threading.Barrier(2, timeout=10)
+
+    def fn(span, worker):   # the two spans meet, so each runs on its own worker
+        barrier.wait()
+        try:
+            return worker, bool(np.isinf(np.ones(4) / np.zeros(4)).all())
+        except FloatingPointError:
+            return worker, "raised"
 
     with np.errstate(divide="raise"):
-        with pytest.raises(FloatingPointError):
-            list(map_blocks(fn, range(4), 2))
+        assert sorted(map_blocks(fn, range(2), 2, 2)) == [(0, "raised"), (1, "raised")]
     with np.errstate(divide="ignore"):
-        assert [np.isinf(r).all() for r in map_blocks(fn, range(4), 2)] == [False, True] * 2
+        assert sorted(map_blocks(fn, range(2), 2, 2)) == [(0, True), (1, True)]
 
 
 # ------------------------------------------------- byte identity by CPU count
