@@ -142,8 +142,8 @@ def cmd_clean(cfg) -> int:
     series_io.write_text(
         _derived(cfg, "iteration_log", ".iterations.csv"),
         "iteration,mean_change,masked_count,max_correction\n" + "".join(
-            f"{it},{mean_change:.10g},{count},{max_corr:.10g}\n"
-            for it, mean_change, count, max_corr in refiner.iteration_log_rows(result.refine_log)))
+            f"{r.iteration},{r.mean_change:.10g},{r.masked_count},{r.max_correction:.10g}\n"
+            for r in result.refine_log))
     return 0
 
 
@@ -153,7 +153,6 @@ def _method_metrics(cleaned, spike_mask, step_locations, truth, cadence) -> dict
     true_steps = np.flatnonzero(truth["step"])
     detected = np.flatnonzero(step_locations) if step_locations is not None else np.array([], dtype=int)
     step_hits = sum(1 for t in true_steps if detected.size and np.abs(detected - t).min() <= 240)
-    resid = metrics.residual_stats(truth["contaminated"], cleaned)
     roc = metrics.rate_of_change(cleaned, cadence)
     return {
         "mse": float(np.mean((cleaned - clean) ** 2)),
@@ -162,7 +161,7 @@ def _method_metrics(cleaned, spike_mask, step_locations, truth, cadence) -> dict
         "recall": f1["recall"],
         "f1_spike": f1["f1"],
         "step_recall": step_hits / len(true_steps) if len(true_steps) else 1.0,
-        "residual": {k: v for k, v in resid.items() if not k.startswith("histogram")},
+        "residual": metrics.residual_stats(truth["contaminated"], cleaned),
         "rate_of_change": {"min": roc["min"], "max": roc["max"]},
     }
 
@@ -191,7 +190,7 @@ def cmd_latent(cfg) -> int:
     if len(origins) < 3:
         raise DataError("latent projection needs at least 3 windows")
     # the detect pass's latents are unblended, so z == mu + 0.0
-    masks, *_, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
+    masks, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
     labels = pipeline.label_windows(origins, model.config.window, masks.segments)
     proj = metrics.project_latent(first.z)
     series_io.write_text(_require(cfg, "output"), "window_origin,pc1,pc2,is_anomalous\n" + "".join(

@@ -63,14 +63,13 @@ def temporal_consistency(x, xhat) -> float:
     return float(np.corrcoef(dx, dxhat)[0, 1])
 
 
-def residual_stats(raw, cleaned, bound: float = 0.5, bins: int = 40) -> dict:
+def residual_stats(raw, cleaned, bound: float = 0.5) -> dict:
     raw = np.asarray(raw, dtype=float)
     cleaned = np.asarray(cleaned, dtype=float)
     if raw.shape != cleaned.shape:
         raise DataError("residual stats need equal-length series")
     residual = raw - cleaned
     nonzero = residual[residual != 0.0]
-    counts, edges = np.histogram(residual, bins=bins)
     return {
         "max_abs": float(np.abs(residual).max()) if residual.size else 0.0,
         "fraction_within_bound": float(np.mean(np.abs(residual) <= bound)),
@@ -79,8 +78,6 @@ def residual_stats(raw, cleaned, bound: float = 0.5, bins: int = 40) -> dict:
         ),
         "nonzero_count": int(nonzero.size),
         "bound": bound,
-        "histogram_counts": counts.tolist(),
-        "histogram_edges": edges.tolist(),
     }
 
 

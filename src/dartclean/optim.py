@@ -134,9 +134,8 @@ class LrSchedule:
     variant: str = "step_decay"
     base_lr: float = 1e-4
     decay_steps: int = 100
-    t_warmup: int = 1000
+    t_warmup: int = 0
     total_steps: int = 0
-    apply_warmup: bool = False
 
     def __post_init__(self):
         if self.variant not in SCHEDULE_VARIANTS:
@@ -156,12 +155,10 @@ class LrSchedule:
             lr = self.base_lr * self.warmup_factor(step)
         elif self.variant == "step_decay":
             lr = self.base_lr * 0.5 ** (epoch // self.decay_steps)
-            if self.apply_warmup:
-                lr *= self.warmup_factor(step)
+            lr *= self.warmup_factor(step)
         elif self.variant == "cosine":
             lr = self.base_lr * (1.0 + math.cos(math.pi * step / self.total_steps)) / 2.0
-            if self.apply_warmup:
-                lr *= self.warmup_factor(step)
+            lr *= self.warmup_factor(step)
         else:  # plateau: base rate scaled only by the tracker's multiplier
             lr = self.base_lr
         lr *= plateau_mult

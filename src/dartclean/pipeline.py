@@ -30,16 +30,16 @@ class CleanResult:
 
 
 def detect_anomalies(model, x_norm: np.ndarray, config: detector.DetectConfig):
-    """Initial detection pass; returns (masks, hybrid score, per-sample RE,
-    the :class:`refiner.InferPass` of ``x_norm``, for refinement round 1)."""
+    """Initial detection pass; returns (masks, the :class:`refiner.InferPass`
+    of ``x_norm``, for refinement round 1)."""
     first = refiner.infer_pass(model, x_norm, config)
     re = detector.reconstruction_error(x_norm, first.recon)
-    score, _, hybrid_idx = detector.hybrid_score(re, first.deviation,
-                                                 config.hybrid_alpha, config.kappa)
+    _, hybrid_idx = detector.hybrid_score(re, first.deviation,
+                                          config.hybrid_alpha, config.kappa)
     spike_mask = np.zeros(len(x_norm), dtype=bool)
     spike_mask[hybrid_idx] = True
     masks = detector.build_masks(spike_mask, first.step_mask, config.merge_gap)
-    return masks, score, re, first
+    return masks, first
 
 
 def clean_series(model, stats: NormStats, raw: RawSeries,
@@ -54,7 +54,7 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
     norm = zscore_normalize(filled, stats)
     x_norm = norm.values
 
-    masks, _, _, first = detect_anomalies(model, x_norm, detect_config)
+    masks, first = detect_anomalies(model, x_norm, detect_config)
     result = refiner.refine(model, x_norm, masks, detect_config, refine_config, first)
     del first   # its n x latent z is spent
 

@@ -10,9 +10,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError
 from .series_io import FLAG_VALID, RawSeries
 
-GAP_OBSERVED = 0
-GAP_INTERPOLATED = 1
-
 
 @dataclass
 class NormStats:
@@ -24,15 +21,12 @@ class NormStats:
 class NormalizedSeries:
     values: np.ndarray        # dimensionless
     stats: NormStats
-    gap_mask: np.ndarray      # GAP_OBSERVED / GAP_INTERPOLATED per sample
 
 
 @dataclass
 class WindowBatch:
     windows: np.ndarray   # [num_windows x w]
     origins: np.ndarray   # start index of each window in the source series
-    window: int
-    stride: int
 
 
 def fill_gaps(series: RawSeries) -> RawSeries:
@@ -46,12 +40,10 @@ def fill_gaps(series: RawSeries) -> RawSeries:
     values = np.asarray(series.values, dtype=float).copy()
     idx = np.arange(len(values))
     values[~valid] = np.interp(idx[~valid], idx[valid], values[valid])
-    gap_mask = np.where(valid, GAP_OBSERVED, GAP_INTERPOLATED)
     return RawSeries(
         timestamps=series.timestamps,
         values=values,
         flags=np.full(len(values), FLAG_VALID),
-        gap_mask=gap_mask,
     )
 
 
@@ -63,11 +55,8 @@ def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries
         if np.any(series.flags != FLAG_VALID):
             raise DataError("normalize requires a gap-free series; run fill_gaps first")
         values = np.asarray(series.values, dtype=float)
-        gap_mask = (series.gap_mask if series.gap_mask is not None
-                    else np.zeros(len(values), dtype=int))
     else:
         values = np.asarray(series, dtype=float)
-        gap_mask = np.zeros(len(values), dtype=int)
     if stats is None:
         std = float(values.std())
         if std <= 1e-12:
@@ -76,7 +65,7 @@ def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries
     if stats.std <= 1e-12:
         raise DataError("degenerate normalization stats")
     normalized = (values - stats.mean) / stats.std
-    return NormalizedSeries(values=normalized, stats=stats, gap_mask=gap_mask)
+    return NormalizedSeries(values=normalized, stats=stats)
 
 
 def make_windows(series, w: int = 48, s: int = 1) -> WindowBatch:
@@ -91,7 +80,7 @@ def make_windows(series, w: int = 48, s: int = 1) -> WindowBatch:
         raise DataError(f"series of length {n} is shorter than window {w}")
     origins = np.arange(0, n - w + 1, s)
     windows = sliding_window_view(values, w)[::s].copy()
-    return WindowBatch(windows=windows, origins=origins, window=w, stride=s)
+    return WindowBatch(windows=windows, origins=origins)
 
 
 def denormalize(values, stats: NormStats) -> np.ndarray:

@@ -144,11 +144,3 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
             break
     return RefineResult(series=current, spike_mask=spike_mask,
                         step_mask=step_mask, log=log, history=history)
-
-
-def iteration_log_rows(log) -> list:
-    """Rows (iteration, mean_change, masked_count, max_correction) for CSV."""
-    if not log:
-        raise DataError("empty refinement log")
-    return [(r.iteration, r.mean_change, r.masked_count, r.max_correction)
-            for r in log]

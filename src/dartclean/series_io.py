@@ -36,7 +36,6 @@ class RawSeries:
     timestamps: np.ndarray  # seconds since Unix epoch, strictly increasing
     values: np.ndarray      # meters; undefined where flagged
     flags: np.ndarray       # FLAG_VALID or FLAG_MISSING
-    gap_mask: np.ndarray | None = None  # set by preprocess.fill_gaps
 
     def __len__(self):
         return len(self.values)

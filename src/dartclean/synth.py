@@ -54,7 +54,6 @@ class GroundTruth:
     spike_events: list             # (start, width, amplitude_m)
     step_locations: np.ndarray
     step_magnitudes: np.ndarray
-    drift: np.ndarray
     gap_indices: np.ndarray
 
     def to_raw_series(self) -> RawSeries:
@@ -148,6 +147,5 @@ def generate(spec: SynthSpec) -> GroundTruth:
         spike_events=spike_events,
         step_locations=np.asarray(step_locations, dtype=int),
         step_magnitudes=np.asarray(step_magnitudes, dtype=float),
-        drift=drift,
         gap_indices=np.asarray(sorted(gap_idx), dtype=int),
     )

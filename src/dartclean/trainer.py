@@ -139,7 +139,6 @@ def train(model, windows, config: TrainConfig):
         variant=config.schedule, base_lr=config.base_lr,
         decay_steps=config.decay_steps, t_warmup=config.t_warmup,
         total_steps=config.epochs * max(1, math.ceil(len(X_train) / config.batch_size)),
-        apply_warmup=config.schedule != "warmup",
     )
     plateau = PlateauTracker(patience=config.patience, min_delta=config.min_delta)
     optimizer = Adam(model.trainable(), weight_decay=config.weight_decay)

@@ -205,7 +205,7 @@ def oracle_make_windows(series, w=48, s=1):
     values = np.asarray(series, dtype=float)
     origins = np.arange(0, len(values) - w + 1, s)
     windows = np.stack([values[o:o + w] for o in origins])
-    return WindowBatch(windows=windows, origins=origins, window=w, stride=s)
+    return WindowBatch(windows=windows, origins=origins)
 
 
 def overlap_add(window_values, origins, n):

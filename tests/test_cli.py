@@ -254,6 +254,29 @@ class TestCmdClean:
         assert out.read_bytes() == first
         assert (trained["dir"] / "cleaned_b.csv.segments.json").read_bytes() == seg_first
 
+    def test_nothing_flagged_writes_every_output(self, tmp_path):
+        """A noise-free tide that detection leaves unflagged (with this model
+        seed) still cleans: the series is written whole, with no segments
+        and an iteration log that is its header alone."""
+        synth_cfg, dart = _synth_args(tmp_path, n=200, noise_sigma=0.0)
+        assert main(["synth", "--config", synth_cfg]) == 0
+        ck = tmp_path / "model.ckpt"
+        train_cfg = _write_config(
+            tmp_path, name="train.json", input=str(dart), checkpoint=str(ck), seed=2,
+            train_log=str(tmp_path / "train.csv"),
+            model={"window": 16, "hidden": [16], "latent": 8}, train={"epochs": 2})
+        assert main(["train", "--config", train_cfg]) == 0
+        out = tmp_path / "cleaned.csv"
+        clean_cfg = _write_config(
+            tmp_path, name="clean.json", input=str(dart), checkpoint=str(ck),
+            output=str(out), detect={"w_s": 16, "w_l": 96})
+        assert main(["clean", "--config", clean_cfg]) == 0
+        assert len(series_io.read_cleaned_csv(str(out)).raw) == 200
+        segments = json.loads((tmp_path / "cleaned.csv.segments.json").read_text())
+        assert segments["segments"] == []
+        assert ((tmp_path / "cleaned.csv.iterations.csv").read_text()
+                == "iteration,mean_change,masked_count,max_correction\n")
+
     def test_checkpoint_without_architecture_is_data_error(self, trained):
         tmp_path = trained["dir"]
         doc = json.loads(trained["checkpoint"].read_text())
@@ -316,6 +339,9 @@ class TestCmdEvalLatent:
             for key in ("mse", "temporal_consistency", "precision", "recall",
                         "f1_spike", "step_recall", "residual", "rate_of_change"):
                 assert key in report[block], (block, key)
+            assert set(report[block]["residual"]) == {
+                "max_abs", "fraction_within_bound", "nonzero_fraction_within_bound",
+                "nonzero_count", "bound"}, block
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_eval_rejects_non_finite_cleaned_value(self, trained, capsys, value):

@@ -174,7 +174,7 @@ class TestHybridScore:
         re[10] = 1.0
         stat = np.zeros(100)
         stat[20] = 1.0
-        score, _, _ = hybrid_score(re, stat, hybrid_alpha=0.7)
+        score, _ = hybrid_score(re, stat, hybrid_alpha=0.7)
         assert score[10] == pytest.approx(0.7)
         assert score[20] == pytest.approx(0.3)
 
@@ -182,14 +182,14 @@ class TestHybridScore:
         re = np.abs(rng.normal(size=1000))
         re[44] += 20.0
         stat = np.abs(rng.normal(size=1000))
-        score, _, idx = hybrid_score(re, stat, hybrid_alpha=1.0, kappa=3.0)
+        _, idx = hybrid_score(re, stat, hybrid_alpha=1.0, kappa=3.0)
         scaled = (re - re.min()) / (re.max() - re.min())
         _, ref_idx = re_threshold(scaled, kappa=3.0)
         assert np.array_equal(idx, ref_idx)
 
     def test_zero_range_component_contributes_nothing(self, rng):
         re = np.abs(rng.normal(size=200))
-        score, _, _ = hybrid_score(re, np.zeros(200), hybrid_alpha=0.7)
+        score, _ = hybrid_score(re, np.zeros(200), hybrid_alpha=0.7)
         assert np.array_equal(score, 0.7 * ((re - re.min()) / (re.max() - re.min())))
 
     def test_mismatched_lengths_rejected(self):

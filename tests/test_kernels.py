@@ -172,7 +172,7 @@ def test_clean_is_byte_identical_with_oracles(contaminated, monkeypatch):
 def test_refine_same_with_and_without_detect_pass(contaminated):
     model, stats, raw, (detect_config, refine_config, _) = contaminated
     x = preprocess.zscore_normalize(preprocess.fill_gaps(raw), stats).values
-    masks, _, _, first = pipeline.detect_anomalies(model, x, detect_config)
+    masks, first = pipeline.detect_anomalies(model, x, detect_config)
     handed = refiner.refine(model, x, masks, detect_config, refine_config, first)
     alone = refiner.refine(model, x, masks, detect_config, refine_config)
     assert np.array_equal(handed.series, alone.series)

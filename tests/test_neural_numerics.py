@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -256,15 +258,25 @@ class TestLrSchedule:
 
     def test_emitted_lr_always_positive(self):
         sched = LrSchedule(variant="cosine", base_lr=1e-4, total_steps=10,
-                           apply_warmup=True)
+                           t_warmup=1000)
         for t in range(11):
             assert sched.lr_at(t) > 0.0
 
     def test_composition_warmup_then_decay_then_plateau(self):
         sched = LrSchedule(variant="step_decay", base_lr=1e-4, decay_steps=100,
-                           t_warmup=1000, apply_warmup=True)
+                           t_warmup=1000)
         lr = sched.lr_at(500, epoch=150, plateau_mult=0.5)
         assert lr == pytest.approx(1e-4 * 0.5 * 0.5 ** 1 * 0.5)
+
+    @pytest.mark.parametrize("variant, expected", [
+        ("step_decay", 1e-4 * 0.5),                                          # decay x warm-up
+        ("cosine", 1e-4 * (1.0 + math.cos(math.pi * 25 / 200)) / 2.0 * 0.5),  # decay x warm-up
+        ("warmup", 1e-4 * 0.5),                                              # warm-up alone
+        ("plateau", 1e-4),                                                   # no warm-up
+    ])
+    def test_warmup_halfway_per_variant(self, variant, expected):
+        sched = LrSchedule(variant=variant, base_lr=1e-4, t_warmup=50, total_steps=200)
+        assert sched.lr_at(25) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPlateauTracker:

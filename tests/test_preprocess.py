@@ -3,8 +3,6 @@ import pytest
 
 from dartclean.errors import DataError
 from dartclean.preprocess import (
-    GAP_INTERPOLATED,
-    GAP_OBSERVED,
     NormStats,
     denormalize,
     fill_gaps,
@@ -27,7 +25,6 @@ class TestFillGaps:
     def test_interior_midpoint(self):
         out = fill_gaps(_series([1, 0, 3], [FLAG_VALID, FLAG_MISSING, FLAG_VALID]))
         assert np.array_equal(out.values, [1, 2, 3])
-        assert list(out.gap_mask) == [GAP_OBSERVED, GAP_INTERPOLATED, GAP_OBSERVED]
 
     def test_leading_backfill(self):
         out = fill_gaps(_series([0, 0, 5, 7],

@@ -4,7 +4,7 @@ import pytest
 from dartclean.detector import AnomalyMasks, DetectConfig
 from dartclean.errors import ConfigError, DataError
 from dartclean.preprocess import make_windows
-from dartclean.refiner import RefineConfig, iteration_log_rows, refine
+from dartclean.refiner import RefineConfig, refine
 from tests.conftest import plain_decoder, tiny_model
 from tests.oracles import overlap_add
 
@@ -132,9 +132,8 @@ class TestIterationLog:
         x = rng.normal(size=80)
         result = refine(model, x, _masks(80, spike_idx=(10,)), _detect_cfg(),
                         RefineConfig(iterations=1))
-        rows = iteration_log_rows(result.log)
-        assert len(rows) == 1
-        assert rows[0][0] == 1
+        assert len(result.log) == 1
+        assert result.log[0].iteration == 1
 
     def test_empty_mask_skips_the_loop_entirely(self, rng):
         model = tiny_model(seed=7)
@@ -143,7 +142,3 @@ class TestIterationLog:
                         RefineConfig(iterations=4))
         assert result.log == []
         assert np.array_equal(result.series, x)
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(DataError):
-            iteration_log_rows([])

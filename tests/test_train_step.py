@@ -106,7 +106,6 @@ def oracle_train(model, X, config):
         variant=config.schedule, base_lr=config.base_lr,
         decay_steps=config.decay_steps, t_warmup=config.t_warmup,
         total_steps=config.epochs * max(1, math.ceil(len(X_train) / config.batch_size)),
-        apply_warmup=config.schedule != "warmup",
     )
     plateau = PlateauTracker(patience=config.patience, min_delta=config.min_delta)
     optimizer = OracleAdam(model.trainable(), weight_decay=config.weight_decay)
