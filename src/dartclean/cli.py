@@ -153,7 +153,6 @@ def _method_metrics(cleaned, spike_mask, step_locations, truth, cadence) -> dict
     true_steps = np.flatnonzero(truth["step"])
     detected = np.flatnonzero(step_locations) if step_locations is not None else np.array([], dtype=int)
     step_hits = sum(1 for t in true_steps if detected.size and np.abs(detected - t).min() <= 240)
-    roc = metrics.rate_of_change(cleaned, cadence)
     return {
         "mse": float(np.mean((cleaned - clean) ** 2)),
         "temporal_consistency": metrics.temporal_consistency(clean, cleaned),
@@ -162,7 +161,7 @@ def _method_metrics(cleaned, spike_mask, step_locations, truth, cadence) -> dict
         "f1_spike": f1["f1"],
         "step_recall": step_hits / len(true_steps) if len(true_steps) else 1.0,
         "residual": metrics.residual_stats(truth["contaminated"], cleaned),
-        "rate_of_change": {"min": roc["min"], "max": roc["max"]},
+        "rate_of_change": metrics.rate_of_change(cleaned, cadence),
     }
 
 

@@ -134,11 +134,11 @@ def step_mean_shift(x: np.ndarray, w_l: int) -> np.ndarray:
 
 
 def detect_steps(x: np.ndarray, config: DetectConfig, tau_l: float | None = None):
-    """Point step mask plus per-step mean shift.
+    """Point step mask.
 
     Indices whose adjacent-window mean shift exceeds the threshold form
     contiguous runs; each run collapses to its argmax so a step is reported
-    as a single location.  Returns (mask, delta_mu array).
+    as a single location.
     """
     tau = config.tau_l if tau_l is None else tau_l
     delta = step_mean_shift(x, config.w_l)
@@ -149,7 +149,7 @@ def detect_steps(x: np.ndarray, config: DetectConfig, tau_l: float | None = None
     for start, end in _true_runs(exceed):
         run = slice(start, end + 1)
         mask[start + int(np.argmax(delta[run]))] = True
-    return mask, delta
+    return mask
 
 
 def _minmax_scale(values: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Dense / batch-norm / activation layers with hand-derived backward passes.
 
 Every layer keeps its parameters as plain numpy arrays and returns an
-explicit cache from ``forward`` that ``backward`` consumes.  No autodiff
-graph: the architecture is fixed, so the gradients are written out by hand
-and validated against finite differences in the test suite.
+explicit cache from ``forward`` that ``backward`` consumes; ``backward``
+writes the parameter gradients into arrays the caller supplies (in a
+:class:`~dartclean.model.Vae`, views of its flat gradient vector).  No
+autodiff graph: the architecture is fixed, so the gradients are written
+out by hand and validated against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ class Dense:
         y += self.b
         return y, x
 
-    def backward(self, gy: np.ndarray, cache, input_grad: bool = True):
-        """Returns (gx, {"W": gW, "b": gb}); gx is None when ``input_grad``
-        is false, for a first layer whose input gradient nobody reads."""
+    def backward(self, gy: np.ndarray, cache, gW: np.ndarray, gb: np.ndarray,
+                 input_grad: bool = True):
+        """Writes the weight and bias gradients into ``gW`` and ``gb``;
+        returns gx, or None when ``input_grad`` is false, for a first layer
+        whose input gradient nobody reads."""
         x = cache
-        gW = gy.T @ x
-        gb = gy.sum(axis=0)
-        gx = gy @ self.W if input_grad else None
-        return gx, {"W": gW, "b": gb}
+        np.matmul(gy.T, x, out=gW)
+        gy.sum(axis=0, out=gb)
+        return gy @ self.W if input_grad else None
 
 
 class BatchNorm:
@@ -87,11 +90,13 @@ class BatchNorm:
         y += self.shift
         return y, (xhat, inv_std)
 
-    def backward(self, gy: np.ndarray, cache):
+    def backward(self, gy: np.ndarray, cache, ggamma: np.ndarray, gshift: np.ndarray):
+        """Writes the scale and shift gradients into ``ggamma`` and
+        ``gshift``; returns gx."""
         xhat, inv_std = cache
         tmp = gy * xhat
-        ggamma = tmp.sum(axis=0)
-        gshift = gy.sum(axis=0)
+        tmp.sum(axis=0, out=ggamma)
+        gy.sum(axis=0, out=gshift)
         # gx = (inv_std / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat)),
         # with gxhat = gy * gamma turned into gx in place
         gx = gy * self.gamma
@@ -103,7 +108,7 @@ class BatchNorm:
         gx -= gxhat_sum
         gx -= tmp
         gx *= inv_std / n
-        return gx, {"gamma": ggamma, "shift": gshift}
+        return gx
 
 
 def relu_forward(x: np.ndarray):

@@ -82,12 +82,12 @@ def residual_stats(raw, cleaned, bound: float = 0.5) -> dict:
 
 
 def rate_of_change(series, cadence_seconds: float) -> dict:
-    """First differences scaled to meters per minute, with min/max summary."""
+    """Least and greatest first difference, scaled to meters per minute."""
     series = np.asarray(series, dtype=float)
     if len(series) < 2:
         raise DataError("rate of change needs at least two samples")
     rate = np.diff(series) / cadence_seconds * 60.0
-    return {"rate": rate, "min": float(rate.min()), "max": float(rate.max())}
+    return {"min": float(rate.min()), "max": float(rate.max())}
 
 
 def project_latent(mu_vectors) -> dict:

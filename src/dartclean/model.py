@@ -18,6 +18,7 @@ overlap-added as it is decoded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,48 @@ def kl_divergence(latent: LatentState) -> float:
     return float(per_row.mean())
 
 
+def state_shapes(config: ModelConfig) -> dict:
+    """The shape of every checkpointed array of a :class:`Vae` built from
+    ``config``, by name, in checkpoint order: the trainable arrays first,
+    then the buffers.  The flat parameter and gradient vectors are laid out
+    from it, and :func:`series_io.load_checkpoint` checks a file against it
+    before it builds the model."""
+    shapes = {}
+
+    def layer(prefix, n_in, n_out, *extra):
+        shapes.update({f"{prefix}.W": (n_out, n_in), f"{prefix}.b": (n_out,)})
+        shapes.update({f"{prefix}.{key}": (n_out,) for key in extra})
+
+    enc = [config.window, *config.hidden]
+    dec = [config.latent, *config.hidden[::-1]]
+    for i in range(len(config.hidden)):
+        layer(f"enc{i}", enc[i], enc[i + 1], "gamma", "shift")
+    layer("mu", enc[-1], config.latent)
+    layer("logvar", enc[-1], config.latent)
+    for i in range(len(config.hidden)):
+        layer(f"dec{i}", dec[i], dec[i + 1], "gamma", "shift")
+        shapes[f"dec{i}.alpha"] = ()
+    layer("out", dec[-1], config.window)
+    for prefix, widths in (("enc", enc[1:]), ("dec", dec[1:])):
+        for i, width in enumerate(widths):
+            shapes.update({f"{prefix}{i}.running_mean": (width,),
+                           f"{prefix}{i}.running_var": (width,)})
+    shapes["beta"] = ()
+    return shapes
+
+
+def check_state(arrays: dict, shapes: dict):
+    """Raise ``ShapeError`` unless ``arrays`` holds every name of ``shapes``
+    at its shape."""
+    missing = set(shapes) - set(arrays)
+    if missing:
+        raise ShapeError(f"checkpoint missing arrays: {sorted(missing)}")
+    for name, shape in shapes.items():
+        if np.shape(arrays[name]) != shape:
+            raise ShapeError(f"array {name!r}: expected shape {shape}, "
+                             f"got {np.shape(arrays[name])}")
+
+
 def _rows(buffer: np.ndarray, m: int, k: int) -> np.ndarray:
     """An [m x k] C-ordered array over the start of the flat ``buffer``."""
     return buffer[:m * k].reshape(m, k)
@@ -160,6 +203,28 @@ class Vae:
         self.out_layer = Dense(dec_widths[-1], w, rng)
         self.beta = np.array(config.beta0)
 
+        # Every trainable array becomes a view of the flat vector ``params``
+        # and has a gradient view at the same place in ``grad``; the dense
+        # weight matrices come first, so weight decay covers the first
+        # ``decayed`` elements.
+        shapes = state_shapes(config)
+        names = [name for name in shapes if name.rpartition(".")[2] not in BUFFER_KEYS]
+        names.sort(key=lambda name: not name.endswith(".W"))
+        self.spans, size = {}, 0
+        for name in names:
+            self.spans[name] = slice(size, size + math.prod(shapes[name]))
+            size = self.spans[name].stop
+            if name.endswith(".W"):
+                self.decayed = size
+        self.params, self.grad = np.empty(size), np.zeros(size)
+        self._grads = {}
+        for name, box, key in self._slots:
+            if name in self.spans:
+                view = self.params[self.spans[name]].reshape(shapes[name])
+                view[...] = box[key]
+                box[key] = view
+                self._grads[name] = self.grad[self.spans[name]].reshape(shapes[name])
+
     # ---------------------------------------------------------------- params
 
     @property
@@ -194,21 +259,13 @@ class Vae:
         return {name: box[key] for name, box, key in self._slots}
 
     def load_state(self, arrays: dict):
+        """Copy ``arrays`` into the model's own arrays, so the views of the
+        flat parameter vector stay views of it.  Every shape is checked
+        first, so a bad checkpoint leaves no partial state."""
         slots = self._slots
-        missing = {name for name, _, _ in slots} - set(arrays)
-        if missing:
-            raise ShapeError(f"checkpoint missing arrays: {sorted(missing)}")
-        values = []
+        check_state(arrays, {name: box[key].shape for name, box, key in slots})
         for name, box, key in slots:
-            value = np.asarray(arrays[name], dtype=float, order="C")
-            if value.shape != box[key].shape:
-                raise ShapeError(
-                    f"array {name!r}: expected shape {box[key].shape}, got {value.shape}"
-                )
-            values.append(value)
-        # assign after full validation so a bad checkpoint leaves no partial state
-        for (_, box, key), value in zip(slots, values):
-            box[key] = value
+            box[key][...] = arrays[name]
 
     def clone_state(self) -> dict:
         return {k: v.copy() for k, v in self.state_arrays().items()}
@@ -245,22 +302,26 @@ class Vae:
         cache = (caches, c_mu, c_lv, clip_mask, latent)
         return latent, cache
 
+    def _record(self, grads: dict, prefix: str, *keys) -> list:
+        """The gradient views of ``prefix.key`` for each key, entered into
+        ``grads`` in that order."""
+        views = [self._grads[f"{prefix}.{key}"] for key in keys]
+        grads.update(zip((f"{prefix}.{key}" for key in keys), views))
+        return views
+
     def encode_backward(self, gmu: np.ndarray, glogvar: np.ndarray, cache, grads: dict):
         caches, c_mu, c_lv, clip_mask, _ = cache
-        gh_mu, g_mu = self.mu_head.backward(gmu, c_mu)
-        gh_lv, g_lv = self.logvar_head.backward(glogvar * clip_mask, c_lv)
-        grads["mu.W"], grads["mu.b"] = g_mu["W"], g_mu["b"]
-        grads["logvar.W"], grads["logvar.b"] = g_lv["W"], g_lv["b"]
-        gh = gh_mu + gh_lv
+        gh = self.mu_head.backward(gmu, c_mu, *self._record(grads, "mu", "W", "b"))
+        gh += self.logvar_head.backward(glogvar * clip_mask, c_lv,
+                                        *self._record(grads, "logvar", "W", "b"))
         for i in range(len(self.enc_dense) - 1, -1, -1):
             c_dense, c_bn, c_relu, c_drop = caches[i]
+            gW, gb, ggamma, gshift = self._record(grads, f"enc{i}", "W", "b", "gamma", "shift")
             ga = dropout_backward(gh, c_drop)
             gv = relu_backward(ga, c_relu)
-            gu, g_bn = self.enc_bn[i].backward(gv, c_bn)
+            gu = self.enc_bn[i].backward(gv, c_bn, ggamma, gshift)
             # nothing reads the gradient on the input windows
-            gh, g_dn = self.enc_dense[i].backward(gu, c_dense, input_grad=i > 0)
-            grads[f"enc{i}.W"], grads[f"enc{i}.b"] = g_dn["W"], g_dn["b"]
-            grads[f"enc{i}.gamma"], grads[f"enc{i}.shift"] = g_bn["gamma"], g_bn["shift"]
+            gh = self.enc_dense[i].backward(gu, c_dense, gW, gb, input_grad=i > 0)
 
     def decode(self, Z: np.ndarray, X_in: np.ndarray, rng=None):
         """Training forward of the decoder; returns (xhat, cache).
@@ -297,14 +358,15 @@ class Vae:
         """Backprop through the decoder; returns the gradient on Z."""
         caches, c_out, X_in = cache
         grads["beta"] = np.array(np.sum(gxhat * X_in))
-        gh, g_out = self.out_layer.backward(gxhat, c_out)
-        grads["out.W"], grads["out.b"] = g_out["W"], g_out["b"]
+        gh = self.out_layer.backward(gxhat, c_out, *self._record(grads, "out", "W", "b"))
         for i in range(len(self.dec_dense) - 1, -1, -1):
             c_dense, c_bn, c_relu, c_drop = caches[i]
+            galpha, gW, gb, ggamma, gshift = self._record(
+                grads, f"dec{i}", "alpha", "W", "b", "gamma", "shift")
             ga = dropout_backward(gh, c_drop)
             gv = relu_backward(ga, c_relu)
-            gs, g_bn = self.dec_bn[i].backward(gv, c_bn)
-            gh, g_dn = self.dec_dense[i].backward(gs, c_dense)
+            gs = self.dec_bn[i].backward(gv, c_bn, ggamma, gshift)
+            gh = self.dec_dense[i].backward(gs, c_dense, gW, gb)
             k = min(gh.shape[1], gs.shape[1])
             gh[:, :k] += self.dec_alpha[i] * gs[:, :k]
             # the alpha gradient is sum(gs * skip(h)), with the block input h
@@ -312,9 +374,7 @@ class Vae:
             # spent, so it holds the products
             gs[:, :k] *= c_dense[:, :k]
             gs[:, k:] *= 0.0
-            grads[f"dec{i}.alpha"] = np.array(np.sum(gs))
-            grads[f"dec{i}.W"], grads[f"dec{i}.b"] = g_dn["W"], g_dn["b"]
-            grads[f"dec{i}.gamma"], grads[f"dec{i}.shift"] = g_bn["gamma"], g_bn["shift"]
+            gs.sum(out=galpha)
         return gh
 
     # ------------------------------------------------------------------ loss
@@ -322,6 +382,11 @@ class Vae:
     def composite_loss(self, X: np.ndarray, xhat: np.ndarray, latent: LatentState,
                        step: int, t_anneal: int = 5000, lam_temporal: float = 0.1,
                        lam_mean: float = 0.1) -> LossBreakdown:
+        return self._loss_terms(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)[0]
+
+    def _loss_terms(self, X, xhat, latent, step, t_anneal, lam_temporal, lam_mean):
+        """:meth:`composite_loss` and the temporal gap
+        ``diff(xhat) - diff(X)`` it squares, which the gradient reuses."""
         X = np.asarray(X, dtype=float)
         if X.shape != xhat.shape:
             raise ShapeError("loss inputs must share a shape")
@@ -329,28 +394,31 @@ class Vae:
             raise ShapeError("temporal loss undefined for windows shorter than 2")
         recon = float(np.mean((xhat - X) ** 2))
         kl = kl_divergence(latent)
-        dx = np.diff(X, axis=1)
-        dxhat = np.diff(xhat, axis=1)
-        temporal = float(np.mean((dxhat - dx) ** 2))
+        gap = np.diff(xhat, axis=1) - np.diff(X, axis=1)
+        temporal = float(np.mean(gap ** 2))
         mean_pen = float(abs(X.mean() - xhat.mean()))
         beta_t = min(1.0, step / t_anneal) if t_anneal > 0 else 1.0
-        return LossBreakdown(recon=recon, kl=kl, temporal=temporal, mean=mean_pen,
-                             beta_t=beta_t, lam_temporal=lam_temporal, lam_mean=lam_mean)
+        lb = LossBreakdown(recon=recon, kl=kl, temporal=temporal, mean=mean_pen,
+                           beta_t=beta_t, lam_temporal=lam_temporal, lam_mean=lam_mean)
+        return lb, gap
 
     def loss_and_grads(self, X: np.ndarray, step: int, rng=None, eps=None,
                        t_anneal: int = 5000, lam_temporal: float = 0.1,
                        lam_mean: float = 0.1):
-        """Training forward plus analytic gradients of the composite loss."""
+        """Training forward plus analytic gradients of the composite loss.
+
+        Returns (loss, xhat, grads): ``grads`` maps each name to its
+        gradient, in the order the backward pass writes them, "beta" first;
+        every value but beta's is a view of :attr:`grad`, which the next
+        call overwrites."""
         X = np.asarray(X, dtype=float)
         latent, enc_cache = self.encode(X, rng=rng, eps=eps)
         xhat, dec_cache = self.decode(latent.z, X, rng=rng)
-        lb = self.composite_loss(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)
+        lb, gap = self._loss_terms(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)
 
         n_batch, w = X.shape
         gxhat = 2.0 * (xhat - X) / (n_batch * w)
-        gdiff = lam_temporal * 2.0 * (np.diff(xhat, axis=1) - np.diff(X, axis=1)) / (
-            n_batch * (w - 1)
-        )
+        gdiff = lam_temporal * 2.0 * gap / (n_batch * (w - 1))
         gxhat[:, 1:] += gdiff
         gxhat[:, :-1] -= gdiff
         mean_gap = X.mean() - xhat.mean()

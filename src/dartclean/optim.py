@@ -15,90 +15,79 @@ from .errors import ConfigError, NumericError
 ADAM_CHUNK = 16384
 
 
-def global_norm(grads: dict) -> float:
-    """L2 norm over every gradient: each is squared into one scratch array
-    per call, then one ``np.sum`` per array, totalled as a Python float in
-    dict order."""
-    scratch = np.empty(max((np.size(g) for g in grads.values()), default=0))
+def global_norm(grad: np.ndarray, spans) -> float:
+    """L2 norm of the flat gradient ``grad``: squared in one pass, then one
+    ``np.sum`` per slice of ``spans``, totalled as a Python float in their
+    order, which rounds as summing each gradient array on its own does."""
+    squares = np.square(grad)
     total = 0.0
-    for g in grads.values():
-        sq = np.square(g, out=scratch[:np.size(g)].reshape(np.shape(g)))
-        total += float(np.sum(sq))
+    for span in spans:
+        total += float(np.sum(squares[span]))
     return math.sqrt(total)
 
 
-def clip_by_global_norm(grads: dict, tau: float):
-    """Scale every gradient in place by min(1, tau / ||g||_2); returns
-    (grads, norm).  Every value must be an ndarray, which is checked before
-    any is touched."""
-    for name, g in grads.items():
-        if not isinstance(g, np.ndarray):
-            raise ConfigError(f"clipping scales {name!r} in place, so it must be an ndarray")
-    norm = global_norm(grads)
+def clip_by_global_norm(grad: np.ndarray, spans, tau: float) -> float:
+    """Scale the flat gradient ``grad`` in place by min(1, tau / ||g||_2);
+    returns the norm, summed over ``spans`` as :func:`global_norm` does."""
+    norm = global_norm(grad, spans)
     scale = min(1.0, tau / norm) if norm > 0 else 1.0
     if scale < 1.0:
-        for g in grads.values():
-            g *= scale
-    return grads, norm
+        grad *= scale
+    return norm
 
 
 def accumulate_gradients(grad_list):
-    """Elementwise mean over a list of gradient dicts with identical keys."""
+    """Elementwise mean over a list of equally shaped gradient arrays."""
     if not grad_list:
         raise ConfigError("cannot accumulate an empty gradient list")
-    out = {}
-    for key in grad_list[0]:
-        out[key] = sum(np.asarray(g[key]) for g in grad_list) / len(grad_list)
-    return out
+    return sum(grad_list) / len(grad_list)
 
 
 class Adam:
-    """Adam with decoupled weight decay applied to dense weight matrices.
+    """Adam with decoupled weight decay applied to a prefix of the parameters.
 
-    ``params`` is a dict of live, C-contiguous float arrays updated in
-    place.  Decay is applied only to names in ``decay_names`` so batch-norm
-    scales and biases are not pulled toward zero.  A step walks each array
-    in chunks of ``ADAM_CHUNK`` elements through the optimizer's two
-    scratch arrays, with the operations, in order, of
-    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    ``params`` is one C-contiguous float vector, updated in place; its
+    first ``decayed`` elements (a model's dense weight matrices) take weight
+    decay, so batch-norm scales, biases and skip scales are not pulled
+    toward zero.  ``m`` and ``v`` are vectors of the same layout.  A step
+    walks the decayed prefix and then the rest in chunks of ``ADAM_CHUNK``
+    elements through the optimizer's two scratch arrays, with the
+    operations, in order, of ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     p -= lr*wd*p; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``.
     """
 
-    def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=1e-5, decay_names=None):
-        for name, p in params.items():
-            if not p.flags.c_contiguous:
-                raise ConfigError(f"Adam updates {name!r} in place, so it must be C-contiguous")
+    def __init__(self, params: np.ndarray, decayed: int, beta1=0.9, beta2=0.999,
+                 eps=1e-8, weight_decay=1e-5):
+        if params.ndim != 1 or not params.flags.c_contiguous:
+            raise ConfigError("Adam updates its parameters in place, so they must be "
+                              "one C-contiguous vector")
         self.params = params
+        self.decayed = decayed
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decay_names = set(decay_names) if decay_names is not None else {
-            name for name in params if name.endswith(".W")
-        }
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
-        size = min(ADAM_CHUNK, max((p.size for p in params.values()), default=0))
+        size = min(ADAM_CHUNK, params.size)
         self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, grads: dict, lr: float):
-        for g in grads.values():
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite gradient; optimizer step aborted")
+    def step(self, grad: np.ndarray, lr: float):
+        if not np.all(np.isfinite(grad)):
+            raise NumericError("non-finite gradient; optimizer step aborted")
         self.t += 1
         b1, b2, eps = self.beta1, self.beta2, self.eps
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         lr_wd = lr * self.weight_decay
-        for name, p in self.params.items():
-            decay = name in self.decay_names and self.weight_decay > 0
-            flat = [a.reshape(-1) for a in (p, self.m[name], self.v[name],
-                                            np.asarray(grads[name]))]
-            for lo in range(0, p.size, ADAM_CHUNK):
-                pc, mc, vc, gc = (a[lo:lo + ADAM_CHUNK] for a in flat)
-                a, b = (s[:pc.size] for s in self._scratch)
+        vectors = (self.params, self.m, self.v, grad)
+        for start, stop, decay in ((0, self.decayed, self.weight_decay > 0),
+                                   (self.decayed, self.params.size, False)):
+            for lo in range(start, stop, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, stop)
+                pc, mc, vc, gc = (x[lo:hi] for x in vectors)
+                a, b = (s[:hi - lo] for s in self._scratch)
                 mc *= b1
                 np.multiply(gc, 1 - b1, out=a)
                 mc += a

@@ -78,7 +78,7 @@ def infer_pass(model, x: np.ndarray, detect_config: detector.DetectConfig,
     (steps at ``tau_l``, default ``detect_config.tau_l``)."""
     z, recon = model.infer_series(x, prev_z, blend_alpha)
     deviation = detector.spike_deviation(x, detect_config)
-    step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
+    step_mask = detector.detect_steps(x, detect_config, tau_l=tau_l)
     return InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)
 
 

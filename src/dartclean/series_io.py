@@ -442,10 +442,11 @@ def load_checkpoint(source):
     """Load a checkpoint; returns (Vae, NormStats).
 
     Validates the format version, the document's structure and every
-    array shape before touching the model, so a corrupt file never yields
-    a partially loaded network.
+    array shape before building the model, so a corrupt file never yields
+    a partially loaded network, and the memory a load takes never follows
+    an architecture the arrays do not match.
     """
-    from .model import ModelConfig, Vae
+    from .model import ModelConfig, Vae, check_state, state_shapes
     from .preprocess import NormStats
 
     try:
@@ -461,7 +462,6 @@ def load_checkpoint(source):
         config = build_section(ModelConfig, _object(doc, "architecture"), "model")
     except ConfigError as exc:
         raise DataError(f"checkpoint architecture: {exc}") from None
-    model = Vae(config, seed=0)
     arrays = {}
     for name, value in _object(doc, "params").items():
         try:
@@ -472,9 +472,11 @@ def load_checkpoint(source):
             raise DataError(f"corrupted numbers in array {name!r}")
         arrays[name] = arr
     try:
-        model.load_state(arrays)
+        check_state(arrays, state_shapes(config))
     except ShapeError as exc:
         raise ShapeError(f"checkpoint {source}: {exc}") from None
+    model = Vae(config, seed=0)
+    model.load_state(arrays)
     norm = _object(doc, "norm_stats")
     try:
         stats = NormStats(mean=float(norm["mean"]), std=float(norm["std"]))

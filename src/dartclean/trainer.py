@@ -141,7 +141,7 @@ def train(model, windows, config: TrainConfig):
         total_steps=config.epochs * max(1, math.ceil(len(X_train) / config.batch_size)),
     )
     plateau = PlateauTracker(patience=config.patience, min_delta=config.min_delta)
-    optimizer = Adam(model.trainable(), weight_decay=config.weight_decay)
+    optimizer = Adam(model.params, model.decayed, weight_decay=config.weight_decay)
 
     log = TrainLog()
     val_history, kl_history = [], []
@@ -175,15 +175,17 @@ def train(model, windows, config: TrainConfig):
                 continue
             bad_batches = 0
             grads.pop("beta", None)  # beta follows the confidence rule, not Adam
-            grads, norm = clip_by_global_norm(grads, config.clip_tau)
+            norm = clip_by_global_norm(model.grad, [model.spans[name] for name in grads],
+                                       config.clip_tau)
             norms.append(min(norm, config.clip_tau))
             if config.accumulation_steps == 1:
-                # accumulating one dict is 0 + g, which only turns -0.0 into
-                # +0.0; Adam's m is never -0.0, so m + (±0.0) == m, and g*g
-                # is +0.0 either way (tests/test_train_step.py)
-                optimizer.step(grads, lr)
+                # accumulating one gradient is 0 + g, which only turns -0.0
+                # into +0.0; Adam's m is never -0.0, so m + (±0.0) == m, and
+                # g*g is +0.0 either way (tests/test_train_step.py)
+                optimizer.step(model.grad, lr)
             else:
-                pending.append(grads)
+                # the next step overwrites model.grad, so keep a copy
+                pending.append(model.grad.copy())
                 if len(pending) >= config.accumulation_steps:
                     optimizer.step(accumulate_gradients(pending), lr)
                     pending = []

@@ -12,22 +12,22 @@ def perturbed_model(hidden, seed=0, window=48):
     """A model with batch-norm buffers, affine parameters, biases and skip
     scales moved off their initial values, so the frozen batch norm and
     both skips do real arithmetic; one skip scale is negative, so the
-    zero-padded skip adds -0.0."""
+    zero-padded skip adds -0.0.  Every value is written into the model's
+    own arrays: the trainable ones are views of its flat parameter vector."""
     model = Vae(ModelConfig(window=window, hidden=hidden), seed=seed)
     rng = np.random.default_rng(seed + 100)
     for bn in model.enc_bn + model.dec_bn:
-        bn.running_mean = rng.normal(0.0, 0.5, bn.running_mean.shape)
-        bn.running_var = rng.uniform(0.3, 3.0, bn.running_var.shape)
-        bn.gamma = rng.uniform(0.5, 1.5, bn.gamma.shape)
-        bn.shift = rng.normal(0.0, 0.2, bn.shift.shape)
+        bn.running_mean[...] = rng.normal(0.0, 0.5, bn.running_mean.shape)
+        bn.running_var[...] = rng.uniform(0.3, 3.0, bn.running_var.shape)
+        bn.gamma[...] = rng.uniform(0.5, 1.5, bn.gamma.shape)
+        bn.shift[...] = rng.normal(0.0, 0.2, bn.shift.shape)
     for dense in model.enc_dense + model.dec_dense + [model.mu_head, model.logvar_head,
                                                       model.out_layer]:
-        dense.b = rng.normal(0.0, 0.1, dense.b.shape)
-    # assigned item by item: the parameter table holds the list itself
-    for i, alpha in enumerate(rng.uniform(-1.0, 1.0, len(model.dec_alpha))):
-        model.dec_alpha[i] = np.array(alpha)
-    model.dec_alpha[0] = np.array(-0.4)
-    model.beta = np.array(0.6)
+        dense.b[...] = rng.normal(0.0, 0.1, dense.b.shape)
+    for alpha, value in zip(model.dec_alpha, rng.uniform(-1.0, 1.0, len(model.dec_alpha))):
+        alpha[...] = value
+    model.dec_alpha[0][...] = -0.4
+    model.beta[...] = 0.6
     return model
 
 
@@ -37,12 +37,12 @@ def plain_decoder(model, beta, bias=0.0):
     for layer in model.dec_dense + [model.out_layer]:
         layer.W[:] = 0.0
         layer.b[:] = 0.0
-    for i in range(len(model.dec_alpha)):
-        model.dec_alpha[i] = np.array(0.0)
+    for alpha in model.dec_alpha:
+        alpha[...] = 0.0
     for bn in model.dec_bn:
         bn.shift[:] = 0.0
     model.out_layer.b[:] = bias
-    model.beta = np.array(beta)
+    model.beta[...] = beta
     return model
 
 

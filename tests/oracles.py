@@ -8,7 +8,9 @@ batch norm, no dropout, eps = 0).  The windowing and overlap-add oracles
 are the plain slice loops; with the cached infer-mode forward they make up
 the windowed refinement pass that :meth:`Vae.infer_series` streams.
 The two CSV reader oracles are the row-by-row readers the array reader of
-``series_io`` replaced, reading text instead of a path or a stream.
+``series_io`` replaced, reading text instead of a path or a stream.  The
+rate-of-change oracle is the per-sample rate that
+``metrics.rate_of_change`` summarises to its least and greatest value.
 """
 
 import csv
@@ -235,8 +237,15 @@ def oracle_infer_pass(model, x, detect_config, tau_l=None, prev_z=None, blend_al
     """:func:`refiner.infer_pass` on :func:`oracle_infer_series`."""
     z, recon = oracle_infer_series(model, x, prev_z, blend_alpha)
     deviation = detector.spike_deviation(x, detect_config)
-    step_mask, _ = detector.detect_steps(x, detect_config, tau_l=tau_l)
+    step_mask = detector.detect_steps(x, detect_config, tau_l=tau_l)
     return refiner.InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)
+
+
+# ----------------------------------------------------------------- metrics
+
+def oracle_rate_of_change(series, cadence_seconds):
+    """First differences of ``series`` in meters per minute."""
+    return np.diff(np.asarray(series, dtype=float)) / cadence_seconds * 60.0
 
 
 # ------------------------------------------------------------- CSV readers

@@ -130,12 +130,12 @@ class TestDetectSteps:
     def test_ideal_step_located_exactly(self):
         x = np.zeros(1000)
         x[500:] = 1.0
-        mask, delta = detect_steps(x, DetectConfig())
+        mask = detect_steps(x, DetectConfig())
         assert list(np.flatnonzero(mask)) == [500]
-        assert delta[500] == 1.0
+        assert step_mean_shift(x, DetectConfig().w_l)[500] == 1.0
 
     def test_constant_series_no_steps(self):
-        mask, _ = detect_steps(np.zeros(1000), DetectConfig())
+        mask = detect_steps(np.zeros(1000), DetectConfig())
         assert not mask.any()
 
     def test_two_steps_in_noise(self):
@@ -143,7 +143,7 @@ class TestDetectSteps:
         x = rng.normal(0.0, 0.05, 8000)
         x[2000:] += 0.5
         x[5000:] += 0.5
-        mask, _ = detect_steps(x, DetectConfig())
+        mask = detect_steps(x, DetectConfig())
         found = np.flatnonzero(mask)
         for true_loc in (2000, 5000):
             assert np.abs(found - true_loc).min() <= 240

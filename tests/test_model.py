@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dartclean.errors import ShapeError
-from dartclean.model import LatentState, kl_divergence
+from dartclean.model import LatentState, kl_divergence, state_shapes
 from dartclean.preprocess import NormStats
 from dartclean.series_io import load_checkpoint, save_checkpoint
 from tests.conftest import plain_decoder, tiny_model
@@ -264,6 +264,15 @@ class TestStateRoundTrip:
         model.load_state(state)
         for name, arr in model.state_arrays().items():
             assert np.array_equal(arr, state[name]), name
+
+    @pytest.mark.parametrize("hidden", [(5,), (3, 5), (16, 8, 4)])
+    def test_state_shapes_describe_the_model(self, hidden):
+        # the table load_checkpoint checks files against, and the flat
+        # vector's layout, must name every array in checkpoint order
+        model = tiny_model(hidden=hidden, window=7, latent=4)
+        shapes = state_shapes(model.config)
+        assert list(shapes) == list(model.state_arrays())
+        assert shapes == {name: a.shape for name, a in model.state_arrays().items()}
 
     def test_missing_array_rejected(self):
         model = tiny_model()

@@ -76,16 +76,18 @@ class TestDense:
         x = np.array([[2.0]])
         y, cache = layer.forward(x)
         gy = 2.0 * (y - 0.0)
-        _, grads = layer.backward(gy, cache)
-        assert grads["W"][0, 0] == 8.0
+        gW, gb = np.empty((1, 1)), np.empty(1)
+        layer.backward(gy, cache, gW, gb)
+        assert gW[0, 0] == 8.0
 
     def test_zero_output_gradient_zeroes_params(self, rng):
         layer = Dense(3, 4, rng)
         _, cache = layer.forward(rng.normal(size=(6, 3)))
-        gx, grads = layer.backward(np.zeros((6, 4)), cache)
+        gW, gb = np.ones((4, 3)), np.ones(4)
+        gx = layer.backward(np.zeros((6, 4)), cache, gW, gb)
         assert not gx.any()
-        assert not grads["W"].any()
-        assert not grads["b"].any()
+        assert not gW.any()
+        assert not gb.any()
 
 
 class TestBatchNorm:
@@ -113,8 +115,8 @@ class TestBatchNorm:
 
     def test_backward_matches_finite_differences(self, rng):
         bn = BatchNorm(3)
-        bn.gamma = rng.normal(1.0, 0.2, 3)
-        bn.shift = rng.normal(0.0, 0.2, 3)
+        bn.gamma[...] = rng.normal(1.0, 0.2, 3)
+        bn.shift[...] = rng.normal(0.0, 0.2, 3)
         x = rng.normal(size=(7, 3))
         target = rng.normal(size=(7, 3))
 
@@ -123,7 +125,7 @@ class TestBatchNorm:
             return float(np.sum((y - target) ** 2))
 
         y, cache = bn.forward(x)
-        gx, grads = bn.backward(2.0 * (y - target), cache)
+        gx = bn.backward(2.0 * (y - target), cache, np.empty(3), np.empty(3))
         h = 1e-6
         for r in range(7):
             for c in range(3):
@@ -165,38 +167,39 @@ class TestReluDropout:
 
 class TestClipping:
     def test_norm_two_scales_by_half(self):
-        grads = {"a": np.array([2.0, 0.0]), "b": np.array([0.0, 0.0])}
-        clipped, norm = clip_by_global_norm(grads, 1.0)
+        grad = np.array([2.0, 0.0, 0.0, 0.0])
+        norm = clip_by_global_norm(grad, [slice(0, 2), slice(2, 4)], 1.0)
         assert norm == 2.0
-        assert np.array_equal(clipped["a"], [1.0, 0.0])
+        assert np.array_equal(grad, [1.0, 0.0, 0.0, 0.0])
 
     def test_small_gradients_untouched(self, rng):
-        grads = {"a": rng.normal(size=3) * 1e-3}
-        clipped, _ = clip_by_global_norm(grads, 1.0)
-        assert np.array_equal(clipped["a"], grads["a"])
+        grad = rng.normal(size=3) * 1e-3
+        before = grad.copy()
+        clip_by_global_norm(grad, [slice(0, 3)], 1.0)
+        assert np.array_equal(grad, before)
 
     def test_clipped_norm_never_exceeds_tau(self, rng):
         for _ in range(20):
-            grads = {"a": rng.normal(size=10) * rng.uniform(0.1, 100)}
-            clipped, _ = clip_by_global_norm(grads, 1.0)
-            assert global_norm(clipped) <= 1.0 + 1e-12
+            grad = rng.normal(size=10) * rng.uniform(0.1, 100)
+            clip_by_global_norm(grad, [slice(0, 4), slice(4, 10)], 1.0)
+            assert global_norm(grad, [slice(0, 10)]) <= 1.0 + 1e-12
 
 
 class TestAccumulate:
     def test_scalar_mean(self):
-        grads = [{"w": np.array(v)} for v in [1.0, 2.0, 3.0, 4.0]]
-        assert accumulate_gradients(grads)["w"] == 2.5
+        grads = [np.array(v) for v in [1.0, 2.0, 3.0, 4.0]]
+        assert accumulate_gradients(grads) == 2.5
 
     def test_idempotent_on_identical(self, rng):
-        g = {"w": rng.normal(size=4)}
+        g = rng.normal(size=4)
         out = accumulate_gradients([g, g, g])
-        assert np.allclose(out["w"], g["w"], atol=1e-15)
+        assert np.allclose(out, g, atol=1e-15)
 
     def test_matches_sum_over_n(self, rng):
-        grads = [{"w": rng.normal(size=(3, 3))} for _ in range(4)]
+        grads = [rng.normal(size=(3, 3)) for _ in range(4)]
         out = accumulate_gradients(grads)
-        ref = sum(g["w"] for g in grads) / 4
-        assert np.max(np.abs(out["w"] - ref)) <= 1e-15
+        ref = (grads[0] + grads[1] + grads[2] + grads[3]) / 4
+        assert np.max(np.abs(out - ref)) <= 1e-15
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -206,31 +209,31 @@ class TestAccumulate:
 class TestAdam:
     def test_zero_grad_no_decay_leaves_params(self):
         w = np.array([1.0, -2.0])
-        opt = Adam({"x": w}, weight_decay=0.0)
-        opt.step({"x": np.zeros(2)}, lr=0.1)
+        opt = Adam(w, 2, weight_decay=0.0)
+        opt.step(np.zeros(2), lr=0.1)
         assert np.array_equal(w, [1.0, -2.0])
 
     def test_scalar_quadratic_converges(self):
         w = np.array([0.0])
-        opt = Adam({"w.W": w}, weight_decay=0.0)
+        opt = Adam(w, 1, weight_decay=0.0)
         for _ in range(100):
-            opt.step({"w.W": 2.0 * (w - 3.0)}, lr=0.1)
+            opt.step(2.0 * (w - 3.0), lr=0.1)
         assert abs(w[0] - 3.0) < 0.1
 
     def test_non_finite_gradient_aborts(self):
         w = np.array([1.0])
-        opt = Adam({"x": w})
+        opt = Adam(w, 1)
         with pytest.raises(NumericError):
-            opt.step({"x": np.array([np.nan])}, lr=0.1)
+            opt.step(np.array([np.nan]), lr=0.1)
         assert w[0] == 1.0
 
     def test_decay_applies_only_to_dense_weights(self):
-        w = np.array([1.0])
-        gamma = np.array([1.0])
-        opt = Adam({"l.W": w, "l.gamma": gamma}, weight_decay=0.5)
-        opt.step({"l.W": np.zeros(1), "l.gamma": np.zeros(1)}, lr=0.1)
-        assert w[0] == pytest.approx(1.0 - 0.1 * 0.5)
-        assert gamma[0] == 1.0
+        # a model's dense weights are the decayed prefix of its flat vector
+        params = np.array([1.0, 1.0])
+        opt = Adam(params, 1, weight_decay=0.5)
+        opt.step(np.zeros(2), lr=0.1)
+        assert params[0] == pytest.approx(1.0 - 0.1 * 0.5)
+        assert params[1] == 1.0
 
 
 class TestLrSchedule:

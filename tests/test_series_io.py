@@ -193,6 +193,26 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match="mu.W"):
             load_checkpoint(path)
 
+    def test_shapes_checked_before_the_model_is_built(self, tmp_path):
+        # a 48-sample model's arrays under an architecture that claims
+        # 200 000: building that model first would draw two 16 x 200 000
+        # weight matrices (25.6 MB each) before any shape was checked
+        import json
+        import tracemalloc
+        path = tmp_path / "ck.json"
+        save_checkpoint(tiny_model(window=48, hidden=(16,)), NormStats(0.0, 1.0), path)
+        doc = json.loads(path.read_text())
+        doc["architecture"]["window"] = 200_000
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="enc0.W"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("")

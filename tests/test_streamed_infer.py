@@ -52,8 +52,8 @@ def test_fused_overlap_add_of_arbitrary_values(count, w):
     # on values whose sums round differently in any other order
     model = perturbed_model((16, 8), seed=1, window=w)
     rng = np.random.default_rng(count)
-    model.out_layer.b = rng.normal(0.0, 1e3, w)
-    model.beta = np.array(1e-7)
+    model.out_layer.b[...] = rng.normal(0.0, 1e3, w)
+    model.beta[...] = 1e-7
     x = rng.normal(size=count + w - 1) * 1e4
     _, recon = model.infer_series(x)
     _, decoded = model.infer(preprocess.make_windows(x, w=w).windows)

@@ -4,6 +4,7 @@ import pytest
 from dartclean import metrics, synth
 from dartclean.errors import ConfigError, DataError
 from dartclean.series_io import FLAG_MISSING
+from tests.oracles import oracle_rate_of_change
 
 
 class TestGenerate:
@@ -158,12 +159,14 @@ class TestResidualStats:
 class TestRateOfChange:
     def test_constant_series(self):
         out = metrics.rate_of_change(np.full(10, 2.0), 900.0)
-        assert not out["rate"].any()
-        assert out["min"] == out["max"] == 0.0
+        assert out == {"min": 0.0, "max": 0.0}
 
     def test_ramp_unit_conversion(self):
-        out = metrics.rate_of_change(0.1 * np.arange(20), 60.0)
-        assert np.allclose(out["rate"], 0.1)
+        series = 0.1 * np.arange(20)
+        out = metrics.rate_of_change(series, 60.0)
+        rate = oracle_rate_of_change(series, 60.0)
+        assert np.allclose(rate, 0.1)
+        assert out == {"min": rate.min(), "max": rate.max()}
 
     def test_too_short_rejected(self):
         with pytest.raises(DataError):

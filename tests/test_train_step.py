@@ -4,9 +4,10 @@ The oracles are the training step as it was before the in-place rewrite:
 the allocating dense, batch-norm, ReLU and dropout layers and the cached
 forward and backward of the model (in ``tests/oracles.py``), and below,
 global-norm clipping that copies, the per-array Adam update and the
-training loop that always accumulates.  The package must reproduce them bit for bit, so every
-comparison is ``np.array_equal`` plus a byte comparison, which also tells
--0.0 from 0.0.
+training loop that always accumulates, each over a dict of separate arrays
+where the package works on flat vectors.  The package must reproduce them
+bit for bit, so every comparison is ``np.array_equal`` plus a byte
+comparison, which also tells -0.0 from 0.0.
 """
 
 import math
@@ -52,6 +53,27 @@ def same_dicts(a, b):
 
 
 # ------------------------------------------------------------------ oracles
+
+def flat_views(arrays: dict, order=None):
+    """``arrays`` copied into one flat vector, laid out in ``order`` (the
+    dict's own order by default); returns (vector, views in the dict's
+    order, slices in the dict's order)."""
+    spans, size = {}, 0
+    for name in order or arrays:
+        spans[name] = slice(size, size + np.size(arrays[name]))
+        size += np.size(arrays[name])
+    flat = np.empty(size)
+    views = {}
+    for name, value in arrays.items():
+        views[name] = flat[spans[name]].reshape(np.shape(value))
+        views[name][...] = value
+    return flat, views, {name: spans[name] for name in arrays}
+
+
+def oracle_accumulate_gradients(grad_list):
+    return {key: sum(np.asarray(g[key]) for g in grad_list) / len(grad_list)
+            for key in grad_list[0]}
+
 
 def oracle_clip_by_global_norm(grads, tau):
     norm = math.sqrt(sum(float(np.sum(np.asarray(g) ** 2)) for g in grads.values()))
@@ -128,7 +150,7 @@ def oracle_train(model, X, config):
             norms.append(min(norm, config.clip_tau))
             pending.append(clipped)
             if len(pending) >= config.accumulation_steps:
-                optimizer.step(accumulate_gradients(pending), lr)
+                optimizer.step(oracle_accumulate_gradients(pending), lr)
                 pending = []
             model.update_global_skip(lb.recon)
             sums += (lb.recon, lb.kl, lb.temporal, lb.mean, lb.total)
@@ -187,9 +209,9 @@ def test_batchnorm_train_forward_matches_oracle(shape):
     x = rng.normal(0.3, 2.0, size=shape)
     x[0, 0] = -0.0
     bn, ref = BatchNorm(shape[1], momentum=0.9), BatchNorm(shape[1], momentum=0.9)
-    bn.gamma = rng.uniform(0.5, 1.5, shape[1])
-    bn.shift = rng.normal(0.0, 0.2, shape[1])
-    ref.gamma, ref.shift = bn.gamma.copy(), bn.shift.copy()
+    bn.gamma[...] = rng.uniform(0.5, 1.5, shape[1])
+    bn.shift[...] = rng.normal(0.0, 0.2, shape[1])
+    ref.gamma[...], ref.shift[...] = bn.gamma, bn.shift
     x_before = x.copy()
     y, (xhat, inv_std) = bn.forward(x)
     y_o, (xhat_o, inv_std_o, _) = oracle_bn_forward(ref, x, True)
@@ -207,8 +229,9 @@ def test_batchnorm_forward_backward_matches_oracle():
     rng = np.random.default_rng(5)
     bn, ref = BatchNorm(33), BatchNorm(33)
     for b in (bn, ref):
-        b.gamma, b.shift = np.linspace(0.5, 1.5, 33), np.linspace(-0.2, 0.2, 33)
-        b.running_mean, b.running_var = np.linspace(-1, 1, 33), np.linspace(0.5, 2.0, 33)
+        b.gamma[...], b.shift[...] = np.linspace(0.5, 1.5, 33), np.linspace(-0.2, 0.2, 33)
+        b.running_mean[...] = np.linspace(-1, 1, 33)
+        b.running_var[...] = np.linspace(0.5, 2.0, 33)
     x = rng.normal(size=(130, 33))
     gy = rng.normal(size=(130, 33))
     gy[3, :5] = -0.0
@@ -216,7 +239,8 @@ def test_batchnorm_forward_backward_matches_oracle():
     y_o, cache_o = oracle_bn_forward(ref, x, True)
     assert identical(y, y_o) and all(identical(a, b) for a, b in zip(cache, cache_o))
     gy_before = gy.copy()
-    gx, grads = bn.backward(gy, cache)
+    grads = {"gamma": np.empty(33), "shift": np.empty(33)}
+    gx = bn.backward(gy, cache, grads["gamma"], grads["shift"])
     gx_o, grads_o = oracle_bn_backward(ref, gy, cache_o)
     assert identical(gy, gy_before)
     assert identical(gx, gx_o) and same_dicts(grads, grads_o)
@@ -246,10 +270,30 @@ def test_first_layer_skips_input_gradient():
     rng = np.random.default_rng(0)
     dense = Dense(48, 64, rng)
     x, gy = rng.normal(size=(100, 48)), rng.normal(size=(100, 64))
-    gx, grads = dense.backward(gy, x, input_grad=False)
+    grads = {"W": np.empty((64, 48)), "b": np.empty(64)}
+    gx = dense.backward(gy, x, grads["W"], grads["b"], input_grad=False)
     gx_o, grads_o = oracle_dense_backward(dense, gy, x)
     assert gx is None and same_dicts(grads, grads_o)
-    assert identical(dense.backward(gy, x)[0], gx_o)
+    assert identical(dense.backward(gy, x, np.empty((64, 48)), np.empty(64)), gx_o)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 3, 5])
+def test_products_and_sums_into_unaligned_views_match_allocating(offset):
+    """The gradients land in views of one flat vector at any element
+    offset, so at any alignment; BLAS and the reductions must round there
+    as they do into a fresh array."""
+    rng = np.random.default_rng(offset)
+    gy, x = rng.normal(size=(128, 512)), rng.normal(size=(128, 48))
+    flat = np.empty(offset + 512 * 48 + 512 + 1)
+    gW = flat[offset:offset + 512 * 48].reshape(512, 48)
+    gb = flat[offset + 512 * 48:-1]
+    total = flat[-1:].reshape(())
+    np.matmul(gy.T, x, out=gW)
+    gy.sum(axis=0, out=gb)
+    gy.sum(out=total)
+    assert identical(gW, gy.T @ x)
+    assert identical(gb, gy.sum(axis=0))
+    assert identical(total, np.array(np.sum(gy)))
 
 
 # ------------------------------------------------------------- optimizer
@@ -276,44 +320,76 @@ def adam_grads(params, rng, scale=1e-2):
     return grads
 
 
+def dense_weights_first(names):
+    return sorted(names, key=lambda name: not name.endswith(".W"))
+
+
+def adam_pair(seed=0):
+    """adam_params laid out flat, dense weights first as in a model, and a
+    separate copy for the oracle; returns (flat, views, spans, decayed,
+    oracle params)."""
+    params = adam_params(seed)
+    flat, views, spans = flat_views(params, dense_weights_first(params))
+    decayed = sum(p.size for name, p in params.items() if name.endswith(".W"))
+    return flat, views, spans, decayed, adam_params(seed)
+
+
 @pytest.mark.parametrize("weight_decay", [1e-5, 0.0])
 def test_adam_matches_oracle(weight_decay):
-    params, params_o = adam_params(), adam_params()
-    opt = Adam(params, weight_decay=weight_decay)
+    flat, params, spans, decayed, params_o = adam_pair()
+    # the decayed prefix (l.W, m.W) ends inside a chunk, a chunk of it
+    # crosses from l.W into m.W, and one after it from l.b into l.gamma
+    assert decayed % ADAM_CHUNK and spans["m.W"].start % ADAM_CHUNK
+    assert (spans["l.gamma"].start - decayed) % ADAM_CHUNK
+    opt = Adam(flat, decayed, weight_decay=weight_decay)
     ref = OracleAdam(params_o, weight_decay=weight_decay)
     rng = np.random.default_rng(11)
     for step in range(25):
         grads = adam_grads(params, rng, scale=10.0 ** -(step % 4))
-        opt.step(grads, lr=1e-3 * (1 + step % 3))
+        grad = flat_views(grads, dense_weights_first(grads))[0]
+        opt.step(grad, lr=1e-3 * (1 + step % 3))
         ref.step(grads, lr=1e-3 * (1 + step % 3))
         assert same_dicts(params, params_o)
-        assert same_dicts(opt.m, ref.m) and same_dicts(opt.v, ref.v)
+        for moment, moment_o in ((opt.m, ref.m), (opt.v, ref.v)):
+            assert same_dicts({k: moment[s].reshape(params[k].shape) for k, s in spans.items()},
+                              moment_o)
     assert opt.t == ref.t == 25
+
+
+def test_adam_decays_exactly_the_prefix():
+    """With zero gradients a step only decays; the prefix ends mid-chunk,
+    and the element after it, in the same chunk of the flat vector, keeps
+    its value."""
+    params = np.random.default_rng(2).normal(size=3 * ADAM_CHUNK)
+    before = params.copy()
+    decayed = ADAM_CHUNK + 5
+    Adam(params, decayed, weight_decay=0.5).step(np.zeros_like(params), lr=0.1)
+    assert identical(params[:decayed], before[:decayed] - before[:decayed] * (0.1 * 0.5))
+    assert identical(params[decayed:], before[decayed:])
 
 
 def test_adam_non_finite_last_gradient_leaves_everything_untouched():
     rng = np.random.default_rng(4)
-    params = {"l.W": rng.normal(size=(200, 120)), "l.b": rng.normal(size=200),
-              "l.gamma": rng.uniform(0.5, 1.5, 200)}
-    opt = Adam(params)
+    params = rng.normal(size=200 * 120 + 400)
+    opt = Adam(params, 200 * 120)
     for _ in range(3):
-        opt.step({k: rng.normal(size=v.shape) for k, v in params.items()}, lr=1e-3)
-    before = ({k: v.copy() for k, v in params.items()},
-              {k: v.copy() for k, v in opt.m.items()},
-              {k: v.copy() for k, v in opt.v.items()}, opt.t)
+        opt.step(rng.normal(size=params.size), lr=1e-3)
+    before = (params.copy(), opt.m.copy(), opt.v.copy(), opt.t)
     for bad in (np.nan, np.inf, -np.inf):
-        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-        grads["l.gamma"][-1] = bad
+        grad = rng.normal(size=params.size)
+        grad[-1] = bad
         with pytest.raises(NumericError):
-            opt.step(grads, lr=1e-3)
-        assert same_dicts(params, before[0])
-        assert same_dicts(opt.m, before[1]) and same_dicts(opt.v, before[2])
+            opt.step(grad, lr=1e-3)
+        assert identical(params, before[0])
+        assert identical(opt.m, before[1]) and identical(opt.v, before[2])
         assert opt.t == before[3]
 
 
 def test_adam_rejects_parameters_it_cannot_update_in_place():
     with pytest.raises(ConfigError, match="C-contiguous"):
-        Adam({"l.W": np.zeros((4, 6))[:, ::2]})
+        Adam(np.zeros((4, 6))[:, ::2], 0)
+    with pytest.raises(ConfigError, match="C-contiguous"):
+        Adam(np.zeros((4, 6)), 0)
 
 
 def negative_zeros(a) -> int:
@@ -323,22 +399,21 @@ def negative_zeros(a) -> int:
 def test_single_step_accumulation_skip_is_bit_identical_with_negative_zeros():
     """``accumulate_gradients([g])`` is ``0 + g``, which turns -0.0 into
     +0.0; the optimizer must not tell the two apart."""
-    params, params_o = adam_params(1), adam_params(1)
-    opt, ref = Adam(params), Adam(params_o)
+    flat, params, _, decayed, _ = adam_pair(1)
+    opt, ref = Adam(flat, decayed), Adam(flat.copy(), decayed)
     rng = np.random.default_rng(9)
     for step in range(12):
-        grads = adam_grads(params, rng)
+        grad = flat_views(adam_grads(params, rng), dense_weights_first(params))[0]
         if step < 3:   # zero-signed gradients while m and v are still +0.0
-            for g in grads.values():
-                g *= -0.0
-        averaged = accumulate_gradients([grads])
-        assert any(negative_zeros(g) for g in grads.values())
-        assert not any(negative_zeros(g) for g in averaged.values())
-        opt.step(grads, lr=1e-3)
+            grad *= -0.0
+        averaged = accumulate_gradients([grad])
+        assert negative_zeros(grad)
+        assert not negative_zeros(averaged)
+        opt.step(grad, lr=1e-3)
         ref.step(averaged, lr=1e-3)
-        assert same_dicts(params, params_o)
-        assert same_dicts(opt.m, ref.m) and same_dicts(opt.v, ref.v)
-        assert not any(negative_zeros(m) for m in opt.m.values())
+        assert identical(opt.params, ref.params)
+        assert identical(opt.m, ref.m) and identical(opt.v, ref.v)
+        assert not negative_zeros(opt.m)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e9], ids=["active", "inactive"])
@@ -347,26 +422,20 @@ def test_clip_matches_oracle_in_place(tau):
     grads = {"a": rng.normal(size=(40, 30)), "b": rng.normal(size=30), "c": np.array(-0.5)}
     grads["a"][0, :4] = -0.0
     expected, norm_o = oracle_clip_by_global_norm(grads, tau)
-    arrays = dict(grads)
-    clipped, norm = clip_by_global_norm(grads, tau)
+    # laid out in another order than the dict's, which the norm sums in
+    flat, views, spans = flat_views(grads, ["c", "a", "b"])
+    norm = clip_by_global_norm(flat, list(spans.values()), tau)
     assert norm == norm_o and norm > 0
-    assert clipped is grads and all(clipped[k] is arrays[k] for k in arrays)
-    assert same_dicts(clipped, expected)
-
-
-def test_clip_rejects_a_value_it_cannot_scale_in_place():
-    grads = {"a": np.array([2.0, 0.0]), "s": np.float64(3.0)}
-    with pytest.raises(ConfigError, match="'s'"):
-        clip_by_global_norm(grads, 1.0)
-    assert grads["a"].tobytes() == np.array([2.0, 0.0]).tobytes()
+    assert same_dicts(views, expected)
 
 
 def test_global_norm_matches_oracle():
     rng = np.random.default_rng(8)
     grads = {f"g{i}": rng.normal(size=shape) for i, shape in
              enumerate([(128, 512), (512,), (), (48, 512)])}
-    assert global_norm(grads) == oracle_clip_by_global_norm(grads, 1.0)[1]
-    assert global_norm({}) == 0.0
+    flat, _, spans = flat_views(grads, ["g3", "g1", "g0", "g2"])
+    assert global_norm(flat, spans.values()) == oracle_clip_by_global_norm(grads, 1.0)[1]
+    assert global_norm(np.empty(0), []) == 0.0
 
 
 # ----------------------------------------------------------------- model
@@ -435,6 +504,48 @@ def test_training_runs_match_oracle_in_one_process():
     restored = Vae(trained.config, seed=99)
     restored.load_state(trained.clone_state())
     run_pair(restored, X, TrainConfig(clip_tau=0.5, **recipe))
+
+
+def assert_flat(model):
+    """Every trainable array is the view of ``model.params`` at its span,
+    dense weights first, and every gradient ``loss_and_grads`` returns is
+    the view of ``model.grad`` at the same span."""
+    trainable = model.trainable()
+    assert set(trainable) == set(model.spans)
+    spans = sorted(model.spans.values(), key=lambda span: span.start)
+    assert [span.start for span in spans] == [0] + [span.stop for span in spans[:-1]]
+    assert spans[-1].stop == model.params.size == model.grad.size
+    weights = [span for name, span in model.spans.items() if name.endswith(".W")]
+    assert max(span.stop for span in weights) == model.decayed == sum(
+        span.stop - span.start for span in weights)
+    for name, arr in trainable.items():
+        assert arr.base is model.params and arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] == \
+            model.params[model.spans[name]].__array_interface__["data"][0], name
+    _, _, grads = model.loss_and_grads(tide_windows(60)[:8], step=0)
+    grads.pop("beta")
+    assert set(grads) == set(model.spans)
+    for name, g in grads.items():
+        assert g.base is model.grad and g.shape == trainable[name].shape, name
+        assert g.__array_interface__["data"][0] == \
+            model.grad[model.spans[name]].__array_interface__["data"][0], name
+
+
+def test_trainable_arrays_stay_views_of_the_flat_vector():
+    """After construction, ``load_state``, the best-state restore that ends
+    ``trainer.train`` and a second run in the same process, Adam's flat
+    vector is still the model's parameters."""
+    X = tide_windows()
+    model = Vae(ModelConfig(hidden=(32, 16)), seed=4)
+    assert_flat(model)
+    model.load_state(Vae(model.config, seed=5).clone_state())
+    assert_flat(model)
+    cfg = TrainConfig(epochs=2, batch_size=128, base_lr=1e-3, t_warmup=0, seed=1)
+    for _ in range(2):
+        before = model.params.copy()
+        trainer.train(model, X, cfg)
+        assert not np.array_equal(model.params, before)
+        assert_flat(model)
 
 
 def test_no_module_level_buffers():
