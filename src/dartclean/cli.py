@@ -166,8 +166,12 @@ def _method_metrics(cleaned, spike_mask, step_locations, truth, cadence) -> dict
 
 
 def cmd_eval(cfg) -> int:
-    truth = read_ground_truth(_require(cfg, "ground_truth"))
-    cleaned_doc = series_io.read_cleaned_csv(_require(cfg, "input"))
+    truth_path, cleaned_path = _require(cfg, "ground_truth"), _require(cfg, "input")
+    truth = read_ground_truth(truth_path)
+    cleaned_doc = series_io.read_cleaned_csv(cleaned_path)
+    if len(cleaned_doc.cleaned) != len(truth["clean"]):
+        raise DataError(f"{cleaned_path} has {len(cleaned_doc.cleaned)} rows but "
+                        f"{truth_path} has {len(truth['clean'])}")
     cadence = truth["cadence"]
     base_cleaned, base_mask = metrics.baseline_rolling_median(
         truth["contaminated"], cfg["detect"])
@@ -191,10 +195,10 @@ def cmd_latent(cfg) -> int:
     # the detect pass's latents are unblended, so z == mu + 0.0
     masks, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
     labels = pipeline.label_windows(origins, model.config.window, masks.segments)
-    proj = metrics.project_latent(first.z)
+    coords = metrics.project_latent(first.z)
     series_io.write_text(_require(cfg, "output"), "window_origin,pc1,pc2,is_anomalous\n" + "".join(
         f"{origin},{p1:.6f},{p2:.6f},{flag}\n"
-        for origin, (p1, p2), flag in zip(origins, proj["coords"], labels)))
+        for origin, (p1, p2), flag in zip(origins, coords, labels)))
     return 0
 
 

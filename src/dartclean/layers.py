@@ -1,11 +1,12 @@
 """Dense / batch-norm / activation layers with hand-derived backward passes.
 
-Every layer keeps its parameters as plain numpy arrays and returns an
-explicit cache from ``forward`` that ``backward`` consumes; ``backward``
-writes the parameter gradients into arrays the caller supplies (in a
-:class:`~dartclean.model.Vae`, views of its flat gradient vector).  No
-autodiff graph: the architecture is fixed, so the gradients are written
-out by hand and validated against finite differences in the test suite.
+Every layer holds parameter arrays its caller supplies and never rebinds
+them (in a :class:`~dartclean.model.Vae`, the arrays of its state table).
+``forward`` returns an explicit cache that ``backward`` consumes;
+``backward`` writes the parameter gradients into arrays the caller
+supplies.  No autodiff graph: the architecture is fixed, so the gradients
+are written out by hand and validated against finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ def dropout_rate(layer_index: int) -> float:
 class Dense:
     """Affine layer y = x @ W.T + b with W of shape [out, in]."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        # He initialization; the hidden activations are ReLU.
-        self.W = rng.standard_normal((out_dim, in_dim)) * np.sqrt(2.0 / in_dim)
-        self.b = np.zeros(out_dim)
+    def __init__(self, W: np.ndarray, b: np.ndarray):
+        self.W = W
+        self.b = b
 
     @property
     def in_dim(self) -> int:
@@ -62,17 +62,18 @@ class BatchNorm:
     """Per-feature batch normalization with running statistics.
 
     ``forward`` normalizes by batch statistics (population variance) and
-    updates the running buffers, which only ``Vae.infer`` applies.  It
+    updates the running buffers in place; only ``Vae.infer`` applies them.  It
     computes ``x - mean`` once, for the variance and for ``xhat``, with the
     same operations as ``x.var(axis=0)``; its backward works through one
     temporary besides the input gradient it returns.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
-        self.gamma = np.ones(dim)
-        self.shift = np.zeros(dim)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+    def __init__(self, gamma: np.ndarray, shift: np.ndarray, running_mean: np.ndarray,
+                 running_var: np.ndarray, momentum: float, eps: float):
+        self.gamma = gamma
+        self.shift = shift
+        self.running_mean = running_mean
+        self.running_var = running_var
         self.momentum = momentum
         self.eps = eps
 
@@ -82,8 +83,9 @@ class BatchNorm:
         y = np.square(xhat)     # as x.var(axis=0) squares; reused for the output
         var = y.sum(axis=0)
         var /= x.shape[0]
-        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+        for running, stat in ((self.running_mean, mean), (self.running_var, var)):
+            running *= self.momentum
+            running += (1 - self.momentum) * stat
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std
         np.multiply(xhat, self.gamma, out=y)

@@ -16,7 +16,7 @@ def match_events(predicted_segments, true_indices, tolerance: int = 2):
     """Greedy one-to-one matching of predicted segments to true events.
 
     A segment [s, e] matches a true event index i when the interval expanded
-    by ``tolerance`` contains i.  Returns (tp, n_pred, n_true, matched_true).
+    by ``tolerance`` contains i.  Returns (tp, n_pred, n_true).
     """
     true_indices = list(true_indices)
     matched = set()
@@ -33,7 +33,7 @@ def match_events(predicted_segments, true_indices, tolerance: int = 2):
         if best is not None:
             matched.add(best[0])
             tp += 1
-    return tp, len(predicted_segments), len(true_indices), matched
+    return tp, len(predicted_segments), len(true_indices)
 
 
 def spike_f1(predicted_mask, true_spike_starts, tolerance: int = 2,
@@ -41,13 +41,12 @@ def spike_f1(predicted_mask, true_spike_starts, tolerance: int = 2,
     """Event-level precision/recall/F1 with +-tolerance sample matching."""
     segments = detector.merge_segments(np.asarray(predicted_mask, dtype=bool),
                                        merge_gap)
-    tp, n_pred, n_true, _ = match_events(segments, true_spike_starts, tolerance)
+    tp, n_pred, n_true = match_events(segments, true_spike_starts, tolerance)
     precision = tp / n_pred if n_pred else 0.0
     recall = tp / n_true if n_true else 0.0
     denom = precision + recall
     f1 = 2.0 * precision * recall / denom if denom else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1,
-            "true_positives": tp, "predicted": n_pred, "actual": n_true}
+    return {"precision": precision, "recall": recall, "f1": f1}
 
 
 def temporal_consistency(x, xhat) -> float:
@@ -90,12 +89,11 @@ def rate_of_change(series, cadence_seconds: float) -> dict:
     return {"min": float(rate.min()), "max": float(rate.max())}
 
 
-def project_latent(mu_vectors) -> dict:
+def project_latent(mu_vectors) -> np.ndarray:
     """Project latent means onto their top-two principal components.
 
-    Returns coordinates, the orthonormal component directions, and the top
-    eigenvalues.  Rank-deficient covariance falls back to the first two
-    coordinate axes with a warning.
+    Returns the [n x 2] coordinates.  Rank-deficient covariance falls back
+    to the first two coordinate axes with a warning.
     """
     mu = np.asarray(mu_vectors, dtype=float)
     if mu.ndim != 2 or mu.shape[0] < 3:
@@ -114,9 +112,7 @@ def project_latent(mu_vectors) -> dict:
             components[1, 1] = 1.0
     else:
         components = eigvecs[:, :2]
-    coords = centered @ components
-    return {"coords": coords, "components": components,
-            "eigenvalues": eigvals[:2].tolist()}
+    return centered @ components
 
 
 def baseline_rolling_median(series, config: detector.DetectConfig | None = None):

@@ -45,7 +45,7 @@ INFER_BLOCK_ROWS = 1024
 # overlap-add, per worker: enough that the other workers run on while one
 # worker's CPU is held up
 DECODED_AHEAD = 2
-# slot keys of the checkpointed arrays that gradient descent does not train
+# keys of the checkpointed arrays that gradient descent does not train
 BUFFER_KEYS = {"running_mean", "running_var", "beta"}
 
 
@@ -180,33 +180,14 @@ class Vae:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        w, hidden, d = config.window, list(config.hidden), config.latent
 
-        self.enc_dense = []
-        self.enc_bn = []
-        widths = [w] + hidden
-        for i in range(len(hidden)):
-            self.enc_dense.append(Dense(widths[i], widths[i + 1], rng))
-            self.enc_bn.append(BatchNorm(widths[i + 1], config.bn_momentum, config.bn_eps))
-
-        self.mu_head = Dense(hidden[-1], d, rng)
-        self.logvar_head = Dense(hidden[-1], d, rng)
-
-        dec_widths = [d] + hidden[::-1]
-        self.dec_dense = []
-        self.dec_bn = []
-        self.dec_alpha = []
-        for i in range(len(hidden)):
-            self.dec_dense.append(Dense(dec_widths[i], dec_widths[i + 1], rng))
-            self.dec_bn.append(BatchNorm(dec_widths[i + 1], config.bn_momentum, config.bn_eps))
-            self.dec_alpha.append(np.array(config.skip_alpha_init))
-        self.out_layer = Dense(dec_widths[-1], w, rng)
-        self.beta = np.array(config.beta0)
-
-        # Every trainable array becomes a view of the flat vector ``params``
-        # and has a gradient view at the same place in ``grad``; the dense
-        # weight matrices come first, so weight decay covers the first
-        # ``decayed`` elements.
+        # Every checkpointed array is made here, once, from the table, as an
+        # entry of ``state``; the layers hold these arrays, and training,
+        # ``load_state`` and ``update_global_skip`` write into them.  The
+        # trainable ones are views of the flat vector ``params``, each with a
+        # gradient view at the same place in ``grad``; the dense weight
+        # matrices come first, so weight decay covers the first ``decayed``
+        # elements.
         shapes = state_shapes(config)
         names = [name for name in shapes if name.rpartition(".")[2] not in BUFFER_KEYS]
         names.sort(key=lambda name: not name.endswith(".W"))
@@ -217,58 +198,60 @@ class Vae:
             if name.endswith(".W"):
                 self.decayed = size
         self.params, self.grad = np.empty(size), np.zeros(size)
-        self._grads = {}
-        for name, box, key in self._slots:
+        initial = {"b": 0.0, "gamma": 1.0, "shift": 0.0, "alpha": config.skip_alpha_init,
+                   "running_mean": 0.0, "running_var": 1.0, "beta": config.beta0}
+        self.state, self._grads = {}, {}
+        for name, shape in shapes.items():
             if name in self.spans:
-                view = self.params[self.spans[name]].reshape(shapes[name])
-                view[...] = box[key]
-                box[key] = view
-                self._grads[name] = self.grad[self.spans[name]].reshape(shapes[name])
+                array = self.params[self.spans[name]].reshape(shape)
+                self._grads[name] = self.grad[self.spans[name]].reshape(shape)
+            else:
+                array = np.empty(shape)
+            key = name.rpartition(".")[2]
+            # He initialization, in table order; the hidden activations are ReLU
+            array[...] = (rng.standard_normal(shape) * np.sqrt(2.0 / shape[1])
+                          if key == "W" else initial[key])
+            self.state[name] = array
+
+        def dense(prefix):
+            return Dense(self.state[f"{prefix}.W"], self.state[f"{prefix}.b"])
+
+        def norm(prefix):
+            return BatchNorm(*(self.state[f"{prefix}.{key}"] for key in
+                               ("gamma", "shift", "running_mean", "running_var")),
+                             config.bn_momentum, config.bn_eps)
+
+        depth = range(len(config.hidden))
+        self.enc_dense = [dense(f"enc{i}") for i in depth]
+        self.enc_bn = [norm(f"enc{i}") for i in depth]
+        self.mu_head = dense("mu")
+        self.logvar_head = dense("logvar")
+        self.dec_dense = [dense(f"dec{i}") for i in depth]
+        self.dec_bn = [norm(f"dec{i}") for i in depth]
+        self.dec_alpha = tuple(self.state[f"dec{i}.alpha"] for i in depth)
+        self.out_layer = dense("out")
+        self.beta = self.state["beta"]
 
     # ---------------------------------------------------------------- params
 
-    @property
-    def _slots(self) -> list:
-        """Every checkpointed array as a (name, container, key) slot, in
-        checkpoint order: trainable arrays first, then the buffers.  Built
-        on each use, so it follows a rebound attribute (``dec_alpha``
-        included) the way infer, encode and decode do."""
-        def layer(prefix, obj, *keys):
-            return [(f"{prefix}.{key}", obj.__dict__, key) for key in keys]
-
-        slots = []
-        for i, (dn, bn) in enumerate(zip(self.enc_dense, self.enc_bn)):
-            slots += layer(f"enc{i}", dn, "W", "b") + layer(f"enc{i}", bn, "gamma", "shift")
-        slots += layer("mu", self.mu_head, "W", "b") + layer("logvar", self.logvar_head, "W", "b")
-        for i, (dn, bn) in enumerate(zip(self.dec_dense, self.dec_bn)):
-            slots += layer(f"dec{i}", dn, "W", "b") + layer(f"dec{i}", bn, "gamma", "shift")
-            slots.append((f"dec{i}.alpha", self.dec_alpha, i))
-        slots += layer("out", self.out_layer, "W", "b")
-        for prefix, norms in (("enc", self.enc_bn), ("dec", self.dec_bn)):
-            for i, bn in enumerate(norms):
-                slots += layer(f"{prefix}{i}", bn, "running_mean", "running_var")
-        slots.append(("beta", self.__dict__, "beta"))
-        return slots
-
     def trainable(self) -> dict:
         """Live references to every gradient-trained array."""
-        return {name: box[key] for name, box, key in self._slots if key not in BUFFER_KEYS}
+        return {name: array for name, array in self.state.items() if name in self.spans}
 
     def state_arrays(self) -> dict:
-        """Everything a checkpoint must persist: weights, buffers, beta."""
-        return {name: box[key] for name, box, key in self._slots}
+        """Live references to everything a checkpoint must persist:
+        weights, buffers, beta."""
+        return dict(self.state)
 
     def load_state(self, arrays: dict):
-        """Copy ``arrays`` into the model's own arrays, so the views of the
-        flat parameter vector stay views of it.  Every shape is checked
-        first, so a bad checkpoint leaves no partial state."""
-        slots = self._slots
-        check_state(arrays, {name: box[key].shape for name, box, key in slots})
-        for name, box, key in slots:
-            box[key][...] = arrays[name]
+        """Copy ``arrays`` into the model's own arrays.  Every shape is
+        checked first, so a bad checkpoint leaves no partial state."""
+        check_state(arrays, state_shapes(self.config))
+        for name, array in self.state.items():
+            array[...] = arrays[name]
 
     def clone_state(self) -> dict:
-        return {k: v.copy() for k, v in self.state_arrays().items()}
+        return {name: array.copy() for name, array in self.state.items()}
 
     # --------------------------------------------------------------- forward
 
@@ -562,5 +545,5 @@ class Vae:
         if recon_loss < 0:
             raise ValueError("reconstruction loss must be >= 0")
         confidence = 1.0 / (1.0 + recon_loss)
-        self.beta = np.array(self.config.beta0 * np.exp(-self.config.conf_decay * confidence))
+        self.beta[...] = self.config.beta0 * np.exp(-self.config.conf_decay * confidence)
         return float(self.beta)

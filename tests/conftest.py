@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
+from dartclean.layers import BatchNorm, Dense
 from dartclean.model import ModelConfig, Vae
 
 
 def tiny_model(window=6, hidden=(5,), latent=4, seed=0, **kw):
     return Vae(ModelConfig(window=window, hidden=hidden, latent=latent, **kw), seed=seed)
+
+
+def standalone_layers(in_dim, out_dim, rng=None, momentum=0.9, eps=1e-5):
+    """A Dense [in_dim -> out_dim] and a BatchNorm of width ``out_dim``
+    outside any model, over arrays at a fresh model's initial values:
+    He-drawn weights from ``rng`` (zeros without one), zero biases and
+    shifts, unit scales, zero running means and unit running variances."""
+    W = (np.zeros((out_dim, in_dim)) if rng is None
+         else rng.standard_normal((out_dim, in_dim)) * np.sqrt(2.0 / in_dim))
+    return (Dense(W, np.zeros(out_dim)),
+            BatchNorm(np.ones(out_dim), np.zeros(out_dim), np.zeros(out_dim), np.ones(out_dim),
+                      momentum, eps))
 
 
 def perturbed_model(hidden, seed=0, window=48):

@@ -43,8 +43,8 @@ def oracle_bn_forward(bn, x, train):
     if train:
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        bn.running_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
-        bn.running_var = bn.momentum * bn.running_var + (1 - bn.momentum) * var
+        bn.running_mean[...] = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
+        bn.running_var[...] = bn.momentum * bn.running_var + (1 - bn.momentum) * var
     else:
         mean = bn.running_mean
         var = bn.running_var

@@ -1,0 +1,87 @@
+"""Corrupted files fail with a documented exit code, never an exception.
+
+A derandomized property mutates the bytes of a checkpoint, a cleaned CSV
+or a ground-truth CSV (one byte replaced, inserted or deleted, the file
+truncated, or one line duplicated) and runs the command that reads it,
+`dartclean clean` or `dartclean eval`, in process.  Whatever the bytes,
+the command exits 0 (the file still reads as valid data), 3 (data error)
+or 4 (numeric error), and no exception escapes ``cli.main``.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dartclean.cli import main
+
+DETECT = {"w_s": 24, "w_l": 96}
+
+
+def _config(directory, name, **data):
+    path = directory / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A 600-sample spiky series, a 16/8 model trained on it for one epoch,
+    the series cleaned with it and the command configs that read each file
+    from a mutated copy."""
+    d = tmp_path_factory.mktemp("mutation")
+    dart, truth, ck, cleaned = d / "s.dart", d / "truth.csv", d / "model.ckpt", d / "cleaned.csv"
+    assert main(["synth", "--config", _config(
+        d, "synth.json", output=str(dart), ground_truth=str(truth),
+        synth={"n": 600, "seed": 3, "spike_count": 6})]) == 0
+    assert main(["train", "--config", _config(
+        d, "train.json", input=str(dart), checkpoint=str(ck), train_log=str(d / "train.csv"),
+        model={"window": 24, "hidden": [16, 8], "latent": 4},
+        train={"epochs": 1, "batch_size": 64})]) == 0
+
+    def clean(name, checkpoint, output):
+        return ["clean", "--config", _config(
+            d, name, input=str(dart), checkpoint=str(checkpoint), output=str(output),
+            detect=DETECT, refine={"iterations": 3})]
+
+    def evaluate(name, cleaned_path, truth_path):
+        return ["eval", "--config", _config(
+            d, name, input=str(cleaned_path), ground_truth=str(truth_path),
+            output=str(d / "report.json"), detect=DETECT)]
+
+    assert main(clean("clean.json", ck, cleaned)) == 0
+    mutant = d / "mutant"
+    return {
+        "checkpoint": (ck, clean("clean_mutant.json", mutant, d / "mutant_cleaned.csv")),
+        "cleaned": (cleaned, evaluate("eval_cleaned.json", mutant, truth)),
+        "truth": (truth, evaluate("eval_truth.json", cleaned, mutant)),
+        "mutant": mutant,
+    }
+
+
+def mutate(data: bytes, kind: str, where: float, byte: int) -> bytes:
+    """``data`` with one mutation of ``kind`` at the fraction ``where`` of
+    its bytes (of its lines, for a duplicated line)."""
+    i = min(int(where * len(data)), len(data) - 1)
+    if kind == "replace":
+        return data[:i] + bytes([byte]) + data[i + 1:]
+    if kind == "insert":
+        return data[:i] + bytes([byte]) + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + 1:]
+    if kind == "truncate":
+        return data[:i]
+    lines = data.splitlines(keepends=True)
+    k = min(int(where * len(lines)), len(lines) - 1)
+    return b"".join(lines[:k + 1] + lines[k:])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(target=st.sampled_from(["checkpoint", "cleaned", "truth"]),
+       kind=st.sampled_from(["replace", "insert", "delete", "truncate", "duplicate"]),
+       where=st.floats(0.0, 1.0), byte=st.integers(0, 255))
+def test_mutated_input_exits_with_a_documented_code(files, target, kind, where, byte):
+    source, argv = files[target]
+    files["mutant"].write_bytes(mutate(source.read_bytes(), kind, where, byte))
+    assert main(argv) in (0, 3, 4)

@@ -426,6 +426,25 @@ class TestTypedReadErrors:
         assert main(["eval", "--config", cfg]) == 3
         assert "line 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("longer", ["cleaned", "truth"])
+    def test_eval_length_mismatch_exits_3(self, trained, capsys, longer):
+        # one data row duplicated: both files parse, but their rows differ
+        tmp_path = trained["dir"]
+        good = {"cleaned": tmp_path / "cleaned_eval_len.csv", "truth": tmp_path / "truth.csv"}
+        clean_cfg, _ = TestCmdClean()._clean_cfg(trained, suffix="_eval_len")
+        assert main(["clean", "--config", clean_cfg]) == 0
+        lines = good[longer].read_text().splitlines()
+        lines.insert(5, lines[5])
+        paths = dict(good, **{longer: tmp_path / f"long_{longer}.csv"})
+        paths[longer].write_text("\n".join(lines) + "\n")
+        cfg = _write_config(tmp_path, name=f"eval_len_{longer}.json",
+                            input=str(paths["cleaned"]), ground_truth=str(paths["truth"]),
+                            output=str(tmp_path / "report_len.json"),
+                            detect={"w_s": 24, "w_l": 96})
+        assert main(["eval", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert str(paths["cleaned"]) in err and str(paths["truth"]) in err
+
 
 class TestUnreadableInput:
     """A directory or a non-UTF-8 file given as an input exits 3 naming the

@@ -1,12 +1,16 @@
 """Every name a package or test module imports is used in it or re-exported,
 every top-level function and class of the package is used by the package,
-and no package module reads the environment.
+no package module reads the environment, and no package code outside an
+``__init__`` rebinds a model array.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
 dead code, and so is a package function or class that only tests call.
 Settings come from the config file and ``--set`` alone, so an environment
-variable read by the package would be a hidden setting.
+variable read by the package would be a hidden setting.  ``Vae.__init__``
+builds every checkpointed array once, from ``model.state_shapes``, and the
+layers hold those arrays: an attribute rebound to a new array would detach
+it from the flat parameter vector and from the model's state.
 """
 
 import ast
@@ -79,3 +83,30 @@ def test_no_package_module_reads_the_environment(path):
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= set(imported_names(tree))
     assert not used & ENVIRONMENT_READERS, f"{path.name} reads the environment"
+
+
+# attributes that hold a model's checkpointed arrays
+MODEL_ARRAYS = {"W", "b", "gamma", "shift", "running_mean", "running_var", "beta", "dec_alpha"}
+
+
+def stored_attributes(node):
+    """Each attribute an assignment statement ``node`` binds, however deep
+    in a tuple target."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                yield sub.attr
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_code_rebinds_a_model_array(path):
+    tree = ast.parse(path.read_text())
+    inside_init = {id(sub) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+                   for sub in ast.walk(node)}
+    rebound = [(attr, node.lineno) for node in ast.walk(tree)
+               if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+               and id(node) not in inside_init
+               for attr in stored_attributes(node) if attr in MODEL_ARRAYS]
+    assert not rebound, f"{path.name} rebinds model arrays outside __init__: {rebound}"

@@ -82,8 +82,8 @@ class TestDecode:
         model = tiny_model(seed=5)
         x = rng.normal(size=(2, 6))
         z = rng.normal(size=(2, 4))
-        for i in range(len(model.dec_alpha)):
-            model.dec_alpha[i] = np.array(0.0)
+        for alpha in model.dec_alpha:
+            alpha[...] = 0.0
         _, without_skip = model.infer(x, prev_z=z, blend_alpha=0.0)
         # recompute the plain stack by hand
         h = z
@@ -124,8 +124,8 @@ class TestLayerSkip:
     def test_matches_truncated_identity_projection(self, rng, hidden):
         model = tiny_model(hidden=hidden, seed=6, skip_alpha_init=0.7)
         for bn in model.dec_bn:
-            bn.running_mean = rng.normal(size=bn.running_mean.shape)
-            bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+            bn.running_mean[...] = rng.normal(size=bn.running_mean.shape)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
         x = rng.normal(size=(7, 6))
         z = rng.normal(size=(7, 4))
         _, xhat = model.infer(x, prev_z=z, blend_alpha=0.0)
@@ -281,12 +281,16 @@ class TestStateRoundTrip:
         with pytest.raises(ShapeError):
             model.load_state(state)
 
-    def test_rebound_alphas_reach_state_and_checkpoint(self, rng, tmp_path):
-        # rebinding the list, not assigning into it: the state, the trained
-        # parameters and a saved checkpoint must all see the new alphas
+    def test_alphas_written_in_place_reach_params_state_and_checkpoint(self, rng, tmp_path):
+        # the alphas the forward reads are the trained parameters: views of
+        # the flat vector, so the state, Adam and a saved checkpoint all see
+        # a value written into them
         model = tiny_model(hidden=(5, 3), seed=6)
-        model.dec_alpha = [np.array(-0.3), np.array(0.45)]
+        model.dec_alpha[0][...] = -0.3
+        model.dec_alpha[1][...] = 0.45
         assert model.trainable()["dec1.alpha"] is model.dec_alpha[1]
+        assert model.params[model.spans["dec0.alpha"]].tolist() == [-0.3]
+        assert model.params[model.spans["dec1.alpha"]].tolist() == [0.45]
         X = rng.normal(size=(30, 6))
         z, xhat = model.infer(X)
         twin = tiny_model(hidden=(5, 3), seed=6)
@@ -298,3 +302,8 @@ class TestStateRoundTrip:
         loaded, _ = load_checkpoint(path)
         z_l, xhat_l = loaded.infer(X)
         assert z.tobytes() == z_l.tobytes() and xhat.tobytes() == xhat_l.tobytes()
+
+    def test_alphas_cannot_be_rebound(self):
+        model = tiny_model(hidden=(5, 3))
+        with pytest.raises(TypeError):
+            model.dec_alpha[0] = np.array(0.3)

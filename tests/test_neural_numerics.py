@@ -5,8 +5,6 @@ import pytest
 
 from dartclean.errors import ConfigError, NumericError, ShapeError
 from dartclean.layers import (
-    BatchNorm,
-    Dense,
     dropout_backward,
     dropout_forward,
     dropout_rate,
@@ -21,7 +19,7 @@ from dartclean.optim import (
     clip_by_global_norm,
     global_norm,
 )
-from tests.conftest import tiny_model
+from tests.conftest import standalone_layers, tiny_model
 
 
 class TestDropoutRate:
@@ -42,21 +40,21 @@ class TestDropoutRate:
 
 class TestDense:
     def test_zero_weights_emit_bias(self, rng):
-        layer = Dense(4, 3, rng)
+        layer = standalone_layers(4, 3, rng)[0]
         layer.W[:] = 0.0
         layer.b[:] = [1.0, 2.0, 3.0]
         y, _ = layer.forward(rng.normal(size=(5, 4)))
         assert np.array_equal(y, np.tile([1.0, 2.0, 3.0], (5, 1)))
 
     def test_scalar_affine(self, rng):
-        layer = Dense(1, 1, rng)
+        layer = standalone_layers(1, 1, rng)[0]
         layer.W[:] = 2.0
         layer.b[:] = 1.0
         y, _ = layer.forward(np.array([[3.0]]))
         assert y[0, 0] == 7.0
 
     def test_matches_naive_matmul(self, rng):
-        layer = Dense(4, 5, rng)
+        layer = standalone_layers(4, 5, rng)[0]
         x = rng.normal(size=(7, 4))
         y, _ = layer.forward(x)
         for r in range(7):
@@ -66,11 +64,11 @@ class TestDense:
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
-            Dense(4, 5, rng).forward(rng.normal(size=(2, 3)))
+            standalone_layers(4, 5, rng)[0].forward(rng.normal(size=(2, 3)))
 
     def test_hand_derivative(self, rng):
         # w=1, b=0, x=2, target=0, L=(wx-t)^2: dL/dw = 2(wx-t)x = 8
-        layer = Dense(1, 1, rng)
+        layer = standalone_layers(1, 1, rng)[0]
         layer.W[:] = 1.0
         layer.b[:] = 0.0
         x = np.array([[2.0]])
@@ -81,7 +79,7 @@ class TestDense:
         assert gW[0, 0] == 8.0
 
     def test_zero_output_gradient_zeroes_params(self, rng):
-        layer = Dense(3, 4, rng)
+        layer = standalone_layers(3, 4, rng)[0]
         _, cache = layer.forward(rng.normal(size=(6, 3)))
         gW, gb = np.ones((4, 3)), np.ones(4)
         gx = layer.backward(np.zeros((6, 4)), cache, gW, gb)
@@ -92,14 +90,14 @@ class TestDense:
 
 class TestBatchNorm:
     def test_train_mode_standardizes(self, rng):
-        bn = BatchNorm(4)
+        bn = standalone_layers(4, 4)[1]
         x = rng.normal(3.0, 2.0, size=(256, 4))
         y, _ = bn.forward(x)
         assert np.allclose(y.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(y.std(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_update(self, rng):
-        bn = BatchNorm(2, momentum=0.9)
+        bn = standalone_layers(2, 2, momentum=0.9)[1]
         x = rng.normal(size=(64, 2))
         bn.forward(x)
         assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=0))
@@ -114,7 +112,7 @@ class TestBatchNorm:
             assert np.array_equal(arr, before[name]), name
 
     def test_backward_matches_finite_differences(self, rng):
-        bn = BatchNorm(3)
+        bn = standalone_layers(3, 3)[1]
         bn.gamma[...] = rng.normal(1.0, 0.2, 3)
         bn.shift[...] = rng.normal(0.0, 0.2, 3)
         x = rng.normal(size=(7, 3))

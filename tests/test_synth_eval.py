@@ -101,9 +101,11 @@ class TestSpikeF1:
             segments = merge_segments(mask, 2)
             # brute force: count true events hit by at least one segment,
             # greedily consuming events as the production matcher does
-            tp, _, _, matched = metrics.match_events(segments, true_idx, 2)
-            assert out["true_positives"] == tp
-            assert tp <= min(len(segments), len(true_idx))
+            tp, n_pred, n_true = metrics.match_events(segments, true_idx, 2)
+            assert (n_pred, n_true) == (len(segments), len(true_idx))
+            assert tp <= min(n_pred, n_true)
+            assert out["precision"] == (tp / n_pred if n_pred else 0.0)
+            assert out["recall"] == tp / n_true
             assert 0.0 <= out["f1"] <= 1.0
 
 
@@ -177,14 +179,13 @@ class TestProjectLatent:
     def test_identical_vectors_project_identically(self):
         mu = np.tile(np.arange(16.0), (5, 1))
         with pytest.warns(UserWarning):
-            out = metrics.project_latent(mu)
-        assert np.allclose(out["coords"], out["coords"][0])
+            coords = metrics.project_latent(mu)
+        assert np.allclose(coords, coords[0])
 
     def test_planar_data_preserves_distances(self, rng):
         basis = np.linalg.qr(rng.normal(size=(16, 2)))[0]
         plane = rng.normal(size=(40, 2)) @ basis.T
-        out = metrics.project_latent(plane)
-        coords = out["coords"]
+        coords = metrics.project_latent(plane)
         for i in range(0, 40, 7):
             for j in range(i + 1, 40, 7):
                 d_orig = np.linalg.norm(plane[i] - plane[j])
@@ -193,15 +194,16 @@ class TestProjectLatent:
 
     def test_projection_variance_equals_eigenvalues(self, rng):
         mu = rng.normal(size=(100, 16)) * np.linspace(3.0, 0.1, 16)
-        out = metrics.project_latent(mu)
-        coords = out["coords"]
+        coords = metrics.project_latent(mu)
+        centered = mu - mu.mean(axis=0)
+        top = np.sort(np.linalg.eigvalsh(centered.T @ centered / 100))[::-1][:2]
         var = (coords ** 2).sum(axis=0) / 100
-        assert np.allclose(var, out["eigenvalues"], atol=1e-10)
+        assert np.allclose(var, top, atol=1e-10)
 
-    def test_components_orthonormal(self, rng):
-        out = metrics.project_latent(rng.normal(size=(30, 16)))
-        comps = out["components"]
-        assert np.allclose(comps.T @ comps, np.eye(2), atol=1e-10)
+    def test_columns_centred_and_uncorrelated(self, rng):
+        coords = metrics.project_latent(rng.normal(size=(30, 16)))
+        assert np.allclose(coords.mean(axis=0), 0.0, atol=1e-12)
+        assert abs(coords[:, 0] @ coords[:, 1]) <= 1e-10 * np.sum(coords ** 2)
 
     def test_too_few_windows_rejected(self, rng):
         with pytest.raises(DataError):

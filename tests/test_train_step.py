@@ -17,7 +17,7 @@ import pytest
 
 from dartclean import layers, model as model_module, optim, trainer
 from dartclean.errors import ConfigError, NumericError
-from dartclean.layers import BatchNorm, Dense, dropout_backward, dropout_forward
+from dartclean.layers import dropout_backward, dropout_forward
 from dartclean.model import ModelConfig, Vae
 from dartclean.optim import (
     ADAM_CHUNK,
@@ -29,7 +29,7 @@ from dartclean.optim import (
     global_norm,
 )
 from dartclean.trainer import EpochRecord, TrainConfig, TrainLog, early_stop_check
-from tests.conftest import perturbed_model
+from tests.conftest import perturbed_model, standalone_layers
 from tests.oracles import (
     oracle_bn_backward,
     oracle_bn_forward,
@@ -208,7 +208,7 @@ def test_batchnorm_train_forward_matches_oracle(shape):
     rng = np.random.default_rng(shape[0])
     x = rng.normal(0.3, 2.0, size=shape)
     x[0, 0] = -0.0
-    bn, ref = BatchNorm(shape[1], momentum=0.9), BatchNorm(shape[1], momentum=0.9)
+    bn, ref = (standalone_layers(1, shape[1], momentum=0.9)[1] for _ in range(2))
     bn.gamma[...] = rng.uniform(0.5, 1.5, shape[1])
     bn.shift[...] = rng.normal(0.0, 0.2, shape[1])
     ref.gamma[...], ref.shift[...] = bn.gamma, bn.shift
@@ -220,14 +220,14 @@ def test_batchnorm_train_forward_matches_oracle(shape):
     assert identical(bn.running_mean, ref.running_mean)
     assert identical(bn.running_var, ref.running_var)
     # with momentum 0 the running variance is the batch variance itself
-    bn0 = BatchNorm(shape[1], momentum=0.0)
+    bn0 = standalone_layers(1, shape[1], momentum=0.0)[1]
     bn0.forward(x)
     assert identical(bn0.running_var, x.var(axis=0))
 
 
 def test_batchnorm_forward_backward_matches_oracle():
     rng = np.random.default_rng(5)
-    bn, ref = BatchNorm(33), BatchNorm(33)
+    bn, ref = (standalone_layers(1, 33)[1] for _ in range(2))
     for b in (bn, ref):
         b.gamma[...], b.shift[...] = np.linspace(0.5, 1.5, 33), np.linspace(-0.2, 0.2, 33)
         b.running_mean[...] = np.linspace(-1, 1, 33)
@@ -268,7 +268,7 @@ def test_dropout_scales_in_place():
 
 def test_first_layer_skips_input_gradient():
     rng = np.random.default_rng(0)
-    dense = Dense(48, 64, rng)
+    dense = standalone_layers(48, 64, rng)[0]
     x, gy = rng.normal(size=(100, 48)), rng.normal(size=(100, 64))
     grads = {"W": np.empty((64, 48)), "b": np.empty(64)}
     gx = dense.backward(gy, x, grads["W"], grads["b"], input_grad=False)

@@ -145,3 +145,17 @@ class TestTrainLogCsv:
         row = log.to_csv().splitlines()[1].split(",")
         assert row[0] == "1"
         assert float(row[5]) == pytest.approx(0.123456789)
+
+
+def test_state_taken_before_training_holds_the_trained_buffers():
+    # training writes the batch-norm running statistics and beta into the
+    # model's own arrays and never rebinds them
+    model = tiny_model(seed=3)
+    fresh = model.clone_state()
+    before = model.state_arrays()
+    train(model, _sine_windows(), TrainConfig(epochs=2, batch_size=32))
+    after = model.state_arrays()
+    assert all(before[name] is after[name] for name in after)
+    for name in ("enc0.running_mean", "enc0.running_var", "dec0.running_mean",
+                 "dec0.running_var", "beta"):
+        assert not np.array_equal(after[name], fresh[name]), name
