@@ -106,7 +106,7 @@ def cmd_train(cfg) -> int:
     filled = fill_gaps(raw)
     norm = zscore_normalize(filled)
     model_cfg = cfg["model"]
-    windows = make_windows(norm, w=model_cfg.window, s=1)
+    windows = make_windows(norm, w=model_cfg.window)
     model = Vae(model_cfg, seed=cfg["seed"])
     train_cfg = cfg["train"]
     log_path = _derived(cfg, "train_log", ".train.csv")

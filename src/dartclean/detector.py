@@ -58,15 +58,6 @@ class AnomalyMasks:
     segments: list = field(default_factory=list)  # [(kind, start, end)]
 
 
-def reconstruction_error(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """Per-sample absolute reconstruction error |x - xhat|."""
-    x = np.asarray(x, dtype=float)
-    xhat = np.asarray(xhat, dtype=float)
-    if x.shape != xhat.shape:
-        raise DataError("reconstruction-error inputs must share a length")
-    return np.abs(x - xhat)
-
-
 def _window_bounds(n: int, w: int):
     """Centered windows of nominal width w, clamped at the series edges."""
     idx = np.arange(n)
@@ -105,17 +96,11 @@ def rolling_median_std(x: np.ndarray, w: int):
     return med, std
 
 
-def spike_deviation(x: np.ndarray, config: DetectConfig) -> np.ndarray:
-    """Rolling-median z-deviation |x - median| / max(std, floor)."""
-    med, std = rolling_median_std(x, config.w_s)
+def spike_deviation(x: np.ndarray, config: DetectConfig, rolling=None) -> np.ndarray:
+    """Rolling-median z-deviation |x - median| / max(std, floor), from
+    ``rolling`` if the caller already has ``rolling_median_std(x, config.w_s)``."""
+    med, std = rolling or rolling_median_std(x, config.w_s)
     return np.abs(np.asarray(x, dtype=float) - med) / np.maximum(std, STD_FLOOR)
-
-
-def detect_spikes(x: np.ndarray, config: DetectConfig, tau_s: float | None = None) -> np.ndarray:
-    """Boolean spike mask: deviation from the rolling median beyond
-    tau_s rolling standard deviations."""
-    tau = config.tau_s if tau_s is None else tau_s
-    return spike_deviation(x, config) > tau
 
 
 def step_mean_shift(x: np.ndarray, w_l: int) -> np.ndarray:

@@ -122,8 +122,8 @@ def baseline_rolling_median(series, config: detector.DetectConfig | None = None)
     """
     config = config or detector.DetectConfig()
     series = np.asarray(series, dtype=float)
-    med, _ = detector.rolling_median_std(series, config.w_s)
-    mask = detector.detect_spikes(series, config)
+    med, std = detector.rolling_median_std(series, config.w_s)
+    mask = detector.spike_deviation(series, config, (med, std)) > config.tau_s
     cleaned = series.copy()
     cleaned[mask] = med[mask]
     return cleaned, mask

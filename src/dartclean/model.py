@@ -238,11 +238,6 @@ class Vae:
         """Live references to every gradient-trained array."""
         return {name: array for name, array in self.state.items() if name in self.spans}
 
-    def state_arrays(self) -> dict:
-        """Live references to everything a checkpoint must persist:
-        weights, buffers, beta."""
-        return dict(self.state)
-
     def load_state(self, arrays: dict):
         """Copy ``arrays`` into the model's own arrays.  Every shape is
         checked first, so a bad checkpoint leaves no partial state."""

@@ -68,18 +68,16 @@ def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries
     return NormalizedSeries(values=normalized, stats=stats)
 
 
-def make_windows(series, w: int = 48, s: int = 1) -> WindowBatch:
-    """All overlapping windows of width w at stride s (copies, not views)."""
+def make_windows(series, w: int = 48) -> WindowBatch:
+    """All stride-1 windows of width w (copies, not views)."""
     values = series.values if isinstance(series, NormalizedSeries) else np.asarray(series, dtype=float)
     n = len(values)
     if w < 2:
         raise ConfigError("window size must be >= 2")
-    if s < 1:
-        raise ConfigError("stride must be >= 1")
     if n < w:
         raise DataError(f"series of length {n} is shorter than window {w}")
-    origins = np.arange(0, n - w + 1, s)
-    windows = sliding_window_view(values, w)[::s].copy()
+    origins = np.arange(n - w + 1)
+    windows = sliding_window_view(values, w).copy()
     return WindowBatch(windows=windows, origins=origins)
 
 

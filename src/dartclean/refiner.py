@@ -55,7 +55,6 @@ class IterationRecord:
 @dataclass
 class RefineResult:
     series: np.ndarray
-    spike_mask: np.ndarray
     step_mask: np.ndarray
     log: list = field(default_factory=list)
     history: list = field(default_factory=list)  # (series, gate) per iteration
@@ -102,8 +101,7 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
     # nothing flagged means nothing to correct: the loop below would still
     # re-detect with decayed thresholds, so short-circuit to the identity
     if not base_spike.any() and not base_step.any():
-        return RefineResult(series=x_norm.copy(), spike_mask=base_spike.copy(),
-                            step_mask=base_step.copy(), log=[], history=[])
+        return RefineResult(series=x_norm.copy(), step_mask=base_step.copy())
 
     current = x_norm.copy()
     prev_z = None
@@ -142,5 +140,4 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
         current = nxt
         if mean_change < config.tolerance:   # never below the default 0.0
             break
-    return RefineResult(series=current, spike_mask=spike_mask,
-                        step_mask=step_mask, log=log, history=history)
+    return RefineResult(series=current, step_mask=step_mask, log=log, history=history)

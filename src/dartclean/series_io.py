@@ -369,7 +369,7 @@ def write_ground_truth(truth, spec, destination) -> None:
 def read_ground_truth(source) -> dict:
     """The CSV ``write_ground_truth`` writes, from a path or a text stream;
     the last ``cadence=`` token of its leading ``#`` lines sets the
-    cadence (default 900 s)."""
+    cadence, a finite number of seconds > 0 (default 900 s)."""
     lines = read_text(source).splitlines()
     try:
         cadences = [float(token[8:])
@@ -377,13 +377,17 @@ def read_ground_truth(source) -> dict:
                     for token in line[1:].split() if token.startswith("cadence=")]
     except ValueError as exc:
         raise ParseError(f"bad ground-truth cadence: {exc}") from None
+    cadence = cadences[-1] if cadences else 900.0
+    if not (cadence > 0 and np.isfinite(cadence)):
+        raise ParseError(f"ground-truth cadence must be a finite number of seconds > 0, "
+                         f"got {cadence}")
     _, clean, contaminated, spike, step, gap = _read_csv(lines, TRUTH_HEADER,
                                                          (float, float, int, int, int))
     if not len(clean):
         raise DataError(f"no ground-truth rows in {source}")
     return {"clean": clean, "contaminated": contaminated, "spike": spike.astype(bool),
             "step": step.astype(bool), "gap": gap.astype(bool),
-            "cadence": (cadences or [0.0])[-1] or 900.0}
+            "cadence": cadence}
 
 
 def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
@@ -393,8 +397,7 @@ def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
         "architecture": dataclasses.asdict(model.config),
         "hyperparameters": hyperparameters or {},
         "norm_stats": {"mean": float(stats.mean), "std": float(stats.std)},
-        "params": {name: np.asarray(arr).tolist()
-                   for name, arr in model.state_arrays().items()},
+        "params": {name: arr.tolist() for name, arr in model.state.items()},
     }
     write_text(destination, json.dumps(doc))
 
@@ -409,8 +412,9 @@ def _object(doc: dict, key: str) -> dict:
 
 def typed(value, like, key: str):
     """``value`` checked against ``like``, the field's default: an int for
-    an int, any number for a float (returned as a float), a bool, a string,
-    or a list for a tuple (returned as a tuple) of items like ``like[0]``."""
+    an int, any number but NaN for a float (returned as a float), a bool, a
+    string, or a list for a tuple (returned as a tuple) of items like
+    ``like[0]``."""
     if isinstance(like, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
@@ -423,7 +427,7 @@ def typed(value, like, key: str):
         kind = "an integer" if isinstance(like, int) else "a number"
     else:
         ok, kind = isinstance(value, type(like)), f"a {type(like).__name__}"
-    if not ok:
+    if not ok or value != value:
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return float(value) if isinstance(like, float) else value
 

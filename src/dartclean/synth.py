@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .series_io import FLAG_MISSING, FLAG_VALID, RawSeries
+from .series_io import FLAG_MISSING, FLAG_VALID, LAST_SECOND, RawSeries
 
 # dominant semidiurnal constituents: lunar M2 and solar S2 periods in seconds
 DEFAULT_TIDES = ((0.3, 44714.0, 0.0), (0.15, 43200.0, 1.3))
+START = 1640995200.0  # series start at 2022-01-01T00:00:00Z
 
 
 @dataclass
@@ -41,6 +42,11 @@ class SynthSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("series length must be >= 2")
+        # stamps a whole second or more apart stay strictly increasing in
+        # the DART text, and the last must be a date the text can hold
+        if not (self.cadence >= 1 and START + (self.n - 1) * self.cadence <= LAST_SECOND):
+            raise ConfigError(f"synth.cadence must be >= 1 s and end the series by "
+                              f"9999-12-31T23:59:59Z, got {self.cadence}")
         if self.drift not in ("none", "linear", "exponential"):
             raise ConfigError(f"unknown drift kind {self.drift!r}")
 
@@ -85,7 +91,7 @@ def _place_events(rng, n, count, width, min_separation, exclusion, tries=10000):
 def generate(spec: SynthSpec) -> GroundTruth:
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.n) * spec.cadence
-    timestamps = 1640995200.0 + t  # files start at 2022-01-01T00:00:00Z
+    timestamps = START + t
     clean = np.full(spec.n, float(spec.base_level))
     for amp, period, phase in spec.tides:
         clean += amp * np.sin(2.0 * np.pi * t / period + phase)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,6 @@ class EpochRecord:
     val_total: float
     lr: float
     grad_norm: float
-    wall_time: float
     val_recon: float = math.nan  # tracked for diagnostics, not part of the CSV
 
 
@@ -152,7 +150,6 @@ def train(model, windows, config: TrainConfig):
     bad_batches = 0
     pending = []
     for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
         order = rng.permutation(len(X_train))
         sums = np.zeros(5)
         norms = []
@@ -206,8 +203,7 @@ def train(model, windows, config: TrainConfig):
             epoch=epoch, recon=sums[0] / n_batches, kl=sums[1] / n_batches,
             temporal=sums[2] / n_batches, mean=sums[3] / n_batches,
             total=sums[4] / n_batches, val_total=val_total, lr=lr_logged,
-            grad_norm=grad_norm, wall_time=time.perf_counter() - t0,
-            val_recon=val.recon,
+            grad_norm=grad_norm, val_recon=val.recon,
         ))
         if val_total < best_val:
             best_val = val_total

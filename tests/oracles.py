@@ -303,10 +303,12 @@ def oracle_read_ground_truth(text) -> dict:
             gap.append(int(parts[5]))
         except ValueError as exc:
             raise ParseError(f"bad ground-truth row: {exc}", lineno) from None
+    if cadence is not None and not 0 < cadence < float("inf"):
+        raise ParseError(f"bad ground-truth cadence {cadence}")
     if not clean:
         raise DataError("no ground-truth rows")
     return {
         "clean": np.asarray(clean), "contaminated": np.asarray(contaminated),
         "spike": np.asarray(spike, dtype=bool), "step": np.asarray(step, dtype=bool),
-        "gap": np.asarray(gap, dtype=bool), "cadence": cadence or 900.0,
+        "gap": np.asarray(gap, dtype=bool), "cadence": 900.0 if cadence is None else cadence,
     }

@@ -117,6 +117,24 @@ class TestCmdSynth:
         assert np.array_equal(parsed.flags == series_io.FLAG_MISSING, truth["gap"])
         assert truth["gap"].sum() >= 2
 
+    @pytest.mark.parametrize("cadence", ["Infinity", "1e12", "0", "-900", "1e-7", "0.5"])
+    def test_cadence_out_of_range_is_config_error(self, tmp_path, capsys, cadence):
+        cfg, out = _synth_args(tmp_path)
+        assert main(["synth", "--config", cfg, "--set", f"synth.cadence={cadence}"]) == 2
+        assert "synth.cadence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cadence_that_just_fits(self, tmp_path, capsys):
+        # two samples whose second stamp is the last second a DART file can hold
+        cadence = series_io.LAST_SECOND - synth.START
+        cfg, out = _synth_args(tmp_path, n=2)
+        assert main(["synth", "--config", cfg, "--set", f"synth.cadence={cadence}"]) == 0
+        assert out.read_text().splitlines()[-1].startswith("9999 12 31 23 59 59 1 ")
+        assert np.array_equal(series_io.parse_dart_file(out).timestamps,
+                              [synth.START, series_io.LAST_SECOND])
+        assert main(["synth", "--config", cfg, "--set", f"synth.cadence={cadence + 1}"]) == 2
+        assert "synth.cadence" in capsys.readouterr().err
+
     def test_reparse_matches_generator(self, tmp_path):
         cfg, out = _synth_args(tmp_path, seed=21)
         main(["synth", "--config", cfg])
@@ -193,6 +211,9 @@ class TestCmdTrain:
     @pytest.mark.parametrize("override", [
         'model.hidden=[8,"a"]', "refine.keep_history=1", "detect.tau_s=true",
         "seed=x", "model=5",
+        # a NaN passes every range check, so the type check rejects it
+        "smooth.sigma=NaN", "detect.kappa=NaN", "detect.tau_s=NaN", "synth.cadence=NaN",
+        "train.base_lr=NaN",
     ])
     def test_wrong_typed_item_or_section_is_config_error(self, capsys, override):
         assert main(["clean", "--set", override]) == 2
@@ -290,6 +311,8 @@ class TestCmdClean:
     @pytest.mark.parametrize("key, value", [
         ("hidden", []), ("hidden", [32, 0]), ("window", 0), ("latent", -1),
         ("bn_eps", 0.0), ("bn_momentum", 2.0),
+        # a NaN passes every range check, so the type check rejects it
+        ("skip_alpha_init", float("nan")), ("beta0", float("nan")), ("conf_decay", float("nan")),
     ])
     def test_out_of_range_architecture_is_data_error(self, trained, capsys, key, value):
         tmp_path = trained["dir"]

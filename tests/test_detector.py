@@ -4,36 +4,52 @@ import pytest
 from dartclean.detector import (
     DetectConfig,
     build_masks,
-    detect_spikes,
     detect_steps,
     hybrid_score,
     merge_segments,
-    reconstruction_error,
     rolling_median_std,
     step_mean_shift,
 )
 from dartclean.errors import ConfigError, DataError
+from dartclean.metrics import baseline_rolling_median
+from dartclean.pipeline import detect_anomalies
+
+
+class FixedDecoder:
+    """Stands in for a model whose every pass decodes the series to ``recon``."""
+
+    def __init__(self, recon):
+        self.recon = recon
+
+    def infer_series(self, x, prev_z, blend_alpha):
+        return np.zeros((len(x), 1)), self.recon
+
+
+def re_spikes(x, recon, kappa=3.0):
+    """The detect pass's spike mask when the hybrid score is the
+    reconstruction error |x - recon| alone (``hybrid_alpha=1``)."""
+    masks, _ = detect_anomalies(FixedDecoder(recon), x,
+                                DetectConfig(hybrid_alpha=1.0, kappa=kappa))
+    return masks.spike
 
 
 class TestReconstructionError:
     def test_identical_series_zero(self, rng):
-        x = rng.normal(size=100)
-        assert not reconstruction_error(x, x.copy()).any()
+        x = rng.normal(size=1000)
+        assert not re_spikes(x, x.copy()).any()
 
-    def test_small_example(self):
-        out = reconstruction_error(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [1.0, 0.0])
+    def test_small_example(self, rng):
+        x = rng.normal(size=1000)
+        recon = x.copy()
+        recon[123] += 1.0
+        assert list(np.flatnonzero(re_spikes(x, recon))) == [123]
 
     def test_matches_elementwise_loop(self, rng):
-        x = rng.normal(size=50)
-        xhat = rng.normal(size=50)
-        out = reconstruction_error(x, xhat)
-        for i in range(50):
-            assert out[i] == abs(x[i] - xhat[i])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            reconstruction_error(np.zeros(3), np.zeros(4))
+        x = rng.normal(size=1000)
+        xhat = rng.normal(size=1000)
+        re = np.array([abs(x[i] - xhat[i]) for i in range(1000)])
+        _, expect = re_threshold((re - re.min()) / (re.max() - re.min()))
+        assert np.array_equal(np.flatnonzero(re_spikes(x, xhat)), expect)
 
 
 def re_threshold(re: np.ndarray, kappa: float = 3.0):
@@ -92,15 +108,20 @@ class TestRollingMedianStd:
             rolling_median_std(np.zeros(10), 48)
 
 
+def spikes(x, config):
+    """The rolling-median spike mask the eval baseline replaces."""
+    return baseline_rolling_median(x, config)[1]
+
+
 class TestDetectSpikes:
     def test_constant_series_empty_mask(self):
-        assert not detect_spikes(np.full(200, 1.5), DetectConfig()).any()
+        assert not spikes(np.full(200, 1.5), DetectConfig()).any()
 
     def test_impulse_in_seeded_noise(self):
         rng = np.random.default_rng(3)
         x = rng.normal(0.0, 0.1, 2000)
         x[700] += 1.0  # +10 sigma
-        mask = detect_spikes(x, DetectConfig())
+        mask = spikes(x, DetectConfig())
         assert mask[700]
         clean = np.ones(2000, dtype=bool)
         clean[700] = False
@@ -110,19 +131,18 @@ class TestDetectSpikes:
         x = rng.normal(size=500)
         x[100] += 8.0
         cfg = DetectConfig()
-        assert np.array_equal(detect_spikes(x, cfg), detect_spikes(x + 123.4, cfg))
+        assert np.array_equal(spikes(x, cfg), spikes(x + 123.4, cfg))
 
     def test_scale_invariance(self, rng):
         x = rng.normal(size=500)
         x[250] += 8.0
         cfg = DetectConfig()
-        assert np.array_equal(detect_spikes(x, cfg), detect_spikes(3.7 * x, cfg))
+        assert np.array_equal(spikes(x, cfg), spikes(3.7 * x, cfg))
 
     def test_override_threshold(self, rng):
         x = rng.normal(size=500)
-        cfg = DetectConfig()
-        loose = detect_spikes(x, cfg, tau_s=10.0)
-        tight = detect_spikes(x, cfg, tau_s=1.0)
+        loose = spikes(x, DetectConfig(tau_s=10.0))
+        tight = spikes(x, DetectConfig(tau_s=1.0))
         assert tight.sum() >= loose.sum()
 
 

@@ -15,6 +15,10 @@ build or CPU kernel may round the matrix products differently; on such a
 machine these digests are not expected to hold and must be recomputed
 from a known-good commit.
 
+``dartclean eval`` of the spike case's cleaned CSV against the series'
+ground truth is pinned too, so the rolling-median baseline it scores
+beside the pipeline is checked byte for byte.
+
 ``dartclean synth`` is pinned the same way: the DART text and the
 ground-truth CSV it writes for the acceptance spike spec and for a
 gapped, drifting spec (the benchmark's station-year spec cut to 4 000
@@ -86,6 +90,8 @@ GOLDEN = {
     },
 }
 
+EVAL_GOLDEN = "65b071285cc30c9e988bd7299ada9a76e85030e235003eac4a15fa4a737a974f"
+
 
 def clean_digests(tmp_path, spec) -> dict:
     raw = synth.generate(spec).to_raw_series()
@@ -109,6 +115,18 @@ def clean_digests(tmp_path, spec) -> dict:
 @pytest.mark.parametrize("series", sorted(SPECS))
 def test_clean_output_digests(tmp_path, series):
     assert clean_digests(tmp_path, SPECS[series]) == GOLDEN[series]
+
+
+def test_eval_output_digest(tmp_path):
+    spec = SPECS["spike"]
+    assert clean_digests(tmp_path, spec) == GOLDEN["spike"]
+    series_io.write_ground_truth(synth.generate(spec), spec, tmp_path / "truth.csv")
+    cfg = tmp_path / "eval.cfg.json"
+    cfg.write_text(json.dumps({"input": str(tmp_path / "cleaned.csv"),
+                               "ground_truth": str(tmp_path / "truth.csv"),
+                               "output": str(tmp_path / "eval.json")}))
+    assert main(["eval", "--config", str(cfg)]) == 0
+    assert hashlib.sha256((tmp_path / "eval.json").read_bytes()).hexdigest() == EVAL_GOLDEN
 
 
 @pytest.mark.parametrize("spec", sorted(SYNTH_SPECS))

@@ -1,11 +1,13 @@
 """Every name a package or test module imports is used in it or re-exported,
 every top-level function and class of the package is used by the package,
-no package module reads the environment, and no package code outside an
-``__init__`` rebinds a model array.
+so is every member of a package class unless a named file outside the
+package reads it, no package module reads the environment, and no package
+code outside an ``__init__`` rebinds a model array.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
-dead code, and so is a package function or class that only tests call.
+dead code, and so is a package function, class, method, property,
+dataclass field or ``__init__``-bound attribute that only tests read.
 Settings come from the config file and ``--set`` alone, so an environment
 variable read by the package would be a hidden setting.  ``Vae.__init__``
 builds every checkpointed array once, from ``model.state_shapes``, and the
@@ -14,12 +16,14 @@ it from the flat parameter vector and from the model's state.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "dartclean"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "dartclean"
 
 
 def imported_names(tree):
@@ -72,6 +76,86 @@ def test_every_definition_is_used_by_the_package(path):
                        if other is not node):
                 unused.append(node.name)
     assert not unused, f"no package code outside its own body uses {path.name}'s {unused}"
+
+
+def member_reads(node):
+    """Each attribute ``node`` loads, and each name it hands ``getattr`` or
+    ``hasattr`` as a string, once per read."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+              and sub.func.id in ("getattr", "hasattr") and len(sub.args) > 1
+              and isinstance(sub.args[1], ast.Constant)):
+            yield sub.args[1].value
+
+
+def class_members(tree):
+    """``(Class.member, body)`` of each method and property (``body`` is its
+    definition), dataclass field and ``__init__``-bound ``self`` attribute
+    (``body`` is None) of the module's classes.  Dunder methods run
+    implicitly, so they are left out."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = any("dataclass" in read_names(d) for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                yield f"{cls.name}.{node.name}", node
+            elif dataclass and isinstance(node, ast.AnnAssign):
+                yield f"{cls.name}.{node.target.id}", None
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                attrs = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                         and isinstance(sub.ctx, ast.Store)
+                         and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+                yield from ((f"{cls.name}.{attr}", None) for attr in sorted(attrs))
+
+
+def package_members():
+    """Every package class member mapped to the number of package reads of
+    its name, less those from inside its own definition."""
+    trees = [ast.parse(module.read_text()) for module in sorted(PACKAGE.glob("*.py"))]
+    reads = Counter(name for tree in trees for name in member_reads(tree))
+    counts = {}
+    for tree in trees:
+        for member, body in class_members(tree):
+            name = member.partition(".")[2]
+            counts[member] = reads[name] - (list(member_reads(body)).count(name) if body else 0)
+    return counts
+
+
+# members no package code reads, each with the file outside the package that
+# reads it: the acceptance gate, the benchmark's work counter and the text
+# layer's row-by-row oracle
+READ_OUTSIDE = {
+    "Vae.trainable": "tests/test_acceptance.py",
+    "CleanResult.spike_mask": "tests/test_acceptance.py",
+    "CleanResult.refine_history": "tests/test_acceptance.py",
+    "WindowBatch.origins": "tests/test_acceptance.py",
+    "GroundTruth.spike_events": "tests/test_acceptance.py",
+    "GroundTruth.step_magnitudes": "tests/test_acceptance.py",
+    "EpochRecord.val_recon": "tests/test_acceptance.py",
+    "Dense.out_dim": "perfbench/spans.py",
+    "ParseError.line_number": "tests/test_text_io.py",
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_member_is_read_by_the_package(path):
+    reads = package_members()
+    unread = [member for member, _ in class_members(ast.parse(path.read_text()))
+              if reads[member] <= 0 and member not in READ_OUTSIDE]
+    assert not unread, f"no package code outside its own body reads {path.name}'s {unread}"
+
+
+@pytest.mark.parametrize("member", sorted(READ_OUTSIDE))
+def test_each_member_read_outside_is_still_read_there_alone(member):
+    reads = package_members()
+    reader = READ_OUTSIDE[member]
+    assert member in reads, f"{member} is no longer defined"
+    assert reads[member] <= 0, f"package code reads {member}; drop it from READ_OUTSIDE"
+    assert member.partition(".")[2] in set(member_reads(ast.parse((ROOT / reader).read_text()))), \
+        f"{reader} no longer reads {member}"
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}

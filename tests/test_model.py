@@ -262,7 +262,7 @@ class TestStateRoundTrip:
         model.loss_and_grads(rng.normal(size=(8, 6)), step=0, rng=np.random.default_rng(1))
         model.update_global_skip(0.3)
         model.load_state(state)
-        for name, arr in model.state_arrays().items():
+        for name, arr in model.state.items():
             assert np.array_equal(arr, state[name]), name
 
     @pytest.mark.parametrize("hidden", [(5,), (3, 5), (16, 8, 4)])
@@ -271,8 +271,8 @@ class TestStateRoundTrip:
         # vector's layout, must name every array in checkpoint order
         model = tiny_model(hidden=hidden, window=7, latent=4)
         shapes = state_shapes(model.config)
-        assert list(shapes) == list(model.state_arrays())
-        assert shapes == {name: a.shape for name, a in model.state_arrays().items()}
+        assert list(shapes) == list(model.state)
+        assert shapes == {name: a.shape for name, a in model.state.items()}
 
     def test_missing_array_rejected(self):
         model = tiny_model()

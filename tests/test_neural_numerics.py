@@ -108,7 +108,7 @@ class TestBatchNorm:
         model = tiny_model(hidden=(5, 3))
         before = model.clone_state()
         model.infer(rng.normal(size=(8, 6)))
-        for name, arr in model.state_arrays().items():
+        for name, arr in model.state.items():
             assert np.array_equal(arr, before[name]), name
 
     def test_backward_matches_finite_differences(self, rng):

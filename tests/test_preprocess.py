@@ -100,7 +100,7 @@ class TestZscoreNormalize:
 
 class TestMakeWindows:
     def test_counts_and_origins(self):
-        batch = make_windows(np.arange(50.0), w=48, s=1)
+        batch = make_windows(np.arange(50.0), w=48)
         assert batch.windows.shape == (3, 48)
         assert list(batch.origins) == [0, 1, 2]
 

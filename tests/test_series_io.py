@@ -149,8 +149,8 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         save_checkpoint(model, stats, path)
         loaded, loaded_stats = load_checkpoint(path)
-        for name, arr in model.state_arrays().items():
-            other = loaded.state_arrays()[name]
+        for name, arr in model.state.items():
+            other = loaded.state[name]
             denom = np.maximum(np.abs(arr), 1e-300)
             assert np.all(np.abs(other - arr) / denom <= 1e-9), name
         assert loaded_stats.mean == stats.mean

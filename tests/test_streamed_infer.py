@@ -149,8 +149,9 @@ def test_refine_leaves_every_sample_outside_the_gate_untouched(n, seed, spike_p,
     masks = detector.AnomalyMasks(spike=rng.random(n) < spike_p, step=rng.random(n) < step_p)
     config = detector.DetectConfig(w_s=8, w_l=16, tau_s=tau_s, tau_l=0.5)
     result = refiner.refine(tiny_model(seed=seed % 5), x, masks, config,
-                            refiner.RefineConfig(iterations=3))
-    gate = result.spike_mask | result.step_mask
-    assert not (masks.spike & ~result.spike_mask).any()
+                            refiner.RefineConfig(iterations=3, keep_history=True))
+    # the last round's gate, the final spike mask or step mask
+    gate = result.history[-1][1] if result.history else np.zeros(n, dtype=bool)
+    assert not (masks.spike & ~gate).any()
     assert not (masks.step & ~result.step_mask).any()
     assert result.series[~gate].tobytes() == x[~gate].tobytes()

@@ -559,3 +559,11 @@ class TestReadCsv:
         text = "# cadence=fast\n" + truth_csv_text(3, rng)
         assert outcome(oracle_read_ground_truth, text)[0] is ParseError
         assert outcome(series_io.read_ground_truth, io.StringIO(text))[0] is ParseError
+        # eval's rate of change divides by the cadence: NaN would write a
+        # report that is not JSON, -900 flip its sign, inf zero it, and 0
+        # must not stand in for the 900 s default
+        for cadence in ("nan", "-900", "inf", "0"):
+            text = truth_csv_text(3, rng).replace("cadence=60.0", f"cadence={cadence}")
+            assert outcome(oracle_read_ground_truth, text)[0] is ParseError, cadence
+            got = outcome(series_io.read_ground_truth, io.StringIO(text))
+            assert got[0] is ParseError and "cadence" in got[1], cadence

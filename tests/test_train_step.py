@@ -165,7 +165,7 @@ def oracle_train(model, X, config):
             temporal=sums[2] / n_batches, mean=sums[3] / n_batches,
             total=sums[4] / n_batches, val_total=val.total,
             lr=schedule.lr_at(global_step, epoch - 1, plateau.multiplier),
-            grad_norm=grad_norm, wall_time=0.0, val_recon=val.recon,
+            grad_norm=grad_norm, val_recon=val.recon,
         ))
         if val.total < best_val:
             best_val, best_state = val.total, model.clone_state()
@@ -453,7 +453,7 @@ def test_loss_and_grads_matches_oracle(hidden):
         assert vars(lb) == vars(lb_o)
         assert identical(xhat, xhat_o)
         assert same_dicts(grads, grads_o)
-        assert same_dicts(model.state_arrays(), ref.state_arrays())
+        assert same_dicts(model.state, ref.state)
         assert rng.random() == rng_o.random()
 
 
@@ -482,7 +482,7 @@ def run_pair(model, X, cfg):
     assert reason == reason_o
     assert log.to_csv() == log_o.to_csv()
     assert [r.val_recon for r in log.records] == [r.val_recon for r in log_o.records]
-    assert same_dicts(model.state_arrays(), ref.state_arrays())
+    assert same_dicts(model.state, ref.state)
 
 
 def test_training_runs_match_oracle_in_one_process():

@@ -22,8 +22,7 @@ def _sine_windows(n=600, w=6):
 
 def _record(epoch, total=1.0, val=1.0):
     return EpochRecord(epoch=epoch, recon=total, kl=0.0, temporal=0.0, mean=0.0,
-                       total=total, val_total=val, lr=1e-4, grad_norm=0.5,
-                       wall_time=0.0)
+                       total=total, val_total=val, lr=1e-4, grad_norm=0.5)
 
 
 class TestEarlyStopCheck:
@@ -152,9 +151,9 @@ def test_state_taken_before_training_holds_the_trained_buffers():
     # model's own arrays and never rebinds them
     model = tiny_model(seed=3)
     fresh = model.clone_state()
-    before = model.state_arrays()
+    before = dict(model.state)
     train(model, _sine_windows(), TrainConfig(epochs=2, batch_size=32))
-    after = model.state_arrays()
+    after = model.state
     assert all(before[name] is after[name] for name in after)
     for name in ("enc0.running_mean", "enc0.running_var", "dec0.running_mean",
                  "dec0.running_var", "beta"):
