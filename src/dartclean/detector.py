@@ -127,13 +127,9 @@ def detect_steps(x: np.ndarray, config: DetectConfig, tau_l: float | None = None
     """
     tau = config.tau_l if tau_l is None else tau_l
     delta = step_mean_shift(x, config.w_l)
-    exceed = np.zeros(len(delta), dtype=bool)
-    valid = ~np.isnan(delta)
-    exceed[valid] = delta[valid] > tau
     mask = np.zeros(len(delta), dtype=bool)
-    for start, end in _true_runs(exceed):
-        run = slice(start, end + 1)
-        mask[start + int(np.argmax(delta[run]))] = True
+    for start, end in zip(*_true_runs(delta > tau)):   # NaN > tau is False
+        mask[start + int(np.argmax(delta[start:end + 1]))] = True
     return mask
 
 
@@ -159,32 +155,19 @@ def hybrid_score(re: np.ndarray, stat_dev: np.ndarray, hybrid_alpha: float = 0.7
 
 
 def _true_runs(mask: np.ndarray):
-    """Maximal [start, end] (inclusive) runs of True values."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.size == 0:
-        return []
-    edges = np.diff(mask.astype(int))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1))
-    if mask[0]:
-        starts.insert(0, 0)
-    if mask[-1]:
-        ends.append(len(mask) - 1)
-    return list(zip(starts, ends))
+    """(starts, ends): arrays of the first and last index of each maximal
+    run of True values."""
+    edges = np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
 def merge_segments(mask: np.ndarray, merge_gap: int = 0):
     """Maximal true-runs; runs separated by <= merge_gap false samples fuse."""
-    runs = _true_runs(mask)
-    if not runs:
-        return []
-    merged = [list(runs[0])]
-    for start, end in runs[1:]:
-        if start - merged[-1][1] - 1 <= merge_gap:
-            merged[-1][1] = end
-        else:
-            merged.append([start, end])
-    return [tuple(seg) for seg in merged]
+    starts, ends = _true_runs(mask)
+    # run k + 1 opens a segment when more than merge_gap samples part it from run k
+    split = starts[1:] - ends[:-1] > merge_gap + 1
+    return list(zip(np.append(starts[:1], starts[1:][split]).tolist(),
+                    np.append(ends[:-1][split], ends[-1:]).tolist()))
 
 
 def build_masks(spike_mask: np.ndarray, step_mask: np.ndarray,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .detector import step_mean_shift
 from .errors import ConfigError, DataError
 from .preprocess import denormalize  # re-exported: the pipeline's last stage
 
@@ -68,32 +69,25 @@ def gaussian_smooth(x: np.ndarray, config: SmoothConfig | None = None) -> np.nda
 
 def validate_steps(x: np.ndarray, step_mask: np.ndarray, spike_mask: np.ndarray,
                    w_l: int = 480, tau_l: float = 0.05, w_s: int = 48):
-    """Keep a step only if its mean shift persists on the refined series and
-    no spike segment sits within w_s samples of it.  Steps too close to the
-    series edge for the half-window are retained unvalidated.
+    """Keep a step only if its mean shift (``detector.step_mean_shift``)
+    persists on the refined series and no spike sits within w_s samples of
+    it.  Steps too close to the series edge for the half-window are
+    retained unvalidated.
 
     Returns (validated mask, warning indices for edge-retained steps).
     """
-    x = np.asarray(x, dtype=float)
-    step_mask = np.asarray(step_mask, dtype=bool)
-    spike_mask = np.asarray(spike_mask, dtype=bool)
-    n = len(x)
-    half = w_l // 2
+    n, half = len(x), w_l // 2
+    steps = np.flatnonzero(step_mask)
+    edge = (steps < half) | (steps + half > n)
+    keep = edge.copy()
+    inner = steps[~edge]
+    if inner.size:   # then n >= 2 * half, as the kernel needs
+        spikes = np.concatenate(([0], np.cumsum(spike_mask)))   # spikes before each index
+        near_spike = spikes[np.minimum(inner + w_s + 1, n)] > spikes[np.maximum(inner - w_s, 0)]
+        keep[~edge] = ~(step_mean_shift(x, 2 * half)[inner] < tau_l) & ~near_spike
     validated = np.zeros(n, dtype=bool)
-    warned = []
-    spike_idx = np.flatnonzero(spike_mask)
-    for i in np.flatnonzero(step_mask):
-        if i - half < 0 or i + half > n:
-            validated[i] = True
-            warned.append(int(i))
-            continue
-        shift = abs(x[i:i + half].mean() - x[i - half:i].mean())
-        if shift < tau_l:
-            continue
-        if spike_idx.size and np.any(np.abs(spike_idx - i) <= w_s):
-            continue
-        validated[i] = True
-    return validated, warned
+    validated[steps[keep]] = True
+    return validated, steps[edge].tolist()
 
 
 def realign_steps(x: np.ndarray, step_mask: np.ndarray, w_l: int = 480) -> np.ndarray:

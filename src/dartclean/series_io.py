@@ -271,18 +271,15 @@ def _dart_row(values) -> str:
     return f"{stamp} 1 {'9999.000' if missing else format(height, '.17g')}\n"
 
 
-def emit_dart(series: RawSeries, destination=None) -> str:
-    """Serialize a RawSeries to DART text; flagged samples emit the sentinel.
+def emit_dart(series: RawSeries, destination) -> None:
+    """Write a RawSeries as DART text; flagged samples emit the sentinel.
 
     Heights use repr-precision formatting so emit -> parse round trips are
     value-exact for finite data.
     """
-    text = "#YY  MM DD hh mm ss T   HEIGHT\n" + "".join(format_rows(
+    write_text(destination, itertools.chain(["#YY  MM DD hh mm ss T   HEIGHT\n"], format_rows(
         _dart_row, _dart_stamps, series.timestamps,
-        [np.asarray(series.values, dtype=float), np.asarray(series.flags) == FLAG_MISSING]))
-    if destination is not None:
-        write_text(destination, text)
-    return text
+        [np.asarray(series.values, dtype=float), np.asarray(series.flags) == FLAG_MISSING])))
 
 
 def read_text(source) -> str:

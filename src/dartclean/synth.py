@@ -49,6 +49,26 @@ class SynthSpec:
                               f"9999-12-31T23:59:59Z, got {self.cadence}")
         if self.drift not in ("none", "linear", "exponential"):
             raise ConfigError(f"unknown drift kind {self.drift!r}")
+        checks = [
+            (("noise_sigma",), lambda v: v >= 0 and np.isfinite(v), "a finite number >= 0"),
+            (("tides",), lambda v: all(len(t) == 3 and np.isfinite(t).all() and t[1] > 0
+                                       for t in v),
+             "a list of finite [amplitude, period > 0, phase] triples"),
+            (("spike_amp_range", "step_mag_range"), _is_pair, "two finite numbers, low <= high"),
+            (("spike_width_range", "gap_len_range"), lambda v: _is_pair(v) and v[0] >= 1,
+             "two integers, 1 <= low <= high"),
+            (("drift_rate", "drift_scale", "base_level"), np.isfinite, "a finite number"),
+            (("spike_count", "step_count", "gap_count"), lambda v: v >= 0, "a count >= 0"),
+        ]
+        for keys, ok, rule in checks:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"synth.{key} must be {rule}, got {getattr(self, key)!r}")
+
+
+def _is_pair(values) -> bool:
+    """Two finite numbers, the first no greater than the second."""
+    return len(values) == 2 and bool(np.isfinite(values).all()) and values[0] <= values[1]
 
 
 @dataclass

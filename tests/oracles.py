@@ -241,6 +241,34 @@ def oracle_infer_pass(model, x, detect_config, tau_l=None, prev_z=None, blend_al
     return refiner.InferPass(z=z, recon=recon, deviation=deviation, step_mask=step_mask)
 
 
+# ------------------------------------------------------------ postprocess
+
+def oracle_validate_steps(x, step_mask, spike_mask, w_l=480, tau_l=0.05, w_s=48):
+    """``postprocess.validate_steps`` as a per-candidate loop: both
+    half-window means taken on slices, the spike veto a scan of every
+    spike index."""
+    x = np.asarray(x, dtype=float)
+    step_mask = np.asarray(step_mask, dtype=bool)
+    spike_mask = np.asarray(spike_mask, dtype=bool)
+    n = len(x)
+    half = w_l // 2
+    validated = np.zeros(n, dtype=bool)
+    warned = []
+    spike_idx = np.flatnonzero(spike_mask)
+    for i in np.flatnonzero(step_mask):
+        if i - half < 0 or i + half > n:
+            validated[i] = True
+            warned.append(int(i))
+            continue
+        shift = abs(x[i:i + half].mean() - x[i - half:i].mean())
+        if shift < tau_l:
+            continue
+        if spike_idx.size and np.any(np.abs(spike_idx - i) <= w_s):
+            continue
+        validated[i] = True
+    return validated, warned
+
+
 # ----------------------------------------------------------------- metrics
 
 def oracle_rate_of_change(series, cadence_seconds):

@@ -1,11 +1,15 @@
 """Corrupted files fail with a documented exit code, never an exception.
 
-A derandomized property mutates the bytes of a checkpoint, a cleaned CSV
-or a ground-truth CSV (one byte replaced, inserted or deleted, the file
-truncated, or one line duplicated) and runs the command that reads it,
-`dartclean clean` or `dartclean eval`, in process.  Whatever the bytes,
-the command exits 0 (the file still reads as valid data), 3 (data error)
-or 4 (numeric error), and no exception escapes ``cli.main``.
+A derandomized property mutates the bytes of a checkpoint, a cleaned CSV,
+a ground-truth CSV, a DART file or a clean config (one byte replaced,
+inserted or deleted, the file truncated, or one line duplicated, dropped
+or swapped with the next) and runs the command that reads it, in process:
+`dartclean clean` for the checkpoint, the config and the DART file,
+`dartclean train` for the DART file too, and `dartclean eval` for the two
+CSVs.  Whatever the bytes, the command exits 0 (the file still reads as
+valid data), 3 (data error) or 4 (numeric error), or 2 (config error) for
+the config, and no exception escapes ``cli.main``.  A dropped DART line
+exits 0: the cadence is not checked yet.
 """
 
 import json
@@ -35,14 +39,17 @@ def files(tmp_path_factory):
     assert main(["synth", "--config", _config(
         d, "synth.json", output=str(dart), ground_truth=str(truth),
         synth={"n": 600, "seed": 3, "spike_count": 6})]) == 0
-    assert main(["train", "--config", _config(
-        d, "train.json", input=str(dart), checkpoint=str(ck), train_log=str(d / "train.csv"),
-        model={"window": 24, "hidden": [16, 8], "latent": 4},
-        train={"epochs": 1, "batch_size": 64})]) == 0
 
-    def clean(name, checkpoint, output):
+    def train(name, source, checkpoint):
+        return ["train", "--config", _config(
+            d, name, input=str(source), checkpoint=str(checkpoint),
+            train_log=f"{checkpoint}.csv", verbosity=0,
+            model={"window": 24, "hidden": [16, 8], "latent": 4},
+            train={"epochs": 1, "batch_size": 64})]
+
+    def clean(name, checkpoint, output, source=dart):
         return ["clean", "--config", _config(
-            d, name, input=str(dart), checkpoint=str(checkpoint), output=str(output),
+            d, name, input=str(source), checkpoint=str(checkpoint), output=str(output),
             detect=DETECT, refine={"iterations": 3})]
 
     def evaluate(name, cleaned_path, truth_path):
@@ -50,19 +57,28 @@ def files(tmp_path_factory):
             d, name, input=str(cleaned_path), ground_truth=str(truth_path),
             output=str(d / "report.json"), detect=DETECT)]
 
+    assert main(train("train.json", dart, ck)) == 0
     assert main(clean("clean.json", ck, cleaned)) == 0
     mutant = d / "mutant"
+    # the config names its files relative to the directory it runs in, so
+    # a mutated name points into that directory or nowhere
+    _config(d, "clean_relative.json", input=dart.name, checkpoint=ck.name,
+                     output="config_cleaned.csv", detect=DETECT, refine={"iterations": 3})
     return {
         "checkpoint": (ck, clean("clean_mutant.json", mutant, d / "mutant_cleaned.csv")),
         "cleaned": (cleaned, evaluate("eval_cleaned.json", mutant, truth)),
         "truth": (truth, evaluate("eval_truth.json", cleaned, mutant)),
+        "dart_clean": (dart, clean("clean_dart.json", ck, d / "dart_cleaned.csv", mutant)),
+        "dart_train": (dart, train("train_dart.json", mutant, d / "mutant_model.ckpt")),
+        "config": (d / "clean_relative.json", ["clean", "--config", str(mutant)]),
         "mutant": mutant,
+        "dir": d,
     }
 
 
 def mutate(data: bytes, kind: str, where: float, byte: int) -> bytes:
     """``data`` with one mutation of ``kind`` at the fraction ``where`` of
-    its bytes (of its lines, for a duplicated line)."""
+    its bytes (of its lines, for a line kind)."""
     i = min(int(where * len(data)), len(data) - 1)
     if kind == "replace":
         return data[:i] + bytes([byte]) + data[i + 1:]
@@ -74,14 +90,23 @@ def mutate(data: bytes, kind: str, where: float, byte: int) -> bytes:
         return data[:i]
     lines = data.splitlines(keepends=True)
     k = min(int(where * len(lines)), len(lines) - 1)
-    return b"".join(lines[:k + 1] + lines[k:])
+    if kind == "duplicate":
+        return b"".join(lines[:k + 1] + lines[k:])
+    if kind == "drop":
+        return b"".join(lines[:k] + lines[k + 1:])
+    return b"".join(lines[:k] + lines[k + 1:k + 2] + lines[k:k + 1] + lines[k + 2:])  # swap
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(target=st.sampled_from(["checkpoint", "cleaned", "truth"]),
-       kind=st.sampled_from(["replace", "insert", "delete", "truncate", "duplicate"]),
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(target=st.sampled_from(["checkpoint", "cleaned", "truth", "dart_clean", "dart_train",
+                               "config"]),
+       kind=st.sampled_from(["replace", "insert", "delete", "truncate", "duplicate", "drop",
+                             "swap"]),
        where=st.floats(0.0, 1.0), byte=st.integers(0, 255))
 def test_mutated_input_exits_with_a_documented_code(files, target, kind, where, byte):
     source, argv = files[target]
     files["mutant"].write_bytes(mutate(source.read_bytes(), kind, where, byte))
-    assert main(argv) in (0, 3, 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(files["dir"])
+        code = main(argv)
+    assert code in ((0, 2, 3, 4) if target == "config" else (0, 3, 4))

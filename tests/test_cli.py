@@ -135,6 +135,25 @@ class TestCmdSynth:
         assert main(["synth", "--config", cfg, "--set", f"synth.cadence={cadence + 1}"]) == 2
         assert "synth.cadence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "synth.noise_sigma=-1", "synth.noise_sigma=Infinity",
+        "synth.tides=[[1,0,0]]", "synth.tides=[[1,2]]", "synth.tides=[[1,Infinity,0]]",
+        "synth.spike_amp_range=[Infinity,1]", "synth.step_mag_range=[1,2,3]",
+        "synth.step_mag_range=[1,0.5]",
+        "synth.spike_width_range=[3,1]", "synth.gap_len_range=[1]", "synth.gap_len_range=[0,0]",
+        "synth.drift_rate=Infinity", "synth.drift_scale=-Infinity", "synth.base_level=Infinity",
+        "synth.spike_count=-1", "synth.step_count=-1", "synth.gap_count=-1",
+    ])
+    def test_synth_setting_out_of_range_is_config_error(self, tmp_path, capsys, override):
+        # every setting is drawn on: spikes, a step, a gap and an exponential drift
+        cfg, out = _synth_args(tmp_path, n=600, spike_count=2, step_count=1, gap_count=1,
+                               drift="exponential", drift_rate=1e-3, drift_scale=0.1)
+        assert main(["synth", "--config", cfg]) == 0
+        out.unlink()
+        assert main(["synth", "--config", cfg, "--set", override]) == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reparse_matches_generator(self, tmp_path):
         cfg, out = _synth_args(tmp_path, seed=21)
         main(["synth", "--config", cfg])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dartclean.errors import ConfigError, DataError
 from dartclean.postprocess import (
@@ -9,6 +11,8 @@ from dartclean.postprocess import (
     realign_steps,
     validate_steps,
 )
+
+from tests.oracles import oracle_validate_steps
 
 
 class TestKernel:
@@ -124,6 +128,30 @@ class TestValidateSteps:
         mask = rng.random(2000) < 0.01
         validated, _ = validate_steps(x, mask, np.zeros(2000, dtype=bool))
         assert not validated[~mask].any()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 160), w_l=st.integers(3, 90),
+       w_s=st.integers(3, 40), tau_l=st.floats(0.0, 1.0),
+       step_p=st.sampled_from([0.0, 0.05, 0.3, 1.0]), spike_p=st.sampled_from([0.0, 0.02, 0.2]),
+       with_nan=st.booleans())
+@example(seed=1, n=8, w_l=9, w_s=3, tau_l=0.1, step_p=1.0, spike_p=0.0, with_nan=False)
+@example(seed=2, n=30, w_l=50, w_s=4, tau_l=0.1, step_p=0.3, spike_p=0.2, with_nan=False)
+@example(seed=3, n=20, w_l=6, w_s=15, tau_l=0.1, step_p=1.0, spike_p=0.2, with_nan=False)
+def test_validate_steps_matches_per_candidate_loop(seed, n, w_l, w_s, tau_l, step_p, spike_p,
+                                                   with_nan):
+    # the examples: odd w_l with n = w_l - 1 (one interior index), a series
+    # shorter than w_l (every step at an edge) and one shorter than 2 w_s + 1
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) + np.where(np.arange(n) >= rng.integers(0, n + 1), 0.5, 0.0)
+    if with_nan:
+        x[rng.integers(0, n)] = np.nan
+    steps = rng.random(n) < step_p
+    spikes = rng.random(n) < spike_p
+    got = validate_steps(x, steps, spikes, w_l=w_l, tau_l=tau_l, w_s=w_s)
+    want = oracle_validate_steps(x, steps, spikes, w_l=w_l, tau_l=tau_l, w_s=w_s)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
 
 
 class TestRealignSteps:

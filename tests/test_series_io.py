@@ -85,7 +85,9 @@ class TestParseDartFile:
         truth = synth.generate(synth.SynthSpec(n=1000, spike_count=3, gap_count=2,
                                                seed=11))
         raw = truth.to_raw_series()
-        parsed = parse_dart_file(io.StringIO(emit_dart(raw)))
+        text = io.StringIO()
+        emit_dart(raw, text)
+        parsed = parse_dart_file(io.StringIO(text.getvalue()))
         valid = raw.flags == FLAG_VALID
         assert np.array_equal(parsed.flags, raw.flags)
         # bitwise equality for every valid sample
