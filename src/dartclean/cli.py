@@ -70,6 +70,8 @@ def load_config(path=None, overrides=(), seed=None):
     if seed is not None:
         data["seed"] = seed
     cfg = {key: typed(data.get(key, like), like, key) for key, like in TOP_DEFAULTS.items()}
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']}")
     for name, cls in SECTION_TYPES.items():
         section = data.get(name, {})
         if not isinstance(section, dict):

@@ -415,13 +415,14 @@ class Vae:
 
     def _infer_rows(self, X: np.ndarray, prev_z, blend_alpha: float, logvar_out, emit):
         """The one infer-mode forward, behind :meth:`infer` and
-        :meth:`infer_series`.  Encodes and blends every row block of the
-        [n x window] windows ``X`` into z; then decodes the blocks and hands
-        each decoded block, in block order, to ``emit(lo, hi, xhat_block)``
-        in the calling thread, which must be done with the block when it
-        returns.  The blocks of each pass run on :func:`blocks.map_blocks`;
-        every block is encoded before any is decoded, so encoder faults come
-        first.  Returns z."""
+        :meth:`infer_series`.  Each row block of the [n x window] windows
+        ``X`` is encoded, blended into z and decoded by one task of
+        :func:`blocks.map_blocks`; each decoded block is handed, in block
+        order, to ``emit(lo, hi, xhat_block)`` in the calling thread, which
+        must be done with the block when it returns.  An encoder fault
+        raises when its block's turn comes; the callers check the decoded
+        output once every block is emitted, so encoder faults come first.
+        Returns z."""
         n, w, latent = X.shape[0], self.config.window, self.config.latent
         if prev_z is not None and np.shape(prev_z) != (n, latent):
             raise ShapeError(f"expected [{n} x {latent}] previous latents, "
@@ -432,21 +433,21 @@ class Vae:
         # Every block-sized array a block writes lives in a flat buffer
         # allocated by this thread: a pool thread's malloc arena would keep
         # what the thread frees for the life of the process.  Each worker
-        # has three.  A layer reads one of the first two and writes the
-        # other; the third takes the log-variances and the products of the
-        # first decoder skip and the global skip.  A later decoder layer
-        # writes its skip products over its spent input.  A decoded block
-        # waits for the overlap-add in the (block mod ahead)-th of ``ahead``
-        # more.
+        # has two.  A layer reads one and writes the other; the spare one
+        # takes the log-variances, the blend product and the products of
+        # the first decoder skip and the global skip.  A later decoder
+        # layer writes its skip products over its spent input.  A decoded
+        # block waits for the overlap-add in the (block mod ahead)-th of
+        # ``ahead`` more.
         rows = max(hi - lo for lo, hi in spans)
-        widths = [max(w, latent, *self.config.hidden)] * 2 + [max(w, latent)]
-        scratch = [[np.empty(rows * k) for k in widths] for _ in range(count)]
+        width = max(w, latent, *self.config.hidden)
+        scratch = [(np.empty(rows * width), np.empty(rows * width)) for _ in range(count)]
         ahead = min(DECODED_AHEAD * count, len(spans))
         decoded = [np.empty(rows * w) for _ in range(ahead)]
 
-        def encode(i, worker):
+        def infer_block(i, worker):
             lo, hi = spans[i]
-            a, b, c = scratch[worker]
+            a, b = scratch[worker]
             h = _rows(a, hi - lo, w)
             np.copyto(h, X[lo:hi])
             for dn, bn in zip(self.enc_dense, self.enc_bn):
@@ -454,7 +455,7 @@ class Vae:
                 h = _frozen_block(h, dn, bn, a)
             mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
             mu += self.mu_head.b
-            logvar = np.matmul(h, self.logvar_head.W.T, out=_rows(c, hi - lo, latent)
+            logvar = np.matmul(h, self.logvar_head.W.T, out=_rows(b, hi - lo, latent)
                                if logvar_out is None else logvar_out[lo:hi])
             logvar += self.logvar_head.b
             np.clip(logvar, -LOGVAR_CLIP, LOGVAR_CLIP, out=logvar)
@@ -465,25 +466,16 @@ class Vae:
                 mu *= blend_alpha
                 mu += np.multiply(1.0 - blend_alpha, prev_z[lo:hi],
                                   out=_rows(b, hi - lo, latent))
-
-        def decode(i, worker):
-            lo, hi = spans[i]
-            a, b, c = scratch[worker]
-            h = z[lo:hi]
-            skip = _rows(c, hi - lo, latent)
+            h, skip = mu, _rows(b, hi - lo, latent)
             for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
                 h = skip = _frozen_block(h, dn, bn, a, alpha, skip)
                 a, b = b, a
             y = np.matmul(h, self.out_layer.W.T, out=_rows(decoded[i % ahead], hi - lo, w))
             y += self.out_layer.b
-            y += np.multiply(self.beta, X[lo:hi], out=_rows(c, hi - lo, w))
-            if not np.all(np.isfinite(y)):
-                raise NumericError("non-finite decoder outputs")
+            y += np.multiply(self.beta, X[lo:hi], out=_rows(a, hi - lo, w))
             return y
 
-        for _ in map_blocks(encode, range(len(spans)), count, len(spans)):
-            pass
-        for (lo, hi), y in zip(spans, map_blocks(decode, range(len(spans)), count, ahead)):
+        for (lo, hi), y in zip(spans, map_blocks(infer_block, range(len(spans)), count, ahead)):
             emit(lo, hi, y)
         return z
 
@@ -505,7 +497,10 @@ class Vae:
         def keep(lo, hi, block):
             xhat[lo:hi] = block
 
-        return self._infer_rows(X, prev_z, blend_alpha, logvar_out, keep), xhat
+        z = self._infer_rows(X, prev_z, blend_alpha, logvar_out, keep)
+        if not np.all(np.isfinite(xhat)):
+            raise NumericError("non-finite decoder outputs")
+        return z, xhat
 
     def infer_series(self, x: np.ndarray, prev_z: np.ndarray | None = None,
                      blend_alpha: float = 1.0):
@@ -531,6 +526,8 @@ class Vae:
                 recon[lo + j:hi + j] += block[:, j]
 
         z = self._infer_rows(sliding_window_view(x, w), prev_z, blend_alpha, None, overlap_add)
+        if not np.all(np.isfinite(recon)):
+            raise NumericError("non-finite decoder outputs")
         i = np.arange(n)
         recon /= np.minimum(i, n - w) - np.maximum(i - (w - 1), 0) + 1
         return z, recon

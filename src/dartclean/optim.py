@@ -111,47 +111,28 @@ LR_FLOOR = 1e-8
 SCHEDULE_VARIANTS = ("step_decay", "warmup", "cosine", "plateau")
 
 
-@dataclass
-class LrSchedule:
-    """Learning-rate schedule.
+def learning_rate(config, step: int, epoch: int, total_steps: int,
+                  plateau_mult: float) -> float:
+    """The learning rate of the ``TrainConfig`` ``config`` at global
+    ``step`` of zero-based ``epoch``, of ``total_steps`` in the run.
 
     Composition order when several mechanisms are active: warm-up factor,
     then the variant's decay (cosine or halving-by-epoch), then the plateau
     multiplier maintained by a :class:`PlateauTracker`.
     """
-
-    variant: str = "step_decay"
-    base_lr: float = 1e-4
-    decay_steps: int = 100
-    t_warmup: int = 0
-    total_steps: int = 0
-
-    def __post_init__(self):
-        if self.variant not in SCHEDULE_VARIANTS:
-            raise ConfigError(f"unknown schedule variant {self.variant!r}")
-        if self.variant == "cosine" and self.total_steps <= 0:
-            raise ConfigError("cosine schedule requires total_steps > 0")
-
-    def warmup_factor(self, step: int) -> float:
-        if self.t_warmup <= 0:
-            return 1.0
-        return min(1.0, step / self.t_warmup)
-
-    def lr_at(self, step: int, epoch: int = 0, plateau_mult: float = 1.0) -> float:
-        if step < 0:
-            raise ConfigError("step must be >= 0")
-        if self.variant == "warmup":
-            lr = self.base_lr * self.warmup_factor(step)
-        elif self.variant == "step_decay":
-            lr = self.base_lr * 0.5 ** (epoch // self.decay_steps)
-            lr *= self.warmup_factor(step)
-        elif self.variant == "cosine":
-            lr = self.base_lr * (1.0 + math.cos(math.pi * step / self.total_steps)) / 2.0
-            lr *= self.warmup_factor(step)
-        else:  # plateau: base rate scaled only by the tracker's multiplier
-            lr = self.base_lr
-        lr *= plateau_mult
-        return max(lr, LR_FLOOR)
+    warmup = min(1.0, step / config.t_warmup) if config.t_warmup > 0 else 1.0
+    if config.schedule == "warmup":
+        lr = config.base_lr * warmup
+    elif config.schedule == "step_decay":
+        lr = config.base_lr * 0.5 ** (epoch // config.decay_steps)
+        lr *= warmup
+    elif config.schedule == "cosine":
+        lr = config.base_lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
+        lr *= warmup
+    else:  # plateau: base rate scaled only by the tracker's multiplier
+        lr = config.base_lr
+    lr *= plateau_mult
+    return max(lr, LR_FLOOR)
 
 
 @dataclass

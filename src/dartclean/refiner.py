@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detector
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -118,14 +118,11 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
                                   tau_l=detect_config.tau_l * decay, prev_z=prev_z,
                                   blend_alpha=config.blend_alpha)
         prev_z = inferred.z
-        candidate = inferred.recon
-        if not np.all(np.isfinite(candidate)):
-            raise NumericError(f"non-finite reconstruction at iteration {k}")
         spike_mask = spike_mask | (inferred.deviation > detect_config.tau_s * decay)
         step_mask = step_mask | inferred.step_mask
 
         gate = spike_mask | step_mask
-        nxt = np.where(gate, candidate, current)
+        nxt = np.where(gate, inferred.recon, current)
         # per-iteration error |xhat_k - xhat_{k-1}| on the gated series
         change = np.abs(nxt - current)
         mean_change = float(change.mean())

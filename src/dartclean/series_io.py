@@ -439,6 +439,16 @@ def build_section(cls, data: dict, path: str):
                   for key, value in data.items()})
 
 
+def check_rules(config, path: str, rules):
+    """Raise ``ConfigError`` naming ``path.key`` for the first key of
+    ``rules``, a list of (keys, ok, rule) triples, whose value ``ok``
+    rejects; ``rule`` says what the key must be."""
+    for keys, ok, rule in rules:
+        for key in keys:
+            if not ok(getattr(config, key)):
+                raise ConfigError(f"{path}.{key} must be {rule}, got {getattr(config, key)!r}")
+
+
 def load_checkpoint(source):
     """Load a checkpoint; returns (Vae, NormStats).
 

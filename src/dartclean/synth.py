@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .series_io import FLAG_MISSING, FLAG_VALID, LAST_SECOND, RawSeries
+from .series_io import FLAG_MISSING, FLAG_VALID, LAST_SECOND, RawSeries, check_rules
 
 # dominant semidiurnal constituents: lunar M2 and solar S2 periods in seconds
 DEFAULT_TIDES = ((0.3, 44714.0, 0.0), (0.15, 43200.0, 1.3))
@@ -49,7 +49,7 @@ class SynthSpec:
                               f"9999-12-31T23:59:59Z, got {self.cadence}")
         if self.drift not in ("none", "linear", "exponential"):
             raise ConfigError(f"unknown drift kind {self.drift!r}")
-        checks = [
+        check_rules(self, "synth", [
             (("noise_sigma",), lambda v: v >= 0 and np.isfinite(v), "a finite number >= 0"),
             (("tides",), lambda v: all(len(t) == 3 and np.isfinite(t).all() and t[1] > 0
                                        for t in v),
@@ -59,11 +59,8 @@ class SynthSpec:
              "two integers, 1 <= low <= high"),
             (("drift_rate", "drift_scale", "base_level"), np.isfinite, "a finite number"),
             (("spike_count", "step_count", "gap_count"), lambda v: v >= 0, "a count >= 0"),
-        ]
-        for keys, ok, rule in checks:
-            for key in keys:
-                if not ok(getattr(self, key)):
-                    raise ConfigError(f"synth.{key} must be {rule}, got {getattr(self, key)!r}")
+            (("seed",), lambda v: v >= 0, "an integer >= 0"),
+        ])
 
 
 def _is_pair(values) -> bool:

@@ -8,9 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import DataError, NumericError
 from .model import LatentState
-from .optim import Adam, LrSchedule, PlateauTracker, clip_by_global_norm, accumulate_gradients
+from .optim import (SCHEDULE_VARIANTS, Adam, PlateauTracker, accumulate_gradients,
+                    clip_by_global_norm, learning_rate)
+from .series_io import check_rules
 
 LOG_HEADER = "epoch,recon,kl,temporal,mean,total,val_total,lr,grad_norm"
 
@@ -38,14 +40,18 @@ class TrainConfig:
     max_epochs: int = 1000
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if not 0.0 < self.val_fraction < 0.5:
-            raise ConfigError("validation fraction must lie in (0, 0.5)")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        if self.accumulation_steps < 1:
-            raise ConfigError("accumulation steps must be >= 1")
+        check_rules(self, "train", [
+            (("epochs", "batch_size", "accumulation_steps", "patience", "decay_steps",
+              "max_epochs"), lambda v: v >= 1, "an integer >= 1"),
+            (("t_anneal", "t_warmup", "seed"), lambda v: v >= 0, "an integer >= 0"),
+            (("val_fraction",), lambda v: 0.0 < v < 0.5, "a number in (0, 0.5)"),
+            (("base_lr",), lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+            (("clip_tau",), lambda v: v > 0.0, "a number > 0 (Infinity for no clipping)"),
+            (("weight_decay", "lam_temporal", "lam_mean"), lambda v: 0.0 <= v < math.inf,
+             "a finite number >= 0"),
+            (("schedule",), lambda v: v in SCHEDULE_VARIANTS,
+             f"one of {', '.join(SCHEDULE_VARIANTS)}"),
+        ])
 
 
 @dataclass
@@ -133,11 +139,7 @@ def train(model, windows, config: TrainConfig):
     X_train, X_val = X[:-n_val], X[-n_val:]
 
     rng = np.random.default_rng(config.seed)
-    schedule = LrSchedule(
-        variant=config.schedule, base_lr=config.base_lr,
-        decay_steps=config.decay_steps, t_warmup=config.t_warmup,
-        total_steps=config.epochs * max(1, math.ceil(len(X_train) / config.batch_size)),
-    )
+    total_steps = config.epochs * math.ceil(len(X_train) / config.batch_size)
     plateau = PlateauTracker(patience=config.patience, min_delta=config.min_delta)
     optimizer = Adam(model.params, model.decayed, weight_decay=config.weight_decay)
 
@@ -156,7 +158,7 @@ def train(model, windows, config: TrainConfig):
         n_batches = 0
         for start in range(0, len(X_train), config.batch_size):
             batch = X_train[order[start:start + config.batch_size]]
-            lr = schedule.lr_at(global_step, epoch - 1, plateau.multiplier)
+            lr = learning_rate(config, global_step, epoch - 1, total_steps, plateau.multiplier)
             lb, _, grads = model.loss_and_grads(
                 batch, step=global_step, rng=rng,
                 t_anneal=config.t_anneal, lam_temporal=config.lam_temporal,
@@ -198,7 +200,7 @@ def train(model, windows, config: TrainConfig):
         val_history.append(val_total)
         kl_history.append(sums[1] / n_batches)
         grad_norm = float(np.mean(norms)) if norms else 0.0
-        lr_logged = schedule.lr_at(global_step, epoch - 1, plateau.multiplier)
+        lr_logged = learning_rate(config, global_step, epoch - 1, total_steps, plateau.multiplier)
         log.records.append(EpochRecord(
             epoch=epoch, recon=sums[0] / n_batches, kl=sums[1] / n_batches,
             temporal=sums[2] / n_batches, mean=sums[3] / n_batches,

@@ -7,6 +7,8 @@ a ``train`` flag, so ``train=False`` is the old infer-mode forward (frozen
 batch norm, no dropout, eps = 0).  The windowing and overlap-add oracles
 are the plain slice loops; with the cached infer-mode forward they make up
 the windowed refinement pass that :meth:`Vae.infer_series` streams.
+The learning-rate oracle is ``LrSchedule.lr_at``, of the class that copied
+five ``TrainConfig`` fields before ``optim.learning_rate`` read the config.
 The two CSV reader oracles are the row-by-row readers the array reader of
 ``series_io`` replaced, reading text instead of a path or a stream.  The
 rate-of-change oracle is the per-sample rate that
@@ -15,15 +17,17 @@ rate-of-change oracle is the per-sample rate that
 
 import csv
 import io
+import math
 from datetime import datetime, timezone
 
 import numpy as np
 
 from dartclean import detector, refiner
-from dartclean.errors import DataError, NumericError, ParseError
+from dartclean.errors import ConfigError, DataError, NumericError, ParseError
 from dartclean.series_io import CSV_HEADER, CleanedOutput
 from dartclean.layers import dropout_rate
 from dartclean.model import LOGVAR_CLIP, LatentState
+from dartclean.optim import LR_FLOOR
 from dartclean.preprocess import WindowBatch
 
 ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
@@ -199,6 +203,33 @@ def oracle_infer(model, X, prev_z=None, blend_alpha=1.0):
         z = blend_alpha * z + (1.0 - blend_alpha) * prev_z
     xhat, _ = oracle_decode(model, z, X, train=False)
     return z, xhat
+
+
+# ---------------------------------------------------------------- schedule
+
+def oracle_lr_at(variant, base_lr, decay_steps, t_warmup, total_steps, step, epoch=0,
+                 plateau_mult=1.0):
+    """``LrSchedule(variant, base_lr, decay_steps, t_warmup,
+    total_steps).lr_at(step, epoch, plateau_mult)``."""
+    def warmup_factor(step):
+        if t_warmup <= 0:
+            return 1.0
+        return min(1.0, step / t_warmup)
+
+    if step < 0:
+        raise ConfigError("step must be >= 0")
+    if variant == "warmup":
+        lr = base_lr * warmup_factor(step)
+    elif variant == "step_decay":
+        lr = base_lr * 0.5 ** (epoch // decay_steps)
+        lr *= warmup_factor(step)
+    elif variant == "cosine":
+        lr = base_lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
+        lr *= warmup_factor(step)
+    else:  # plateau: base rate scaled only by the tracker's multiplier
+        lr = base_lr
+    lr *= plateau_mult
+    return max(lr, LR_FLOOR)
 
 
 # ------------------------------------------------------- windows and passes

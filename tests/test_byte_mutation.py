@@ -1,15 +1,16 @@
 """Corrupted files fail with a documented exit code, never an exception.
 
 A derandomized property mutates the bytes of a checkpoint, a cleaned CSV,
-a ground-truth CSV, a DART file or a clean config (one byte replaced,
-inserted or deleted, the file truncated, or one line duplicated, dropped
-or swapped with the next) and runs the command that reads it, in process:
-`dartclean clean` for the checkpoint, the config and the DART file,
-`dartclean train` for the DART file too, and `dartclean eval` for the two
-CSVs.  Whatever the bytes, the command exits 0 (the file still reads as
-valid data), 3 (data error) or 4 (numeric error), or 2 (config error) for
-the config, and no exception escapes ``cli.main``.  A dropped DART line
-exits 0: the cadence is not checked yet.
+a ground-truth CSV, a DART file, a clean config or a train config (one
+byte replaced, inserted or deleted, the file truncated, or one line
+duplicated, dropped or swapped with the next) and runs the command that
+reads it, in process: `dartclean clean` for the checkpoint, the clean
+config and the DART file, `dartclean train` for the DART file too and for
+the train config, and `dartclean eval` for the two CSVs.  Whatever the
+bytes, the command exits 0 (the file still reads as valid data), 3 (data
+error) or 4 (numeric error), or 2 (config error) for a config, and no
+exception escapes ``cli.main``.  A dropped DART line exits 0: the cadence
+is not checked yet.
 """
 
 import json
@@ -40,12 +41,12 @@ def files(tmp_path_factory):
         d, "synth.json", output=str(dart), ground_truth=str(truth),
         synth={"n": 600, "seed": 3, "spike_count": 6})]) == 0
 
-    def train(name, source, checkpoint):
+    def train(name, source, checkpoint, **extra):
         return ["train", "--config", _config(
             d, name, input=str(source), checkpoint=str(checkpoint),
             train_log=f"{checkpoint}.csv", verbosity=0,
             model={"window": 24, "hidden": [16, 8], "latent": 4},
-            train={"epochs": 1, "batch_size": 64})]
+            train={"epochs": 1, "batch_size": 64, **extra})]
 
     def clean(name, checkpoint, output, source=dart):
         return ["clean", "--config", _config(
@@ -64,6 +65,9 @@ def files(tmp_path_factory):
     # a mutated name points into that directory or nowhere
     _config(d, "clean_relative.json", input=dart.name, checkpoint=ck.name,
                      output="config_cleaned.csv", detect=DETECT, refine={"iterations": 3})
+    # one edit takes each of these keys to 0 or -1
+    train("train_relative.json", dart.name, "config_model.ckpt", patience=1, decay_steps=1,
+          seed=1)
     return {
         "checkpoint": (ck, clean("clean_mutant.json", mutant, d / "mutant_cleaned.csv")),
         "cleaned": (cleaned, evaluate("eval_cleaned.json", mutant, truth)),
@@ -71,6 +75,7 @@ def files(tmp_path_factory):
         "dart_clean": (dart, clean("clean_dart.json", ck, d / "dart_cleaned.csv", mutant)),
         "dart_train": (dart, train("train_dart.json", mutant, d / "mutant_model.ckpt")),
         "config": (d / "clean_relative.json", ["clean", "--config", str(mutant)]),
+        "train_config": (d / "train_relative.json", ["train", "--config", str(mutant)]),
         "mutant": mutant,
         "dir": d,
     }
@@ -99,7 +104,7 @@ def mutate(data: bytes, kind: str, where: float, byte: int) -> bytes:
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(target=st.sampled_from(["checkpoint", "cleaned", "truth", "dart_clean", "dart_train",
-                               "config"]),
+                               "config", "train_config"]),
        kind=st.sampled_from(["replace", "insert", "delete", "truncate", "duplicate", "drop",
                              "swap"]),
        where=st.floats(0.0, 1.0), byte=st.integers(0, 255))
@@ -109,4 +114,17 @@ def test_mutated_input_exits_with_a_documented_code(files, target, kind, where, 
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(files["dir"])
         code = main(argv)
-    assert code in ((0, 2, 3, 4) if target == "config" else (0, 3, 4))
+    assert code in ((0, 2, 3, 4) if target.endswith("config") else (0, 3, 4))
+
+
+def test_train_config_digit_edits_exit_with_a_documented_code(files):
+    """Each digit of the train config replaced by 0, or negated by a minus
+    sign inserted before it: every setting it holds, at 0 and below."""
+    source, argv = files["train_config"]
+    data = source.read_bytes()
+    for i in (i for i, byte in enumerate(data) if chr(byte).isdigit()):
+        for mutant in (data[:i] + b"0" + data[i + 1:], data[:i] + b"-" + data[i:]):
+            files["mutant"].write_bytes(mutant)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.chdir(files["dir"])
+                assert main(argv) in (0, 2, 3, 4), mutant

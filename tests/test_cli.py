@@ -98,6 +98,20 @@ class TestLoadConfig:
         assert cfg["synth"].seed == 33
         assert cfg["train"].seed == 33
 
+    @pytest.mark.parametrize("command, args, key", [
+        ("synth", ["--seed", "-2"], "seed"), ("synth", ["--set", "seed=-1"], "seed"),
+        ("train", ["--set", "train.seed=-2"], "train.seed"),
+        ("synth", ["--set", "synth.seed=-1"], "synth.seed"),
+    ])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command, args, key):
+        # the generators' seeds take no negative value
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, input=str(tmp_path / "series.dart"), output=str(out),
+                            checkpoint=str(tmp_path / "ck.json"), synth={"n": 300})
+        assert main([command, "--config", cfg, *args]) == 2
+        assert f"{key} must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCmdSynth:
     def test_deterministic_bytes(self, tmp_path):
@@ -216,6 +230,22 @@ class TestCmdTrain:
         assert main(["train", "--config", cfg, "--set", override]) == 2
         assert override.partition("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "train.epochs=0", "train.batch_size=0", "train.accumulation_steps=0",
+        "train.val_fraction=0.5", "train.patience=0", "train.decay_steps=0",
+        "train.decay_steps=-1", "train.max_epochs=0", "train.t_anneal=-1", "train.t_warmup=-1",
+        "train.seed=-1", "train.base_lr=0", "train.base_lr=-1", "train.base_lr=Infinity",
+        "train.clip_tau=0", "train.clip_tau=-1", "train.weight_decay=-1e-5",
+        "train.weight_decay=Infinity", "train.lam_temporal=-0.1", "train.lam_mean=-0.1",
+        "train.lam_mean=Infinity", "train.schedule=bogus",
+    ])
+    def test_train_out_of_range_is_config_error(self, tmp_path, capsys, override):
+        # checked with the config, before the (missing) input is read
+        cfg = _write_config(tmp_path, input=str(tmp_path / "series.dart"),
+                            checkpoint=str(tmp_path / "ck.json"))
+        assert main(["train", "--config", cfg, "--set", override]) == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("override", [
         "model.window=abc", "detect.w_s=abc", "refine.iterations=x", "model.hidden=5",
@@ -240,8 +270,10 @@ class TestCmdTrain:
 
     def test_typed_values_take_their_key_type(self):
         cfg = load_config(None, ["train.base_lr=1", "synth.tides=[[0.3,43200,0]]",
-                                 "model.hidden=[32,16]", "train.epochs=3"])
+                                 "model.hidden=[32,16]", "train.epochs=3",
+                                 "train.clip_tau=Infinity"])
         assert cfg["train"].base_lr == 1.0 and isinstance(cfg["train"].base_lr, float)
+        assert cfg["train"].clip_tau == np.inf   # no clipping
         assert cfg["synth"].tides == ((0.3, 43200.0, 0.0),)
         assert all(isinstance(v, float) for v in cfg["synth"].tides[0])
         assert cfg["model"].hidden == (32, 16)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dartclean.errors import ConfigError, NumericError, ShapeError
 from dartclean.layers import (
@@ -12,14 +14,17 @@ from dartclean.layers import (
     relu_forward,
 )
 from dartclean.optim import (
+    SCHEDULE_VARIANTS,
     Adam,
-    LrSchedule,
     PlateauTracker,
     accumulate_gradients,
     clip_by_global_norm,
     global_norm,
+    learning_rate,
 )
+from dartclean.trainer import TrainConfig
 from tests.conftest import standalone_layers, tiny_model
+from tests.oracles import oracle_lr_at
 
 
 class TestDropoutRate:
@@ -236,37 +241,32 @@ class TestAdam:
 
 class TestLrSchedule:
     def test_step_decay_epoch_150(self):
-        sched = LrSchedule(variant="step_decay", base_lr=1e-4, decay_steps=100)
-        assert sched.lr_at(0, epoch=150) == pytest.approx(5e-5)
+        config = TrainConfig(schedule="step_decay", base_lr=1e-4, decay_steps=100, t_warmup=0)
+        assert learning_rate(config, 0, 150, 1, 1.0) == pytest.approx(5e-5)
 
     def test_warmup_halfway(self):
-        sched = LrSchedule(variant="warmup", base_lr=1e-4, t_warmup=1000)
-        assert sched.lr_at(500) == pytest.approx(5e-5)
+        config = TrainConfig(schedule="warmup", base_lr=1e-4, t_warmup=1000)
+        assert learning_rate(config, 500, 0, 1, 1.0) == pytest.approx(5e-5)
 
     def test_cosine_end_floored(self):
-        sched = LrSchedule(variant="cosine", base_lr=1e-4, total_steps=200)
-        assert sched.lr_at(200) == pytest.approx(1e-8)
-        assert sched.lr_at(0) == pytest.approx(1e-4)
-        assert sched.lr_at(100) == pytest.approx(5e-5)
-
-    def test_cosine_requires_total_steps(self):
-        with pytest.raises(ConfigError):
-            LrSchedule(variant="cosine", total_steps=0)
+        config = TrainConfig(schedule="cosine", base_lr=1e-4, t_warmup=0)
+        assert learning_rate(config, 200, 0, 200, 1.0) == pytest.approx(1e-8)
+        assert learning_rate(config, 0, 0, 200, 1.0) == pytest.approx(1e-4)
+        assert learning_rate(config, 100, 0, 200, 1.0) == pytest.approx(5e-5)
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError):
-            LrSchedule(variant="polynomial")
+        with pytest.raises(ConfigError, match="train.schedule"):
+            TrainConfig(schedule="polynomial")
 
     def test_emitted_lr_always_positive(self):
-        sched = LrSchedule(variant="cosine", base_lr=1e-4, total_steps=10,
-                           t_warmup=1000)
+        config = TrainConfig(schedule="cosine", base_lr=1e-4, t_warmup=1000)
         for t in range(11):
-            assert sched.lr_at(t) > 0.0
+            assert learning_rate(config, t, 0, 10, 1.0) > 0.0
 
     def test_composition_warmup_then_decay_then_plateau(self):
-        sched = LrSchedule(variant="step_decay", base_lr=1e-4, decay_steps=100,
-                           t_warmup=1000)
-        lr = sched.lr_at(500, epoch=150, plateau_mult=0.5)
+        config = TrainConfig(schedule="step_decay", base_lr=1e-4, decay_steps=100,
+                             t_warmup=1000)
+        lr = learning_rate(config, 500, 150, 1, 0.5)
         assert lr == pytest.approx(1e-4 * 0.5 * 0.5 ** 1 * 0.5)
 
     @pytest.mark.parametrize("variant, expected", [
@@ -276,8 +276,23 @@ class TestLrSchedule:
         ("plateau", 1e-4),                                                   # no warm-up
     ])
     def test_warmup_halfway_per_variant(self, variant, expected):
-        sched = LrSchedule(variant=variant, base_lr=1e-4, t_warmup=50, total_steps=200)
-        assert sched.lr_at(25) == pytest.approx(expected, rel=1e-12)
+        config = TrainConfig(schedule=variant, base_lr=1e-4, t_warmup=50)
+        assert learning_rate(config, 25, 0, 200, 1.0) == pytest.approx(expected, rel=1e-12)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(variant=st.sampled_from(SCHEDULE_VARIANTS),
+           base_lr=st.sampled_from([1e-4, 1e-3, 3e-4]) | st.floats(1e-9, 1.0),
+           decay_steps=st.integers(1, 300), t_warmup=st.integers(0, 2000),
+           total_steps=st.integers(1, 5000), step=st.integers(0, 6000),
+           epoch=st.integers(0, 1000),
+           plateau_mult=st.sampled_from([1.0, 0.5, 0.5 ** 9]) | st.floats(1e-6, 1.0))
+    def test_matches_the_schedule_it_replaced(self, variant, base_lr, decay_steps, t_warmup,
+                                              total_steps, step, epoch, plateau_mult):
+        # exact: the same operations in the same order round the same way
+        config = TrainConfig(schedule=variant, base_lr=base_lr, decay_steps=decay_steps,
+                             t_warmup=t_warmup)
+        assert learning_rate(config, step, epoch, total_steps, plateau_mult) == oracle_lr_at(
+            variant, base_lr, decay_steps, t_warmup, total_steps, step, epoch, plateau_mult)
 
 
 class TestPlateauTracker:

@@ -22,7 +22,6 @@ from dartclean.model import ModelConfig, Vae
 from dartclean.optim import (
     ADAM_CHUNK,
     Adam,
-    LrSchedule,
     PlateauTracker,
     accumulate_gradients,
     clip_by_global_norm,
@@ -39,6 +38,7 @@ from tests.oracles import (
     oracle_dropout_forward,
     oracle_encode,
     oracle_loss_and_grads,
+    oracle_lr_at,
 )
 
 
@@ -124,11 +124,8 @@ def oracle_train(model, X, config):
     n_val = max(1, int(round(config.val_fraction * len(X))))
     X_train, X_val = X[:-n_val], X[-n_val:]
     rng = np.random.default_rng(config.seed)
-    schedule = LrSchedule(
-        variant=config.schedule, base_lr=config.base_lr,
-        decay_steps=config.decay_steps, t_warmup=config.t_warmup,
-        total_steps=config.epochs * max(1, math.ceil(len(X_train) / config.batch_size)),
-    )
+    schedule = (config.schedule, config.base_lr, config.decay_steps, config.t_warmup,
+                config.epochs * max(1, math.ceil(len(X_train) / config.batch_size)))
     plateau = PlateauTracker(patience=config.patience, min_delta=config.min_delta)
     optimizer = OracleAdam(model.trainable(), weight_decay=config.weight_decay)
     log = TrainLog()
@@ -140,7 +137,7 @@ def oracle_train(model, X, config):
         sums, norms, n_batches = np.zeros(5), [], 0
         for start in range(0, len(X_train), config.batch_size):
             batch = X_train[order[start:start + config.batch_size]]
-            lr = schedule.lr_at(global_step, epoch - 1, plateau.multiplier)
+            lr = oracle_lr_at(*schedule, global_step, epoch - 1, plateau.multiplier)
             lb, _, grads = oracle_loss_and_grads(
                 model, batch, global_step, train=True, rng=rng, t_anneal=config.t_anneal,
                 lam_temporal=config.lam_temporal, lam_mean=config.lam_mean)
@@ -164,7 +161,7 @@ def oracle_train(model, X, config):
             epoch=epoch, recon=sums[0] / n_batches, kl=sums[1] / n_batches,
             temporal=sums[2] / n_batches, mean=sums[3] / n_batches,
             total=sums[4] / n_batches, val_total=val.total,
-            lr=schedule.lr_at(global_step, epoch - 1, plateau.multiplier),
+            lr=oracle_lr_at(*schedule, global_step, epoch - 1, plateau.multiplier),
             grad_norm=grad_norm, val_recon=val.recon,
         ))
         if val.total < best_val:
