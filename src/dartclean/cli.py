@@ -90,8 +90,9 @@ def _require(cfg, key):
     return value
 
 
-def _derived(cfg, key, suffix):
-    return cfg[key] or _require(cfg, "output") + suffix
+def _derived(cfg, key, suffix, base="output"):
+    """``cfg[key]``, or the required path ``cfg[base]`` plus ``suffix``."""
+    return cfg[key] or _require(cfg, base) + suffix
 
 
 def cmd_synth(cfg) -> int:
@@ -111,7 +112,7 @@ def cmd_train(cfg) -> int:
     windows = make_windows(norm, w=model_cfg.window)
     model = Vae(model_cfg, seed=cfg["seed"])
     train_cfg = cfg["train"]
-    log_path = _derived(cfg, "train_log", ".train.csv")
+    log_path = _derived(cfg, "train_log", ".train.csv", base="checkpoint")
     try:
         log, reason = trainer.train(model, windows, train_cfg)
     except trainer.DivergenceError as exc:

@@ -23,7 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import map_blocks, workers
-from .errors import ConfigError, DataError
+from .errors import DataError
+from .series_io import check_rules
 
 STD_FLOOR = 1e-8
 # rows of the sliding-window view per block of rolling_median_std: np.median
@@ -43,12 +44,13 @@ class DetectConfig:
     merge_gap: int = 2
 
     def __post_init__(self):
-        if self.w_s < 3 or self.w_l < 3:
-            raise ConfigError("detection windows must be >= 3 samples")
-        if self.tau_s <= 0 or self.tau_l <= 0 or self.kappa < 0:
-            raise ConfigError("detection thresholds must be positive")
-        if not 0.0 <= self.hybrid_alpha <= 1.0:
-            raise ConfigError("hybrid_alpha must lie in [0, 1]")
+        check_rules(self, "detect", [
+            (("w_s", "w_l"), lambda v: v >= 3, "an integer >= 3"),
+            (("tau_s", "tau_l"), lambda v: v > 0, "a number > 0"),
+            (("kappa",), lambda v: v >= 0, "a number >= 0"),
+            (("hybrid_alpha",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+            (("merge_gap",), lambda v: v >= 0, "an integer >= 0"),
+        ])
 
 
 @dataclass

@@ -139,16 +139,15 @@ def state_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
-def check_state(arrays: dict, shapes: dict):
-    """Raise ``ShapeError`` unless ``arrays`` holds every name of ``shapes``
-    at its shape."""
-    missing = set(shapes) - set(arrays)
+def check_state(found: dict, shapes: dict):
+    """Raise ``ShapeError`` unless ``found``, the shape of each array by
+    name, holds every name of ``shapes`` at its shape."""
+    missing = set(shapes) - set(found)
     if missing:
         raise ShapeError(f"checkpoint missing arrays: {sorted(missing)}")
     for name, shape in shapes.items():
-        if np.shape(arrays[name]) != shape:
-            raise ShapeError(f"array {name!r}: expected shape {shape}, "
-                             f"got {np.shape(arrays[name])}")
+        if found[name] != shape:
+            raise ShapeError(f"array {name!r}: expected shape {shape}, got {found[name]}")
 
 
 def _rows(buffer: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -241,7 +240,8 @@ class Vae:
     def load_state(self, arrays: dict):
         """Copy ``arrays`` into the model's own arrays.  Every shape is
         checked first, so a bad checkpoint leaves no partial state."""
-        check_state(arrays, state_shapes(self.config))
+        check_state({name: np.shape(a) for name, a in arrays.items()},
+                    state_shapes(self.config))
         for name, array in self.state.items():
             array[...] = arrays[name]
 

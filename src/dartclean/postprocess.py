@@ -16,8 +16,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import step_mean_shift
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .preprocess import denormalize  # re-exported: the pipeline's last stage
+from .series_io import check_rules
 
 __all__ = [
     "SmoothConfig", "gaussian_smooth", "validate_steps", "realign_steps",
@@ -31,10 +32,10 @@ class SmoothConfig:
     sigma: float = 1.5
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ConfigError("smoothing window must be >= 2")
-        if self.sigma <= 0:
-            raise ConfigError("smoothing sigma must be > 0")
+        check_rules(self, "smooth", [
+            (("window",), lambda v: v >= 2, "an integer >= 2"),
+            (("sigma",), lambda v: v > 0, "a number > 0"),
+        ])
 
 
 def gaussian_kernel(window: int, sigma: float) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detector
-from .errors import ConfigError, DataError
+from .errors import DataError
+from .series_io import check_rules
 
 
 @dataclass
@@ -36,12 +37,11 @@ class RefineConfig:
     keep_history: bool = False   # record (series, gate) per iteration
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError("refinement needs at least one iteration")
-        if not 0.0 <= self.blend_alpha <= 1.0:
-            raise ConfigError("blend_alpha must lie in [0, 1]")
-        if not 0.0 < self.threshold_decay <= 1.0:
-            raise ConfigError("threshold_decay must lie in (0, 1]")
+        check_rules(self, "refine", [
+            (("iterations",), lambda v: v >= 1, "an integer >= 1"),
+            (("blend_alpha",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+            (("threshold_decay",), lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+        ])
 
 
 @dataclass

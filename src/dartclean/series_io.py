@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import base64
+import binascii
 import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -16,10 +19,12 @@ from .errors import ConfigError, DataError, ParseError, ShapeError
 
 SENTINEL = 9999.0
 SENTINEL_TOL = 1e-6
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # version 1 stored only window/hidden/latent; the other ModelConfig
-# fields of such a file take their defaults
-READABLE_VERSIONS = (1, 2)
+# fields of such a file take their defaults.  Versions 1 and 2 stored each
+# array as nested JSON lists of numbers, version 3 as {"shape", "data"}
+# with the array's little-endian float64 bytes in base64
+READABLE_VERSIONS = (1, 2, 3)
 CSV_HEADER = "time_iso8601,raw_m,cleaned_m,spike,step,residual_m"
 CSV_ROW = "%s,%.6f,%.6f,%d,%d,%.6f\n"
 TRUTH_HEADER = "time_iso8601,clean_m,contaminated_m,is_spike,is_step,is_gap"
@@ -388,13 +393,16 @@ def read_ground_truth(source) -> dict:
 
 
 def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
-    """Persist a model plus normalization stats as a versioned JSON document."""
+    """Persist a model plus normalization stats as a versioned JSON document;
+    each array is its shape and the base64 of its ``<f8`` bytes."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": dataclasses.asdict(model.config),
         "hyperparameters": hyperparameters or {},
         "norm_stats": {"mean": float(stats.mean), "std": float(stats.std)},
-        "params": {name: arr.tolist() for name, arr in model.state.items()},
+        "params": {name: {"shape": list(arr.shape), "data": base64.b64encode(
+            np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")}
+                   for name, arr in model.state.items()},
     }
     write_text(destination, json.dumps(doc))
 
@@ -449,13 +457,53 @@ def check_rules(config, path: str, rules):
                 raise ConfigError(f"{path}.{key} must be {rule}, got {getattr(config, key)!r}")
 
 
+def _entry(name: str, value, version):
+    """The shape of a ``params`` entry and its payload: the base64 string
+    of a ``{"shape", "data"}`` object, or, in a version 1 or 2 file, the
+    array of nested lists.  Nothing is decoded yet."""
+    if isinstance(value, dict):
+        shape, data = value.get("shape"), value.get("data")
+        if not (isinstance(shape, list) and all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+            raise DataError(f"array {name!r}: 'shape' must be a list of integers >= 0, "
+                            f"got {shape!r}")
+        if not isinstance(data, str):
+            raise DataError(f"array {name!r}: 'data' must be a base64 string, "
+                            f"got {type(data).__name__}")
+        return tuple(shape), data
+    if version == 3:
+        raise DataError(f"array {name!r} must be a JSON object of 'shape' and 'data', "
+                        f"got {type(value).__name__}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"array {name!r} is not a numeric array") from None
+    return arr.shape, arr
+
+
+def _decoded(name: str, shape: tuple, payload) -> np.ndarray:
+    """The array of an ``_entry`` payload, whose shape has been checked."""
+    if not isinstance(payload, str):
+        return payload
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except binascii.Error as exc:
+        raise DataError(f"array {name!r}: 'data' is not base64: {exc}") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise DataError(f"array {name!r}: 'data' holds {len(raw)} bytes, "
+                        f"expected {size} for shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
 def load_checkpoint(source):
     """Load a checkpoint; returns (Vae, NormStats).
 
     Validates the format version, the document's structure and every
-    array shape before building the model, so a corrupt file never yields
-    a partially loaded network, and the memory a load takes never follows
-    an architecture the arrays do not match.
+    array shape before decoding any array's data and before building the
+    model, so a corrupt file never yields a partially loaded network, and
+    the memory a load takes never follows an architecture the arrays do
+    not match.
     """
     from .model import ModelConfig, Vae, check_state, state_shapes
     from .preprocess import NormStats
@@ -473,19 +521,18 @@ def load_checkpoint(source):
         config = build_section(ModelConfig, _object(doc, "architecture"), "model")
     except ConfigError as exc:
         raise DataError(f"checkpoint architecture: {exc}") from None
-    arrays = {}
-    for name, value in _object(doc, "params").items():
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            raise DataError(f"array {name!r} is not a numeric array") from None
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"corrupted numbers in array {name!r}")
-        arrays[name] = arr
+    entries = {name: _entry(name, value, version)
+               for name, value in _object(doc, "params").items()}
     try:
-        check_state(arrays, state_shapes(config))
+        check_state({name: shape for name, (shape, _) in entries.items()},
+                    state_shapes(config))
     except ShapeError as exc:
         raise ShapeError(f"checkpoint {source}: {exc}") from None
+    arrays = {name: _decoded(name, shape, payload)
+              for name, (shape, payload) in entries.items()}
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"corrupted numbers in array {name!r}")
     model = Vae(config, seed=0)
     model.load_state(arrays)
     norm = _object(doc, "norm_stats")

@@ -17,6 +17,7 @@ from .series_io import FLAG_MISSING, FLAG_VALID, LAST_SECOND, RawSeries, check_r
 # dominant semidiurnal constituents: lunar M2 and solar S2 periods in seconds
 DEFAULT_TIDES = ((0.3, 44714.0, 0.0), (0.15, 43200.0, 1.3))
 START = 1640995200.0  # series start at 2022-01-01T00:00:00Z
+DRIFT_KINDS = ("none", "linear", "exponential")
 
 
 @dataclass
@@ -40,16 +41,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("series length must be >= 2")
-        # stamps a whole second or more apart stay strictly increasing in
-        # the DART text, and the last must be a date the text can hold
-        if not (self.cadence >= 1 and START + (self.n - 1) * self.cadence <= LAST_SECOND):
-            raise ConfigError(f"synth.cadence must be >= 1 s and end the series by "
-                              f"9999-12-31T23:59:59Z, got {self.cadence}")
-        if self.drift not in ("none", "linear", "exponential"):
-            raise ConfigError(f"unknown drift kind {self.drift!r}")
         check_rules(self, "synth", [
+            (("n",), lambda v: v >= 2, "an integer >= 2"),
+            # stamps a whole second or more apart stay strictly increasing in
+            # the DART text, and the last must be a date the text can hold
+            (("cadence",), lambda v: v >= 1 and START + (self.n - 1) * v <= LAST_SECOND,
+             "a number of seconds >= 1 that ends the series by 9999-12-31T23:59:59Z"),
+            (("drift",), lambda v: v in DRIFT_KINDS, f"one of {', '.join(DRIFT_KINDS)}"),
             (("noise_sigma",), lambda v: v >= 0 and np.isfinite(v), "a finite number >= 0"),
             (("tides",), lambda v: all(len(t) == 3 and np.isfinite(t).all() and t[1] > 0
                                        for t in v),

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,14 @@ from dartclean.model import ModelConfig, Vae
 
 def tiny_model(window=6, hidden=(5,), latent=4, seed=0, **kw):
     return Vae(ModelConfig(window=window, hidden=hidden, latent=latent, **kw), seed=seed)
+
+
+def as_version_2(doc: dict) -> dict:
+    """A version-3 checkpoint document as version 2 stored it: every array
+    as nested JSON lists of its numbers."""
+    return dict(doc, format_version=2, params={
+        name: np.frombuffer(base64.b64decode(entry["data"]), "<f8").reshape(entry["shape"]).tolist()
+        for name, entry in doc["params"].items()})
 
 
 def standalone_layers(in_dim, out_dim, rng=None, momentum=0.9, eps=1e-5):

@@ -11,9 +11,15 @@ bytes, the command exits 0 (the file still reads as valid data), 3 (data
 error) or 4 (numeric error), or 2 (config error) for a config, and no
 exception escapes ``cli.main``.  A dropped DART line exits 0: the cadence
 is not checked yet.
+
+The checkpoint is a format-3 file, whose arrays are base64 strings, and a
+second property replaces one byte inside those strings: the clean reads
+valid data (0) or rejects the file (3), and a weight whose exponent the
+new byte raised may overflow the forward (4).
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +65,7 @@ def files(tmp_path_factory):
             output=str(d / "report.json"), detect=DETECT)]
 
     assert main(train("train.json", dart, ck)) == 0
+    assert json.loads(ck.read_text())["format_version"] == 3
     assert main(clean("clean.json", ck, cleaned)) == 0
     mutant = d / "mutant"
     # the config names its files relative to the directory it runs in, so
@@ -128,3 +135,18 @@ def test_train_config_digit_edits_exit_with_a_documented_code(files):
             with pytest.MonkeyPatch.context() as patch:
                 patch.chdir(files["dir"])
                 assert main(argv) in (0, 2, 3, 4), mutant
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(array=st.integers(0, 63), where=st.floats(0.0, 1.0), byte=st.integers(0, 255))
+def test_flipped_checkpoint_payload_byte_exits_with_a_documented_code(files, array, where,
+                                                                      byte):
+    source, argv = files["checkpoint"]
+    data = source.read_bytes()
+    payloads = [m.span(1) for m in re.finditer(rb'"data": "([^"]*)"', data)]
+    start, end = payloads[array % len(payloads)]
+    i = min(start + int(where * (end - start)), end - 1)
+    files["mutant"].write_bytes(data[:i] + bytes([byte]) + data[i + 1:])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(files["dir"])
+        assert main(argv) in (0, 3, 4)

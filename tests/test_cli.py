@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from dartclean import series_io, synth
 from dartclean.cli import load_config, main, read_ground_truth
 from dartclean.errors import ConfigError, ParseError
+from tests.conftest import as_version_2
 
 
 def _write_config(tmp_path, name="cfg.json", **data):
@@ -112,6 +114,16 @@ class TestLoadConfig:
         assert f"{key} must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        "detect.w_s=2", "detect.w_l=2", "detect.tau_s=0", "detect.tau_l=-0.1",
+        "detect.kappa=-1", "detect.hybrid_alpha=1.5", "detect.merge_gap=-1",
+        "refine.iterations=0", "refine.blend_alpha=2", "refine.threshold_decay=0",
+        "smooth.window=1", "smooth.sigma=-1", "synth.n=1", "synth.drift=bogus",
+    ])
+    def test_section_out_of_range_names_its_key(self, capsys, override):
+        assert main(["synth", "--set", override]) == 2
+        assert f"{override.partition('=')[0]} must be" in capsys.readouterr().err
+
 
 class TestCmdSynth:
     def test_deterministic_bytes(self, tmp_path):
@@ -203,6 +215,17 @@ class TestCmdTrain:
         model, stats = series_io.load_checkpoint(trained["checkpoint"])
         assert model.config.window == 24
         assert stats.std > 0
+
+    def test_train_log_defaults_beside_the_checkpoint(self, trained, tmp_path):
+        # train writes no output, so a config without one trains
+        ck = tmp_path / "model.ckpt"
+        cfg = _write_config(tmp_path, input=str(trained["dart"]), checkpoint=str(ck),
+                            model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1}, verbosity=0)
+        assert main(["train", "--config", cfg]) == 0
+        assert (tmp_path / "model.ckpt.train.csv").read_text().startswith("epoch,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "model.ckpt", "model.ckpt.train.csv"]
 
     def test_short_input_fails_with_data_exit_code(self, tmp_path):
         dart = tmp_path / "short.dart"
@@ -378,7 +401,7 @@ class TestCmdClean:
 
     def test_checkpoint_shape_fault_is_data_error(self, trained, capsys):
         tmp_path = trained["dir"]
-        doc = json.loads(trained["checkpoint"].read_text())
+        doc = as_version_2(json.loads(trained["checkpoint"].read_text()))
         doc["params"]["enc0.W"] = [row[:-1] for row in doc["params"]["enc0.W"]]
         ck = tmp_path / "bad_shape.ckpt"
         ck.write_text(json.dumps(doc))
@@ -387,6 +410,32 @@ class TestCmdClean:
         assert main(["clean", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "'enc0.W'" in err and "expected shape" in err and str(ck) in err
+
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda e: e["shape"].reverse(), "expected shape"),
+        (lambda e: e.update(shape={"rows": 32}), "'shape' must be a list of integers >= 0"),
+        (lambda e: e.update(shape=[32, -24]), "'shape' must be a list of integers >= 0"),
+        (lambda e: e.update(shape=[32, 24.0]), "'shape' must be a list of integers >= 0"),
+        (lambda e: e.update(data=None), "'data' must be a base64 string"),
+        (lambda e: e.update(data="*" + e["data"][1:]), "'data' is not base64"),
+        (lambda e: e.update(data=e["data"][:-1]), "'data' is not base64"),
+        (lambda e: e.update(data=e["data"][:-4]), "'data' holds 6141 bytes, expected 6144"),
+        (lambda e: e.update(data=base64.b64encode(np.full(32 * 24, np.nan).tobytes()).decode()),
+         "corrupted numbers"),
+    ], ids=["wrong-shape", "shape-object", "negative-shape", "float-shape", "data-null",
+            "bad-base64", "bad-padding", "wrong-byte-length", "nan-payload"])
+    def test_version_3_array_fault_is_data_error(self, trained, capsys, edit, fault):
+        tmp_path = trained["dir"]
+        doc = json.loads(trained["checkpoint"].read_text())
+        assert doc["format_version"] == 3
+        edit(doc["params"]["enc0.W"])
+        ck = tmp_path / "bad_array.ckpt"
+        ck.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path, name="badarray.json", input=str(trained["dart"]),
+                            checkpoint=str(ck), output=str(tmp_path / "x.csv"))
+        assert main(["clean", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "'enc0.W'" in err and fault in err
 
     def test_missing_checkpoint_is_error(self, trained):
         tmp_path = trained["dir"]

@@ -26,6 +26,11 @@ samples and one step, so 9999 sentinel rows are written).  Those digests
 were computed with the row-by-row text writer that preceded the
 column-at-a-time one; they involve no matrix product, so they do not
 depend on the BLAS build.
+
+The checkpoint format is pinned by the digest of the file
+``save_checkpoint`` writes for the seeded 128/64/32 model with fixed
+normalisation statistics, so a change to the format has to change this
+digest on purpose.  It involves no matrix product either.
 """
 
 import hashlib
@@ -36,7 +41,7 @@ import pytest
 from dartclean import series_io, synth
 from dartclean.cli import main
 from dartclean.model import ModelConfig, Vae
-from dartclean.preprocess import fill_gaps, zscore_normalize
+from dartclean.preprocess import NormStats, fill_gaps, zscore_normalize
 
 SPECS = {
     "spike": synth.SynthSpec(n=20000, cadence=900.0, noise_sigma=0.05,
@@ -92,6 +97,9 @@ GOLDEN = {
 
 EVAL_GOLDEN = "65b071285cc30c9e988bd7299ada9a76e85030e235003eac4a15fa4a737a974f"
 
+# format version 3: each array as the base64 of its little-endian float64 bytes
+CHECKPOINT_GOLDEN = "1120a0f117ed4cc1ac2d58bdaf5bdbd5946dde44b51d0058e5e7432f1d697f6a"
+
 
 def clean_digests(tmp_path, spec) -> dict:
     raw = synth.generate(spec).to_raw_series()
@@ -141,3 +149,10 @@ def test_synth_output_digests(tmp_path, spec):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in SYNTH_GOLDEN[spec]}
     assert digests == SYNTH_GOLDEN[spec]
+
+
+def test_checkpoint_digest(tmp_path):
+    path = tmp_path / "model.json"
+    series_io.save_checkpoint(Vae(ModelConfig(hidden=(128, 64, 32)), seed=0),
+                              NormStats(mean=2584.25, std=0.0625), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_GOLDEN

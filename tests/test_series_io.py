@@ -1,10 +1,13 @@
+import base64
 import io
+import json
 
 import numpy as np
 import pytest
 
 from dartclean import series_io, synth
 from dartclean.errors import DataError, ParseError, ShapeError
+from dartclean.model import ModelConfig, Vae
 from dartclean.preprocess import NormStats
 from dartclean.series_io import (
     FLAG_MISSING,
@@ -17,7 +20,7 @@ from dartclean.series_io import (
     save_checkpoint,
     write_cleaned_csv,
 )
-from tests.conftest import tiny_model
+from tests.conftest import as_version_2, tiny_model
 
 
 SAMPLE = (
@@ -184,26 +187,30 @@ class TestCheckpoint:
         assert loaded.config == model.config
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        import json
-        model = tiny_model()
         path = tmp_path / "ck.json"
-        save_checkpoint(model, NormStats(0.0, 1.0), path)
-        doc = json.loads(path.read_text())
+        doc = _saved(tiny_model(), path, version=2)
         mu = np.asarray(doc["params"]["mu.W"])
         doc["params"]["mu.W"] = mu[:, :-1].tolist()  # narrow the mu-head
         path.write_text(json.dumps(doc))
         with pytest.raises(ShapeError, match="mu.W"):
             load_checkpoint(path)
 
-    def test_shapes_checked_before_the_model_is_built(self, tmp_path):
+    def test_shape_mismatch_rejected_version_3(self, tmp_path):
+        path = tmp_path / "ck.json"
+        doc = _saved(tiny_model(), path)
+        doc["params"]["mu.W"]["shape"][1] -= 1  # checked before the payload is decoded
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ShapeError, match="mu.W"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _huge_architecture(tmp_path, version):
         # a 48-sample model's arrays under an architecture that claims
         # 200 000: building that model first would draw two 16 x 200 000
         # weight matrices (25.6 MB each) before any shape was checked
-        import json
         import tracemalloc
         path = tmp_path / "ck.json"
-        save_checkpoint(tiny_model(window=48, hidden=(16,)), NormStats(0.0, 1.0), path)
-        doc = json.loads(path.read_text())
+        doc = _saved(tiny_model(window=48, hidden=(16,)), path, version=version)
         doc["architecture"]["window"] = 200_000
         path.write_text(json.dumps(doc))
         tracemalloc.start()
@@ -214,6 +221,12 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_shapes_checked_before_the_model_is_built(self, tmp_path):
+        self._huge_architecture(tmp_path, version=2)
+
+    def test_shapes_checked_before_the_model_is_built_version_3(self, tmp_path):
+        self._huge_architecture(tmp_path, version=3)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -232,22 +245,21 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit, name", [
-        (lambda doc: doc.pop("architecture"), "architecture"),
-        (lambda doc: doc.update(architecture=[6, [5], 4]), "architecture"),
-        (lambda doc: doc["architecture"].update(depth=3), "depth"),
-        (lambda doc: doc["architecture"].update(latent="four"), "latent"),
-        (lambda doc: doc.update(params=None), "params"),
-        (lambda doc: doc["params"].update({"out.b": "zero"}), "out.b"),
-        (lambda doc: doc.pop("norm_stats"), "norm_stats"),
-        (lambda doc: doc["norm_stats"].pop("std"), "norm_stats"),
+    @pytest.mark.parametrize("edit, name, version", [
+        (lambda doc: doc.pop("architecture"), "architecture", 3),
+        (lambda doc: doc.update(architecture=[6, [5], 4]), "architecture", 3),
+        (lambda doc: doc["architecture"].update(depth=3), "depth", 3),
+        (lambda doc: doc["architecture"].update(latent="four"), "latent", 3),
+        (lambda doc: doc.update(params=None), "params", 3),
+        (lambda doc: doc["params"].update({"out.b": "zero"}), "out.b", 2),
+        (lambda doc: doc["params"].update({"out.b": "zero"}), "out.b", 3),
+        (lambda doc: doc.pop("norm_stats"), "norm_stats", 3),
+        (lambda doc: doc["norm_stats"].pop("std"), "norm_stats", 3),
     ], ids=["no-architecture", "architecture-list", "unknown-key", "bad-latent",
-            "params-null", "params-text", "no-norm-stats", "no-std"])
-    def test_malformed_document_names_key(self, tmp_path, edit, name):
-        import json
+            "params-null", "params-text", "params-text-version-3", "no-norm-stats", "no-std"])
+    def test_malformed_document_names_key(self, tmp_path, edit, name, version):
         path = tmp_path / "ck.json"
-        save_checkpoint(tiny_model(), NormStats(0.0, 1.0), path)
-        doc = json.loads(path.read_text())
+        doc = _saved(tiny_model(), path, version=version)
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=name):
@@ -260,12 +272,42 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_corrupted_number_names_array(self, tmp_path):
-        import json
-        model = tiny_model()
         path = tmp_path / "ck.json"
-        save_checkpoint(model, NormStats(0.0, 1.0), path)
-        doc = json.loads(path.read_text())
+        doc = _saved(tiny_model(), path, version=2)
         doc["params"]["out.b"][0] = float("nan")
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="out.b"):
             load_checkpoint(path)
+
+    def test_corrupted_number_names_array_version_3(self, tmp_path):
+        path = tmp_path / "ck.json"
+        doc = _saved(tiny_model(), path)
+        doc["params"]["out.b"]["data"] = base64.b64encode(
+            np.array([np.nan, 0, 0, 0, 0, 0]).tobytes()).decode()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="corrupted numbers in array 'out.b'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden", [(128, 64, 32), (512, 256, 128)])
+    def test_version_3_round_trip_is_bit_exact(self, tmp_path, hidden):
+        # every array loads with the bytes it was saved with, from the
+        # version-3 file and from the same model's version-2 document
+        model = Vae(ModelConfig(hidden=hidden), seed=5)
+        model.beta[...] = 0.1  # one scalar with an inexact decimal
+        path = tmp_path / "ck.json"
+        doc = _saved(model, path)
+        assert doc["format_version"] == 3
+        loaded, _ = load_checkpoint(path)
+        path.write_text(json.dumps(as_version_2(doc)))
+        from_version_2, _ = load_checkpoint(path)
+        for name, arr in model.state.items():
+            assert loaded.state[name].tobytes() == arr.tobytes(), name
+            assert from_version_2.state[name].tobytes() == arr.tobytes(), name
+
+
+def _saved(model, path, version=3) -> dict:
+    """The document ``save_checkpoint`` writes for ``model`` (as version 2
+    stored it when ``version`` is 2)."""
+    save_checkpoint(model, NormStats(0.0, 1.0), path)
+    doc = json.loads(path.read_text())
+    return as_version_2(doc) if version == 2 else doc
