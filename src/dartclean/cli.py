@@ -6,7 +6,7 @@
 All behavior is driven by a JSON config document; ``--set`` overrides use
 dotted paths (e.g. ``--set train.epochs=50``).  Unknown config keys are
 rejected.  Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-error.
+error, 1 any other package error or running out of memory.
 """
 
 from __future__ import annotations
@@ -236,6 +236,9 @@ def main(argv=None) -> int:
         return 4
     except DartCleanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: dartclean {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 1
 
 

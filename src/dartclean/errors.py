@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError (a
-ParseError or ShapeError among them) -> 3, NumericError -> 4.
+ParseError or ShapeError among them) -> 3, NumericError -> 4, and any
+other error of the package, or a ``MemoryError``, -> 1.
 """
 
 

@@ -93,7 +93,8 @@ def project_latent(mu_vectors) -> np.ndarray:
     """Project latent means onto their top-two principal components.
 
     Returns the [n x 2] coordinates.  Rank-deficient covariance falls back
-    to the first two coordinate axes with a warning.
+    to the first two centred coordinates, with a warning; a second column
+    of zeros stands in for a latent width of 1.
     """
     mu = np.asarray(mu_vectors, dtype=float)
     if mu.ndim != 2 or mu.shape[0] < 3:
@@ -106,13 +107,10 @@ def project_latent(mu_vectors) -> np.ndarray:
     eigvecs = eigvecs[:, order]
     if mu.shape[1] < 2 or eigvals[1] <= 1e-300:
         warnings.warn("rank-deficient latent covariance; using coordinate axes")
-        components = np.zeros((mu.shape[1], 2))
-        components[0, 0] = 1.0
-        if mu.shape[1] > 1:
-            components[1, 1] = 1.0
-    else:
-        components = eigvecs[:, :2]
-    return centered @ components
+        coords = np.zeros((mu.shape[0], 2))
+        coords[:, :mu.shape[1]] = centered[:, :2]
+        return coords
+    return centered @ eigvecs[:, :2]
 
 
 def baseline_rolling_median(series, config: detector.DetectConfig | None = None):

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import map_blocks, row_blocks, workers
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .layers import (
     BatchNorm,
     Dense,
@@ -35,6 +35,7 @@ from .layers import (
     relu_backward,
     relu_forward,
 )
+from .series_io import check_rules
 
 LOGVAR_CLIP = 10.0
 # rows per block of :meth:`Vae.infer`: small enough that a block's widest
@@ -61,17 +62,14 @@ class ModelConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ConfigError(f"model.window must be >= 2, got {self.window}")
-        if not self.hidden or min(self.hidden) < 1:
-            raise ConfigError(f"model.hidden needs at least one width, each >= 1, "
-                              f"got {list(self.hidden)}")
-        if self.latent < 1:
-            raise ConfigError(f"model.latent must be >= 1, got {self.latent}")
-        if not self.bn_eps > 0:
-            raise ConfigError(f"model.bn_eps must be > 0, got {self.bn_eps}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ConfigError(f"model.bn_momentum must lie in [0, 1], got {self.bn_momentum}")
+        check_rules(self, "model", [
+            (("window",), lambda v: v >= 2, "an integer >= 2"),
+            (("hidden",), lambda v: len(v) > 0 and min(v) >= 1,
+             "a non-empty list of widths, each >= 1"),
+            (("latent",), lambda v: v >= 1, "an integer >= 1"),
+            (("bn_eps",), lambda v: v > 0.0, "a number > 0"),
+            (("bn_momentum",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+        ])
 
 
 @dataclass

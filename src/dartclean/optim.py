@@ -118,7 +118,11 @@ def learning_rate(config, step: int, epoch: int, total_steps: int,
 
     Composition order when several mechanisms are active: warm-up factor,
     then the variant's decay (cosine or halving-by-epoch), then the plateau
-    multiplier maintained by a :class:`PlateauTracker`.
+    multiplier maintained by a :class:`PlateauTracker`.  The ``plateau``
+    schedule runs at ``base_lr``: the trainer's tracker shares ``patience``
+    and ``min_delta`` with the early stop, whose patience rule ends
+    training before the multiplier first halves, unless a validation loss
+    equals an earlier one minus ``min_delta`` exactly.
     """
     warmup = min(1.0, step / config.t_warmup) if config.t_warmup > 0 else 1.0
     if config.schedule == "warmup":

@@ -1,6 +1,10 @@
 import base64
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,3 +655,49 @@ class TestMainErrors:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+# the child's address space, capped in the child alone: an allocation past
+# it fails at once with MemoryError instead of paging or being killed
+CAPPED_CHILD = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from dartclean.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _capped_cli(*args):
+    """Run ``dartclean *args`` in a child process with a 3 GB address space
+    and one BLAS thread; returns the completed process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestOutOfMemory:
+    """An allocation that cannot be met exits 1 with one line naming the
+    command, not a traceback."""
+
+    def assert_one_line(self, proc, command):
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: dartclean {command} ran out of memory: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_synth_of_two_billion_samples(self, tmp_path):
+        cfg, out = _synth_args(tmp_path)
+        proc = _capped_cli("synth", "--config", cfg,
+                           "--set", "synth.n=2000000000", "--set", "synth.cadence=1")
+        self.assert_one_line(proc, "synth")
+        assert not out.exists()
+
+    def test_train_of_a_layer_too_wide(self, tmp_path):
+        cfg, dart = _synth_args(tmp_path, n=600)
+        assert main(["synth", "--config", cfg]) == 0
+        checkpoint = tmp_path / "ck.json"
+        cfg = _write_config(tmp_path, name="train.json", input=str(dart),
+                            checkpoint=str(checkpoint))
+        proc = _capped_cli("train", "--config", cfg, "--set", "model.hidden=[200000000]")
+        self.assert_one_line(proc, "train")
+        assert not checkpoint.exists()

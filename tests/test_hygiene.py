@@ -1,7 +1,8 @@
 """Every name a package or test module imports is used in it or re-exported,
 every top-level function and class of the package is used by the package,
 so is every member of a package class unless a named file outside the
-package reads it, no package module reads the environment, and no package
+package reads it, no package module reads the environment, no package
+module but ``blocks`` touches threads or CPU affinity, and no package
 code outside an ``__init__`` rebinds a model array.
 
 No linter ships with the project, so this parses each module: an import
@@ -167,6 +168,26 @@ def test_no_package_module_reads_the_environment(path):
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= set(imported_names(tree))
     assert not used & ENVIRONMENT_READERS, f"{path.name} reads the environment"
+
+
+CONCURRENCY_MODULES = {"threading", "concurrent", "contextvars"}
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "blocks.py"], ids=lambda p: p.name)
+def test_concurrency_lives_in_blocks_alone(path):
+    # threads, their context and their CPU placement are blocks.map_blocks's
+    # business: a module that starts or pins threads of its own would
+    # escape its ordered results and its byte identity across CPU counts
+    tree = ast.parse(path.read_text())
+    modules = {alias.name.partition(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not modules & CONCURRENCY_MODULES, f"{path.name} imports {modules & CONCURRENCY_MODULES}"
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "sched_setaffinity" not in used | set(imported_names(tree)), \
+        f"{path.name} sets a CPU affinity"
 
 
 # attributes that hold a model's checkpointed arrays

@@ -182,6 +182,23 @@ class TestProjectLatent:
             coords = metrics.project_latent(mu)
         assert np.allclose(coords, coords[0])
 
+    def test_rank_one_latents_keep_their_first_two_centred_coordinates(self):
+        # only the first coordinate varies, so the covariance has one
+        # non-zero eigenvalue
+        mu = np.tile(np.arange(16.0), (6, 1))
+        mu[:, 0] = np.arange(6.0)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            coords = metrics.project_latent(mu)
+        want = np.column_stack([np.arange(6.0) - 2.5, np.zeros(6)])
+        assert np.array_equal(coords, want)
+
+    def test_latent_width_one_gets_a_zero_second_column(self):
+        mu = np.array([[1.0], [4.0], [2.5], [0.5]])
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            coords = metrics.project_latent(mu)
+        assert np.array_equal(coords, np.array([[-1.0, 0.0], [2.0, 0.0], [0.5, 0.0],
+                                                [-1.5, 0.0]]))
+
     def test_planar_data_preserves_distances(self, rng):
         basis = np.linalg.qr(rng.normal(size=(16, 2)))[0]
         plane = rng.normal(size=(40, 2)) @ basis.T
