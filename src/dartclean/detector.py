@@ -5,14 +5,17 @@ deviation; long windows (480 samples) catch baseline steps via adjacent
 mean shifts.  A convex combination of reconstruction error and statistical
 deviation (weight 0.7 / 0.3) gives the hybrid anomaly score.
 
-Both rolling statistics run on ``sliding_window_view`` rows and equal the
-plain per-index slice computation bit for bit: a row of the view is a
-contiguous run of the series, and NumPy reduces the last axis of a
-C-ordered operand row by row with the same pairwise summation (and the
-same partition for the median) it applies to a 1-D slice.  Since rows
-reduce independently, the median and std take the view a block of rows
-at a time, the blocks spread over the usable CPUs by
-:func:`blocks.map_blocks`.
+Both rolling statistics run on ``sliding_window_view`` rows, a block of
+rows at a time on the calling thread.  The median is the middle of each
+sorted row, or for even w the mean ``(a + b) / 2`` of the middle pair, as
+``np.median`` averages it, so it equals the window's ``np.median`` in
+value; only a zero median may take the other sign, which ``|x - median|``
+cannot see.  A row holding a NaN sorts it last and gets a NaN median.
+The std reduces the unsorted rows and equals the per-index slice's bit
+for bit: a row of the view is a contiguous run of the series, and NumPy
+reduces the last axis of a C-ordered operand row by row with the same
+pairwise summation it applies to a 1-D slice.  Only the w - 1 windows
+clamped at the series edges loop in Python, over slices.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blocks import map_blocks, workers
 from .errors import DataError
 from .series_io import check_rules
 
 STD_FLOOR = 1e-8
-# rows of the sliding-window view per block of rolling_median_std: np.median
+# rows of the sliding-window view per block of rolling_median_std: the sort
 # copies every row it is given, and .std subtracts each row's mean in a new
 # array, so whole-view calls would hold two [n x w] arrays
 ROLLING_BLOCK_ROWS = 4096
@@ -60,14 +62,6 @@ class AnomalyMasks:
     segments: list = field(default_factory=list)  # [(kind, start, end)]
 
 
-def _window_bounds(n: int, w: int):
-    """Centered windows of nominal width w, clamped at the series edges."""
-    idx = np.arange(n)
-    lo = np.maximum(0, idx - w // 2)
-    hi = np.minimum(n, idx + (w - w // 2))
-    return lo, hi
-
-
 def rolling_median_std(x: np.ndarray, w: int):
     """Centered rolling median and population std with edge clamping."""
     x = np.asarray(x, dtype=float)
@@ -78,21 +72,17 @@ def rolling_median_std(x: np.ndarray, w: int):
     std = np.empty(n)
     # index i's window is x[i - w//2 : i + w - w//2]; where it fits whole it
     # is row i - w//2 of the view, so only the w - 1 clamped edges loop
-    first, last = w // 2, n - (w - w // 2)
+    half = w // 2
     view = sliding_window_view(x, w)
-
-    def block(lo, worker):
+    for lo in range(0, len(view), ROLLING_BLOCK_ROWS):
         rows = view[lo:lo + ROLLING_BLOCK_ROWS]
-        at = slice(first + lo, first + lo + len(rows))
-        np.median(rows, axis=1, out=med[at])
+        at = slice(half + lo, half + lo + len(rows))
+        s = np.sort(rows, axis=1)
+        mid = s[:, half] if w % 2 else (s[:, half - 1] + s[:, half]) / 2
+        med[at] = np.where(np.isnan(s[:, -1]), np.nan, mid)
         rows.std(axis=1, out=std[at])
-
-    starts = range(0, len(view), ROLLING_BLOCK_ROWS)
-    for _ in map_blocks(block, starts, workers(len(starts)), len(starts)):
-        pass
-    lo, hi = _window_bounds(n, w)
-    for i in [*range(first), *range(last + 1, n)]:
-        seg = x[lo[i]:hi[i]]
+    for i in [*range(half), *range(n - w + half + 1, n)]:
+        seg = x[max(i - half, 0):i + w - half]
         med[i] = np.median(seg)
         std[i] = seg.std()
     return med, std

@@ -69,6 +69,7 @@ class ModelConfig:
             (("latent",), lambda v: v >= 1, "an integer >= 1"),
             (("bn_eps",), lambda v: v > 0.0, "a number > 0"),
             (("bn_momentum",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+            (("skip_alpha_init", "beta0", "conf_decay"), math.isfinite, "a finite number"),
         ])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries
         if std <= 1e-12:
             raise DataError("degenerate series: standard deviation is ~0")
         stats = NormStats(mean=float(values.mean()), std=std)
-    if stats.std <= 1e-12:
-        raise DataError("degenerate normalization stats")
+    if not (math.isfinite(stats.mean) and math.isfinite(stats.std) and stats.std > 1e-12):
+        raise DataError(f"normalization stats need a finite mean and std > 1e-12, got {stats}")
     normalized = (values - stats.mean) / stats.std
     return NormalizedSeries(values=normalized, stats=stats)
 

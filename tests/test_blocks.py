@@ -2,9 +2,10 @@
 
 ``map_blocks`` runs row blocks on one thread per usable CPU, each thread
 taking the next block when it is free.  Its results come back in span
-order with a bounded number of spans in flight, and the
-forward and rolling statistics built on it are byte-identical whether the
-process may use one CPU or several.
+order with a bounded number of spans in flight, and the forward built on
+it is byte-identical whether the process may use one CPU or several.  The
+rolling statistics run on the calling thread alone, and are byte-identical
+on any CPU count too.
 """
 
 import os
@@ -23,6 +24,7 @@ from dartclean.model import ModelConfig, Vae
 from tests.conftest import perturbed_model
 from tests.oracles import oracle_infer
 from tests.test_infer import identical
+from tests.test_kernels import oracle_rolling_median_std
 
 
 # the CPUs the test process may use, taken before any map runs: a map that
@@ -263,6 +265,20 @@ def test_infer_series_is_identical_on_one_and_two_cpus(monkeypatch, model, n, bl
 def test_rolling_median_std_is_identical_on_one_and_two_cpus(monkeypatch, w, n):
     x = np.random.default_rng(n).normal(size=n).round(2)   # ties in the medians
     assert_identical(*on_cpus(monkeypatch, lambda: detector.rolling_median_std(x, w)))
+
+
+def test_rolling_median_std_starts_no_thread(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+
+    def refuse(thread):
+        raise AssertionError(f"started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    n = 2 * ROLLING_BLOCK_ROWS + 48   # a view of three blocks
+    x = np.random.default_rng(n).normal(size=n).round(2)
+    for got, expect in zip(detector.rolling_median_std(x, 48),
+                           oracle_rolling_median_std(x, 48)):
+        assert np.array_equal(got, expect)
 
 
 def test_encoder_fault_beats_decoder_fault_on_two_cpus(monkeypatch):

@@ -250,6 +250,8 @@ class TestCmdTrain:
     @pytest.mark.parametrize("override", [
         "model.hidden=[]", "model.hidden=[8,0]", "model.window=1", "model.latent=0",
         "model.bn_eps=0", "model.bn_momentum=1.5", "model.bn_momentum=-0.1",
+        "model.skip_alpha_init=Infinity", "model.skip_alpha_init=-Infinity",
+        "model.beta0=Infinity", "model.conf_decay=-Infinity",
     ])
     def test_model_out_of_range_is_config_error(self, tmp_path, capsys, override):
         cfg = _write_config(tmp_path, input=str(tmp_path / "series.dart"),
@@ -391,6 +393,8 @@ class TestCmdClean:
         ("bn_eps", 0.0), ("bn_momentum", 2.0),
         # a NaN passes every range check, so the type check rejects it
         ("skip_alpha_init", float("nan")), ("beta0", float("nan")), ("conf_decay", float("nan")),
+        ("skip_alpha_init", float("inf")), ("skip_alpha_init", -float("inf")),
+        ("beta0", float("inf")), ("conf_decay", -float("inf")),
     ])
     def test_out_of_range_architecture_is_data_error(self, trained, capsys, key, value):
         tmp_path = trained["dir"]
@@ -402,6 +406,23 @@ class TestCmdClean:
                             checkpoint=str(ck), output=str(tmp_path / "x.csv"))
         assert main(["clean", "--config", cfg]) == 3
         assert f"model.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("std", float("inf")), ("std", float("nan")), ("mean", float("nan")),
+        ("mean", float("inf")),
+    ])
+    def test_non_finite_norm_stats_are_data_error(self, trained, capsys, key, value):
+        tmp_path = trained["dir"]
+        doc = json.loads(trained["checkpoint"].read_text())
+        doc["norm_stats"][key] = value
+        ck = tmp_path / "bad_stats.ckpt"
+        ck.write_text(json.dumps(doc))
+        out = tmp_path / "bad_stats.csv"
+        cfg = _write_config(tmp_path, name="badstats.json", input=str(trained["dart"]),
+                            checkpoint=str(ck), output=str(out))
+        assert main(["clean", "--config", cfg]) == 3
+        assert "normalization stats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoint_shape_fault_is_data_error(self, trained, capsys):
         tmp_path = trained["dir"]

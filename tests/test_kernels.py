@@ -28,9 +28,8 @@ def oracle_rolling_median_std(x, w):
         raise DataError(f"series of length {n} shorter than window {w}")
     med = np.empty(n)
     std = np.empty(n)
-    lo, hi = detector._window_bounds(n, w)
     for i in range(n):
-        seg = x[lo[i]:hi[i]]
+        seg = x[max(0, i - w // 2):min(n, i + w - w // 2)]
         med[i] = np.median(seg)
         std[i] = seg.std()
     return med, std
@@ -77,7 +76,13 @@ def _edge_shapes(windows):
     return [(w, n) for w in windows for n in (w, w + 1, 3 * w + 1)]
 
 
-@pytest.mark.parametrize("w, n", _edge_shapes((3, 4, 5, 8, 48, 49)))
+# the view of n samples has n - w + 1 rows; one row past a rolling block
+# makes a second block
+@pytest.mark.parametrize("w, n", [
+    *_edge_shapes((3, 4, 5, 8, 48, 49)),
+    (48, detector.ROLLING_BLOCK_ROWS + 47), (48, detector.ROLLING_BLOCK_ROWS + 48),
+    (480, 2 * detector.ROLLING_BLOCK_ROWS + 480),
+])
 def test_rolling_median_std_edge_shapes(w, n):
     x = _series(n, seed=n + w)
     med, std = detector.rolling_median_std(x, w)
@@ -131,6 +136,26 @@ def test_kernels_match_oracles_property(w, extra, seed):
                           oracle_gaussian_smooth(x, config))
     batch = preprocess.make_windows(x, w=w)
     assert np.array_equal(batch.windows, oracle_make_windows(x, w=w).windows)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(w=st.integers(3, 500), extra=st.integers(0, 300), seed=st.integers(0, 2**16),
+       decimals=st.integers(0, 2), signed_zeros=st.booleans(), nans=st.integers(0, 3))
+def test_rolling_median_sort_matches_np_median_property(w, extra, seed, decimals,
+                                                         signed_zeros, nans):
+    """The sorted-row median against ``np.median`` per window, on ties,
+    -0.0 beside +0.0 and NaNs; ``==`` holds -0.0 equal to +0.0, so only
+    a zero median's sign may differ."""
+    n = w + extra
+    rng = np.random.default_rng(seed)
+    if signed_zeros:
+        x = rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+    else:
+        x = rng.normal(size=n).round(decimals)   # ties in the medians
+    x[rng.integers(0, n, size=nans)] = np.nan
+    for got, expect in zip(detector.rolling_median_std(x, w),
+                           oracle_rolling_median_std(x, w)):
+        assert np.array_equal(got, expect, equal_nan=True)
 
 
 @pytest.fixture(scope="module")
