@@ -67,7 +67,7 @@ class ModelConfig:
             (("hidden",), lambda v: len(v) > 0 and min(v) >= 1,
              "a non-empty list of widths, each >= 1"),
             (("latent",), lambda v: v >= 1, "an integer >= 1"),
-            (("bn_eps",), lambda v: v > 0.0, "a number > 0"),
+            (("bn_eps",), lambda v: 0.0 < v < math.inf, "a finite number > 0"),
             (("bn_momentum",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
             (("skip_alpha_init", "beta0", "conf_decay"), math.isfinite, "a finite number"),
         ])

@@ -1,9 +1,8 @@
-"""Adam with global-norm clipping, gradient accumulation, and LR schedules."""
+"""Adam with global-norm clipping and LR schedules."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,6 +12,10 @@ from .errors import ConfigError, NumericError
 # elements per chunk of an Adam update: 16 384 and 32 768 ran fastest on a
 # full-width model, in about half the time of whole-array temporaries
 ADAM_CHUNK = 16384
+# Adam's moment decay rates and the guard on its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def global_norm(grad: np.ndarray, spans) -> float:
@@ -36,13 +39,6 @@ def clip_by_global_norm(grad: np.ndarray, spans, tau: float) -> float:
     return norm
 
 
-def accumulate_gradients(grad_list):
-    """Elementwise mean over a list of equally shaped gradient arrays."""
-    if not grad_list:
-        raise ConfigError("cannot accumulate an empty gradient list")
-    return sum(grad_list) / len(grad_list)
-
-
 class Adam:
     """Adam with decoupled weight decay applied to a prefix of the parameters.
 
@@ -56,16 +52,12 @@ class Adam:
     p -= lr*wd*p; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``.
     """
 
-    def __init__(self, params: np.ndarray, decayed: int, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=1e-5):
+    def __init__(self, params: np.ndarray, decayed: int, weight_decay=1e-5):
         if params.ndim != 1 or not params.flags.c_contiguous:
             raise ConfigError("Adam updates its parameters in place, so they must be "
                               "one C-contiguous vector")
         self.params = params
         self.decayed = decayed
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -77,7 +69,7 @@ class Adam:
         if not np.all(np.isfinite(grad)):
             raise NumericError("non-finite gradient; optimizer step aborted")
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         lr_wd = lr * self.weight_decay
@@ -111,18 +103,12 @@ LR_FLOOR = 1e-8
 SCHEDULE_VARIANTS = ("step_decay", "warmup", "cosine", "plateau")
 
 
-def learning_rate(config, step: int, epoch: int, total_steps: int,
-                  plateau_mult: float) -> float:
+def learning_rate(config, step: int, epoch: int, total_steps: int) -> float:
     """The learning rate of the ``TrainConfig`` ``config`` at global
     ``step`` of zero-based ``epoch``, of ``total_steps`` in the run.
 
-    Composition order when several mechanisms are active: warm-up factor,
-    then the variant's decay (cosine or halving-by-epoch), then the plateau
-    multiplier maintained by a :class:`PlateauTracker`.  The ``plateau``
-    schedule runs at ``base_lr``: the trainer's tracker shares ``patience``
-    and ``min_delta`` with the early stop, whose patience rule ends
-    training before the multiplier first halves, unless a validation loss
-    equals an earlier one minus ``min_delta`` exactly.
+    The warm-up factor composes with the variant's decay (cosine or
+    halving-by-epoch).  The ``plateau`` schedule runs at ``base_lr``.
     """
     warmup = min(1.0, step / config.t_warmup) if config.t_warmup > 0 else 1.0
     if config.schedule == "warmup":
@@ -133,30 +119,6 @@ def learning_rate(config, step: int, epoch: int, total_steps: int,
     elif config.schedule == "cosine":
         lr = config.base_lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
         lr *= warmup
-    else:  # plateau: base rate scaled only by the tracker's multiplier
+    else:  # plateau
         lr = config.base_lr
-    lr *= plateau_mult
     return max(lr, LR_FLOOR)
-
-
-@dataclass
-class PlateauTracker:
-    """Halves its multiplier when the monitored loss stops improving."""
-
-    patience: int = 10
-    min_delta: float = 1e-4
-    factor: float = 0.5
-    best: float = field(default=math.inf, init=False)
-    wait: int = field(default=0, init=False)
-    multiplier: float = field(default=1.0, init=False)
-
-    def observe(self, monitored: float) -> float:
-        if monitored < self.best - self.min_delta:
-            self.best = monitored
-            self.wait = 0
-        else:
-            self.wait += 1
-            if self.wait > self.patience:
-                self.multiplier *= self.factor
-                self.wait = 0
-        return self.multiplier

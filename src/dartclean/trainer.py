@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .model import LatentState
-from .optim import (SCHEDULE_VARIANTS, Adam, PlateauTracker, accumulate_gradients,
-                    clip_by_global_norm, learning_rate)
+from .optim import SCHEDULE_VARIANTS, Adam, clip_by_global_norm, learning_rate
 from .series_io import check_rules
 
 LOG_HEADER = "epoch,recon,kl,temporal,mean,total,val_total,lr,grad_norm"
@@ -140,7 +139,6 @@ def train(model, windows, config: TrainConfig):
 
     rng = np.random.default_rng(config.seed)
     total_steps = config.epochs * math.ceil(len(X_train) / config.batch_size)
-    plateau = PlateauTracker(patience=config.patience, min_delta=config.min_delta)
     optimizer = Adam(model.params, model.decayed, weight_decay=config.weight_decay)
 
     log = TrainLog()
@@ -150,7 +148,9 @@ def train(model, windows, config: TrainConfig):
     global_step = 0
     reason = "epochs_exhausted"
     bad_batches = 0
-    pending = []
+    # the running sum of the gradients since the last step, when accumulating
+    pending = np.zeros_like(model.grad) if config.accumulation_steps > 1 else None
+    n_pending = 0
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(X_train))
         sums = np.zeros(5)
@@ -158,7 +158,7 @@ def train(model, windows, config: TrainConfig):
         n_batches = 0
         for start in range(0, len(X_train), config.batch_size):
             batch = X_train[order[start:start + config.batch_size]]
-            lr = learning_rate(config, global_step, epoch - 1, total_steps, plateau.multiplier)
+            lr = learning_rate(config, global_step, epoch - 1, total_steps)
             lb, _, grads = model.loss_and_grads(
                 batch, step=global_step, rng=rng,
                 t_anneal=config.t_anneal, lam_temporal=config.lam_temporal,
@@ -177,17 +177,21 @@ def train(model, windows, config: TrainConfig):
             norm = clip_by_global_norm(model.grad, [model.spans[name] for name in grads],
                                        config.clip_tau)
             norms.append(min(norm, config.clip_tau))
-            if config.accumulation_steps == 1:
-                # accumulating one gradient is 0 + g, which only turns -0.0
+            if pending is None:
+                # the mean of one gradient is 0.0 + g, which only turns -0.0
                 # into +0.0; Adam's m is never -0.0, so m + (±0.0) == m, and
                 # g*g is +0.0 either way (tests/test_train_step.py)
                 optimizer.step(model.grad, lr)
             else:
-                # the next step overwrites model.grad, so keep a copy
-                pending.append(model.grad.copy())
-                if len(pending) >= config.accumulation_steps:
-                    optimizer.step(accumulate_gradients(pending), lr)
-                    pending = []
+                # summed in step order from +0.0, then divided in place, as
+                # the mean sum(grads) / k rounds
+                pending += model.grad
+                n_pending += 1
+                if n_pending == config.accumulation_steps:
+                    pending /= n_pending
+                    optimizer.step(pending, lr)
+                    pending.fill(0.0)
+                    n_pending = 0
             model.update_global_skip(lb.recon)
             sums += (lb.recon, lb.kl, lb.temporal, lb.mean, lb.total)
             n_batches += 1
@@ -200,7 +204,7 @@ def train(model, windows, config: TrainConfig):
         val_history.append(val_total)
         kl_history.append(sums[1] / n_batches)
         grad_norm = float(np.mean(norms)) if norms else 0.0
-        lr_logged = learning_rate(config, global_step, epoch - 1, total_steps, plateau.multiplier)
+        lr_logged = learning_rate(config, global_step, epoch - 1, total_steps)
         log.records.append(EpochRecord(
             epoch=epoch, recon=sums[0] / n_batches, kl=sums[1] / n_batches,
             temporal=sums[2] / n_batches, mean=sums[3] / n_batches,
@@ -210,7 +214,6 @@ def train(model, windows, config: TrainConfig):
         if val_total < best_val:
             best_val = val_total
             best_state = model.clone_state()
-        plateau.observe(val_total)
         stop, why = early_stop_check(val_history, kl_history, grad_norm, config)
         if stop:
             reason = why

@@ -207,10 +207,9 @@ def oracle_infer(model, X, prev_z=None, blend_alpha=1.0):
 
 # ---------------------------------------------------------------- schedule
 
-def oracle_lr_at(variant, base_lr, decay_steps, t_warmup, total_steps, step, epoch=0,
-                 plateau_mult=1.0):
+def oracle_lr_at(variant, base_lr, decay_steps, t_warmup, total_steps, step, epoch=0):
     """``LrSchedule(variant, base_lr, decay_steps, t_warmup,
-    total_steps).lr_at(step, epoch, plateau_mult)``."""
+    total_steps).lr_at(step, epoch)``."""
     def warmup_factor(step):
         if t_warmup <= 0:
             return 1.0
@@ -226,9 +225,8 @@ def oracle_lr_at(variant, base_lr, decay_steps, t_warmup, total_steps, step, epo
     elif variant == "cosine":
         lr = base_lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
         lr *= warmup_factor(step)
-    else:  # plateau: base rate scaled only by the tracker's multiplier
+    else:  # plateau
         lr = base_lr
-    lr *= plateau_mult
     return max(lr, LR_FLOOR)
 
 

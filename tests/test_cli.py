@@ -249,7 +249,8 @@ class TestCmdTrain:
 
     @pytest.mark.parametrize("override", [
         "model.hidden=[]", "model.hidden=[8,0]", "model.window=1", "model.latent=0",
-        "model.bn_eps=0", "model.bn_momentum=1.5", "model.bn_momentum=-0.1",
+        "model.bn_eps=0", "model.bn_eps=Infinity", "model.bn_momentum=1.5",
+        "model.bn_momentum=-0.1",
         "model.skip_alpha_init=Infinity", "model.skip_alpha_init=-Infinity",
         "model.beta0=Infinity", "model.conf_decay=-Infinity",
     ])
@@ -390,7 +391,7 @@ class TestCmdClean:
 
     @pytest.mark.parametrize("key, value", [
         ("hidden", []), ("hidden", [32, 0]), ("window", 0), ("latent", -1),
-        ("bn_eps", 0.0), ("bn_momentum", 2.0),
+        ("bn_eps", 0.0), ("bn_eps", float("inf")), ("bn_momentum", 2.0),
         # a NaN passes every range check, so the type check rejects it
         ("skip_alpha_init", float("nan")), ("beta0", float("nan")), ("conf_decay", float("nan")),
         ("skip_alpha_init", float("inf")), ("skip_alpha_init", -float("inf")),

@@ -16,8 +16,6 @@ from dartclean.layers import (
 from dartclean.optim import (
     SCHEDULE_VARIANTS,
     Adam,
-    PlateauTracker,
-    accumulate_gradients,
     clip_by_global_norm,
     global_norm,
     learning_rate,
@@ -188,27 +186,6 @@ class TestClipping:
             assert global_norm(grad, [slice(0, 10)]) <= 1.0 + 1e-12
 
 
-class TestAccumulate:
-    def test_scalar_mean(self):
-        grads = [np.array(v) for v in [1.0, 2.0, 3.0, 4.0]]
-        assert accumulate_gradients(grads) == 2.5
-
-    def test_idempotent_on_identical(self, rng):
-        g = rng.normal(size=4)
-        out = accumulate_gradients([g, g, g])
-        assert np.allclose(out, g, atol=1e-15)
-
-    def test_matches_sum_over_n(self, rng):
-        grads = [rng.normal(size=(3, 3)) for _ in range(4)]
-        out = accumulate_gradients(grads)
-        ref = (grads[0] + grads[1] + grads[2] + grads[3]) / 4
-        assert np.max(np.abs(out - ref)) <= 1e-15
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigError):
-            accumulate_gradients([])
-
-
 class TestAdam:
     def test_zero_grad_no_decay_leaves_params(self):
         w = np.array([1.0, -2.0])
@@ -242,17 +219,17 @@ class TestAdam:
 class TestLrSchedule:
     def test_step_decay_epoch_150(self):
         config = TrainConfig(schedule="step_decay", base_lr=1e-4, decay_steps=100, t_warmup=0)
-        assert learning_rate(config, 0, 150, 1, 1.0) == pytest.approx(5e-5)
+        assert learning_rate(config, 0, 150, 1) == pytest.approx(5e-5)
 
     def test_warmup_halfway(self):
         config = TrainConfig(schedule="warmup", base_lr=1e-4, t_warmup=1000)
-        assert learning_rate(config, 500, 0, 1, 1.0) == pytest.approx(5e-5)
+        assert learning_rate(config, 500, 0, 1) == pytest.approx(5e-5)
 
     def test_cosine_end_floored(self):
         config = TrainConfig(schedule="cosine", base_lr=1e-4, t_warmup=0)
-        assert learning_rate(config, 200, 0, 200, 1.0) == pytest.approx(1e-8)
-        assert learning_rate(config, 0, 0, 200, 1.0) == pytest.approx(1e-4)
-        assert learning_rate(config, 100, 0, 200, 1.0) == pytest.approx(5e-5)
+        assert learning_rate(config, 200, 0, 200) == pytest.approx(1e-8)
+        assert learning_rate(config, 0, 0, 200) == pytest.approx(1e-4)
+        assert learning_rate(config, 100, 0, 200) == pytest.approx(5e-5)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="train.schedule"):
@@ -261,13 +238,13 @@ class TestLrSchedule:
     def test_emitted_lr_always_positive(self):
         config = TrainConfig(schedule="cosine", base_lr=1e-4, t_warmup=1000)
         for t in range(11):
-            assert learning_rate(config, t, 0, 10, 1.0) > 0.0
+            assert learning_rate(config, t, 0, 10) > 0.0
 
     def test_composition_warmup_then_decay_then_plateau(self):
         config = TrainConfig(schedule="step_decay", base_lr=1e-4, decay_steps=100,
                              t_warmup=1000)
-        lr = learning_rate(config, 500, 150, 1, 0.5)
-        assert lr == pytest.approx(1e-4 * 0.5 * 0.5 ** 1 * 0.5)
+        lr = learning_rate(config, 500, 150, 1)
+        assert lr == pytest.approx(1e-4 * 0.5 * 0.5 ** 1)
 
     @pytest.mark.parametrize("variant, expected", [
         ("step_decay", 1e-4 * 0.5),                                          # decay x warm-up
@@ -277,36 +254,18 @@ class TestLrSchedule:
     ])
     def test_warmup_halfway_per_variant(self, variant, expected):
         config = TrainConfig(schedule=variant, base_lr=1e-4, t_warmup=50)
-        assert learning_rate(config, 25, 0, 200, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert learning_rate(config, 25, 0, 200) == pytest.approx(expected, rel=1e-12)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(variant=st.sampled_from(SCHEDULE_VARIANTS),
            base_lr=st.sampled_from([1e-4, 1e-3, 3e-4]) | st.floats(1e-9, 1.0),
            decay_steps=st.integers(1, 300), t_warmup=st.integers(0, 2000),
            total_steps=st.integers(1, 5000), step=st.integers(0, 6000),
-           epoch=st.integers(0, 1000),
-           plateau_mult=st.sampled_from([1.0, 0.5, 0.5 ** 9]) | st.floats(1e-6, 1.0))
+           epoch=st.integers(0, 1000))
     def test_matches_the_schedule_it_replaced(self, variant, base_lr, decay_steps, t_warmup,
-                                              total_steps, step, epoch, plateau_mult):
+                                              total_steps, step, epoch):
         # exact: the same operations in the same order round the same way
         config = TrainConfig(schedule=variant, base_lr=base_lr, decay_steps=decay_steps,
                              t_warmup=t_warmup)
-        assert learning_rate(config, step, epoch, total_steps, plateau_mult) == oracle_lr_at(
-            variant, base_lr, decay_steps, t_warmup, total_steps, step, epoch, plateau_mult)
-
-
-class TestPlateauTracker:
-    def test_halves_after_patience(self):
-        tracker = PlateauTracker(patience=3, min_delta=1e-4)
-        tracker.observe(1.0)
-        for _ in range(4):
-            mult = tracker.observe(1.0)
-        assert mult == 0.5
-
-    def test_improvement_resets(self):
-        tracker = PlateauTracker(patience=2, min_delta=1e-4)
-        tracker.observe(1.0)
-        tracker.observe(1.0)
-        tracker.observe(0.5)  # improvement resets the wait counter
-        tracker.observe(0.5)
-        assert tracker.multiplier == 1.0
+        assert learning_rate(config, step, epoch, total_steps) == oracle_lr_at(
+            variant, base_lr, decay_steps, t_warmup, total_steps, step, epoch)

@@ -22,8 +22,6 @@ from dartclean.model import ModelConfig, Vae
 from dartclean.optim import (
     ADAM_CHUNK,
     Adam,
-    PlateauTracker,
-    accumulate_gradients,
     clip_by_global_norm,
     global_norm,
 )
@@ -126,7 +124,6 @@ def oracle_train(model, X, config):
     rng = np.random.default_rng(config.seed)
     schedule = (config.schedule, config.base_lr, config.decay_steps, config.t_warmup,
                 config.epochs * max(1, math.ceil(len(X_train) / config.batch_size)))
-    plateau = PlateauTracker(patience=config.patience, min_delta=config.min_delta)
     optimizer = OracleAdam(model.trainable(), weight_decay=config.weight_decay)
     log = TrainLog()
     val_history, kl_history = [], []
@@ -137,7 +134,7 @@ def oracle_train(model, X, config):
         sums, norms, n_batches = np.zeros(5), [], 0
         for start in range(0, len(X_train), config.batch_size):
             batch = X_train[order[start:start + config.batch_size]]
-            lr = oracle_lr_at(*schedule, global_step, epoch - 1, plateau.multiplier)
+            lr = oracle_lr_at(*schedule, global_step, epoch - 1)
             lb, _, grads = oracle_loss_and_grads(
                 model, batch, global_step, train=True, rng=rng, t_anneal=config.t_anneal,
                 lam_temporal=config.lam_temporal, lam_mean=config.lam_mean)
@@ -161,12 +158,11 @@ def oracle_train(model, X, config):
             epoch=epoch, recon=sums[0] / n_batches, kl=sums[1] / n_batches,
             temporal=sums[2] / n_batches, mean=sums[3] / n_batches,
             total=sums[4] / n_batches, val_total=val.total,
-            lr=oracle_lr_at(*schedule, global_step, epoch - 1, plateau.multiplier),
+            lr=oracle_lr_at(*schedule, global_step, epoch - 1),
             grad_norm=grad_norm, val_recon=val.recon,
         ))
         if val.total < best_val:
             best_val, best_state = val.total, model.clone_state()
-        plateau.observe(val.total)
         stop, why = early_stop_check(val_history, kl_history, grad_norm, config)
         if stop:
             reason = why
@@ -394,8 +390,8 @@ def negative_zeros(a) -> int:
 
 
 def test_single_step_accumulation_skip_is_bit_identical_with_negative_zeros():
-    """``accumulate_gradients([g])`` is ``0 + g``, which turns -0.0 into
-    +0.0; the optimizer must not tell the two apart."""
+    """The mean of one accumulated gradient is ``0.0 + g``, which turns
+    -0.0 into +0.0; the optimizer must not tell the two apart."""
     flat, params, _, decayed, _ = adam_pair(1)
     opt, ref = Adam(flat, decayed), Adam(flat.copy(), decayed)
     rng = np.random.default_rng(9)
@@ -403,7 +399,7 @@ def test_single_step_accumulation_skip_is_bit_identical_with_negative_zeros():
         grad = flat_views(adam_grads(params, rng), dense_weights_first(params))[0]
         if step < 3:   # zero-signed gradients while m and v are still +0.0
             grad *= -0.0
-        averaged = accumulate_gradients([grad])
+        averaged = 0.0 + grad
         assert negative_zeros(grad)
         assert not negative_zeros(averaged)
         opt.step(grad, lr=1e-3)
