@@ -106,11 +106,9 @@ def cmd_synth(cfg) -> int:
 
 def cmd_train(cfg) -> int:
     raw = series_io.parse_dart_file(_require(cfg, "input"))
-    filled = fill_gaps(raw)
-    norm = zscore_normalize(filled)
-    model_cfg = cfg["model"]
-    windows = make_windows(norm, w=model_cfg.window)
-    model = Vae(model_cfg, seed=cfg["seed"])
+    norm = zscore_normalize(fill_gaps(raw))
+    windows = make_windows(norm, w=cfg["model"].window)
+    model = Vae(cfg["model"], seed=cfg["seed"])
     train_cfg = cfg["train"]
     log_path = _derived(cfg, "train_log", ".train.csv", base="checkpoint")
     try:
@@ -190,8 +188,7 @@ def cmd_eval(cfg) -> int:
 def cmd_latent(cfg) -> int:
     model, stats = series_io.load_checkpoint(_require(cfg, "checkpoint"))
     raw = series_io.parse_dart_file(_require(cfg, "input"))
-    filled = fill_gaps(raw)
-    norm = zscore_normalize(filled, stats)
+    norm = zscore_normalize(fill_gaps(raw), stats)
     origins = np.arange(len(norm.values) - model.config.window + 1)
     if len(origins) < 3:
         raise DataError("latent projection needs at least 3 windows")

@@ -126,7 +126,6 @@ def detect_steps(x: np.ndarray, config: DetectConfig, tau_l: float | None = None
 
 
 def _minmax_scale(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
     span = values.max() - values.min()
     if span <= 0:
         return np.zeros_like(values)

@@ -35,7 +35,7 @@ from .layers import (
     relu_backward,
     relu_forward,
 )
-from .series_io import check_rules
+from .series_io import check_budget, check_rules
 
 LOGVAR_CLIP = 10.0
 # rows per block of :meth:`Vae.infer`: small enough that a block's widest
@@ -71,6 +71,10 @@ class ModelConfig:
             (("bn_momentum",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
             (("skip_alpha_init", "beta0", "conf_decay"), math.isfinite, "a finite number"),
         ])
+        check_budget("model.window", 8 * INFER_BLOCK_ROWS * self.window, "an infer block")
+        count = sum(math.prod(shape) for shape in state_shapes(self).values())
+        check_budget("model.hidden", 5 * 8 * count, f"{count:,} parameters, their gradient, "
+                     "Adam's m and v and the best state")
 
 
 @dataclass
@@ -412,34 +416,33 @@ class Vae:
 
     # --------------------------------------------------------------- helpers
 
-    def _infer_rows(self, X: np.ndarray, prev_z, blend_alpha: float, logvar_out, emit):
+    def _infer_rows(self, X: np.ndarray, z, prev_z, blend_alpha: float, logvar_out, emit, out):
         """The one infer-mode forward, behind :meth:`infer` and
         :meth:`infer_series`.  Each row block of the [n x window] windows
-        ``X`` is encoded, blended into z and decoded by one task of
+        ``X`` is encoded, blended into ``z`` (which may be ``prev_z``: a
+        block reads its rows of it first) and decoded by one task of
         :func:`blocks.map_blocks`; each decoded block is handed, in block
         order, to ``emit(lo, hi, xhat_block)`` in the calling thread, which
-        must be done with the block when it returns.  An encoder fault
-        raises when its block's turn comes; the callers check the decoded
-        output once every block is emitted, so encoder faults come first.
-        Returns z."""
+        must be done with the block when it returns and writes ``out``.  An
+        encoder fault raises when its block's turn comes, before ``out`` is
+        checked once every block is emitted, so encoder faults come first."""
         n, w, latent = X.shape[0], self.config.window, self.config.latent
         if prev_z is not None and np.shape(prev_z) != (n, latent):
             raise ShapeError(f"expected [{n} x {latent}] previous latents, "
                              f"got {np.shape(prev_z)}")
-        z = np.empty((n, latent))
         spans = row_blocks(n, INFER_BLOCK_ROWS)
         count = workers(len(spans))
         # Every block-sized array a block writes lives in a flat buffer
         # allocated by this thread: a pool thread's malloc arena would keep
         # what the thread frees for the life of the process.  Each worker
         # has two.  A layer reads one and writes the other; the spare one
-        # takes the log-variances, the blend product and the products of
-        # the first decoder skip and the global skip.  A later decoder
-        # layer writes its skip products over its spent input.  A decoded
-        # block waits for the overlap-add in the (block mod ahead)-th of
-        # ``ahead`` more.
+        # takes the log-variances beside the blend product, then the
+        # products of the first decoder skip and the global skip.  A later
+        # decoder layer writes its skip products over its spent input.  A
+        # decoded block waits for the overlap-add in the (block mod
+        # ahead)-th of ``ahead`` more.
         rows = max(hi - lo for lo, hi in spans)
-        width = max(w, latent, *self.config.hidden)
+        width = max(w, 2 * latent, *self.config.hidden)
         scratch = [(np.empty(rows * width), np.empty(rows * width)) for _ in range(count)]
         ahead = min(DECODED_AHEAD * count, len(spans))
         decoded = [np.empty(rows * w) for _ in range(ahead)]
@@ -452,6 +455,9 @@ class Vae:
             for dn, bn in zip(self.enc_dense, self.enc_bn):
                 a, b = b, a
                 h = _frozen_block(h, dn, bn, a)
+            if prev_z is not None:
+                kept = np.multiply(1.0 - blend_alpha, prev_z[lo:hi],
+                                   out=_rows(b[(hi - lo) * latent:], hi - lo, latent))
             mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
             mu += self.mu_head.b
             logvar = np.matmul(h, self.logvar_head.W.T, out=_rows(b, hi - lo, latent)
@@ -463,8 +469,7 @@ class Vae:
             mu += 0.0   # z = mu + exp(0.5 * logvar) * 0, which turns -0.0 into 0.0
             if prev_z is not None:
                 mu *= blend_alpha
-                mu += np.multiply(1.0 - blend_alpha, prev_z[lo:hi],
-                                  out=_rows(b, hi - lo, latent))
+                mu += kept
             h, skip = mu, _rows(b, hi - lo, latent)
             for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
                 h = skip = _frozen_block(h, dn, bn, a, alpha, skip)
@@ -476,7 +481,8 @@ class Vae:
 
         for (lo, hi), y in zip(spans, map_blocks(infer_block, range(len(spans)), count, ahead)):
             emit(lo, hi, y)
-        return z
+        if not np.all(np.isfinite(out)):
+            raise NumericError("non-finite decoder outputs")
 
     def infer(self, X: np.ndarray, prev_z: np.ndarray | None = None,
               blend_alpha: float = 1.0, logvar_out: np.ndarray | None = None):
@@ -492,13 +498,12 @@ class Vae:
         if X.ndim != 2 or X.shape[1] != self.config.window:
             raise ShapeError(f"expected [batch x {self.config.window}] windows, got {X.shape}")
         xhat = np.empty_like(X)
+        z = np.empty((len(X), self.config.latent))
 
         def keep(lo, hi, block):
             xhat[lo:hi] = block
 
-        z = self._infer_rows(X, prev_z, blend_alpha, logvar_out, keep)
-        if not np.all(np.isfinite(xhat)):
-            raise NumericError("non-finite decoder outputs")
+        self._infer_rows(X, z, prev_z, blend_alpha, logvar_out, keep, xhat)
         return z, xhat
 
     def infer_series(self, x: np.ndarray, prev_z: np.ndarray | None = None,
@@ -506,7 +511,9 @@ class Vae:
         """:meth:`infer` on every stride-1 window of the series ``x``, with
         the decoded windows overlap-added back to series length; returns
         (z, recon), ``recon[i]`` the mean of every decoded window covering
-        sample i.
+        sample i.  A given ``prev_z``, a writable C-contiguous float64
+        array, is overwritten by the blended latents and returned as z, so a
+        refinement holds one latent array (undefined after a fault).
 
         Holds no [windows x window] array.  Each encoder block is copied
         out of a sliding view of ``x``, and each decoded block is added into
@@ -518,15 +525,18 @@ class Vae:
         n, w = len(x), self.config.window
         if n < w:
             raise DataError(f"series of length {n} is shorter than window {w}")
+        z = np.empty((n - w + 1, self.config.latent)) if prev_z is None else prev_z
+        if not (isinstance(z, np.ndarray) and z.dtype == np.float64
+                and z.flags.c_contiguous and z.flags.writeable):
+            raise ShapeError("previous latents must be a writable, C-contiguous float64 array")
         recon = np.zeros(n)
 
         def overlap_add(lo, hi, block):
             for j in range(w - 1, -1, -1):
                 recon[lo + j:hi + j] += block[:, j]
 
-        z = self._infer_rows(sliding_window_view(x, w), prev_z, blend_alpha, None, overlap_add)
-        if not np.all(np.isfinite(recon)):
-            raise NumericError("non-finite decoder outputs")
+        self._infer_rows(sliding_window_view(x, w), z, prev_z, blend_alpha, None, overlap_add,
+                         recon)
         i = np.arange(n)
         recon /= np.minimum(i, n - w) - np.maximum(i - (w - 1), 0) + 1
         return z, recon

@@ -110,15 +110,12 @@ def learning_rate(config, step: int, epoch: int, total_steps: int) -> float:
     The warm-up factor composes with the variant's decay (cosine or
     halving-by-epoch).  The ``plateau`` schedule runs at ``base_lr``.
     """
-    warmup = min(1.0, step / config.t_warmup) if config.t_warmup > 0 else 1.0
-    if config.schedule == "warmup":
-        lr = config.base_lr * warmup
-    elif config.schedule == "step_decay":
-        lr = config.base_lr * 0.5 ** (epoch // config.decay_steps)
-        lr *= warmup
+    if config.schedule == "plateau":
+        return max(config.base_lr, LR_FLOOR)
+    lr = config.base_lr   # as the warmup schedule leaves it, before the warm-up factor
+    if config.schedule == "step_decay":
+        lr *= 0.5 ** (epoch // config.decay_steps)
     elif config.schedule == "cosine":
-        lr = config.base_lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
-        lr *= warmup
-    else:  # plateau
-        lr = config.base_lr
-    return max(lr, LR_FLOOR)
+        lr = lr * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
+    warmup = min(1.0, step / config.t_warmup) if config.t_warmup > 0 else 1.0
+    return max(lr * warmup, LR_FLOOR)

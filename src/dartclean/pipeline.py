@@ -46,16 +46,13 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
                  refine_config: refiner.RefineConfig | None = None,
                  smooth_config: postprocess.SmoothConfig | None = None) -> CleanResult:
     detect_config = detect_config or detector.DetectConfig()
-    refine_config = refine_config or refiner.RefineConfig()
-    smooth_config = smooth_config or postprocess.SmoothConfig()
 
     filled = fill_gaps(raw)
-    norm = zscore_normalize(filled, stats)
-    x_norm = norm.values
+    x_norm = zscore_normalize(filled, stats).values
 
     masks, first = detect_anomalies(model, x_norm, detect_config)
     result = refiner.refine(model, x_norm, masks, detect_config, refine_config, first)
-    del first   # its n x latent z is spent
+    del first   # its n x latent z, which every round overwrote, is spent
 
     validated, warned = postprocess.validate_steps(
         result.series, result.step_mask, masks.spike,

@@ -24,12 +24,6 @@ class NormalizedSeries:
     stats: NormStats
 
 
-@dataclass
-class WindowBatch:
-    windows: np.ndarray   # [num_windows x w]
-    origins: np.ndarray   # start index of each window in the source series
-
-
 def fill_gaps(series: RawSeries) -> RawSeries:
     """Linearly interpolate interior flagged runs; edge runs take the
     nearest valid value (backward-fill at the head, forward-fill at the tail).
@@ -69,17 +63,16 @@ def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries
     return NormalizedSeries(values=normalized, stats=stats)
 
 
-def make_windows(series, w: int = 48) -> WindowBatch:
-    """All stride-1 windows of width w (copies, not views)."""
+def make_windows(series, w: int = 48) -> np.ndarray:
+    """All stride-1 windows of width w as a read-only [n - w + 1 x w] view
+    of the series; row i starts at sample i. Callers that write copy rows."""
     values = series.values if isinstance(series, NormalizedSeries) else np.asarray(series, dtype=float)
     n = len(values)
     if w < 2:
         raise ConfigError("window size must be >= 2")
     if n < w:
         raise DataError(f"series of length {n} is shorter than window {w}")
-    origins = np.arange(n - w + 1)
-    windows = sliding_window_view(values, w).copy()
-    return WindowBatch(windows=windows, origins=origins)
+    return sliding_window_view(values, w)
 
 
 def denormalize(values, stats: NormStats) -> np.ndarray:

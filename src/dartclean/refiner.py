@@ -14,7 +14,8 @@ the pipeline hands its result to :func:`refine` instead of recomputing it.
 
 A pass never holds the windows or the decoded windows whole:
 :meth:`Vae.infer_series` overlap-adds each decoded row block into the
-series as it goes.
+series as it goes, and writes each round's blended latents over the
+previous round's, so a refinement holds one [windows x latent] array.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class InferPass:
 def infer_pass(model, x: np.ndarray, detect_config: detector.DetectConfig,
                tau_l: float | None = None, prev_z: np.ndarray | None = None,
                blend_alpha: float = 1.0) -> InferPass:
-    """Encode every stride-1 window of ``x``, blend the latents with
+    """Encode every stride-1 window of ``x``, blend the latents into
     ``prev_z`` if given, decode and overlap-add; run both detectors on ``x``
     (steps at ``tau_l``, default ``detect_config.tau_l``)."""
     z, recon = model.infer_series(x, prev_z, blend_alpha)
@@ -88,7 +89,8 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
     """Run the full refinement loop; see the module docstring.
 
     ``first``, if given, must be ``infer_pass(model, x_norm, detect_config)``;
-    round 1 then reuses it instead of computing it again.
+    round 1 then reuses it instead of computing it again, and round 2
+    overwrites its z.
     """
     config = config or RefineConfig()
     x_norm = np.asarray(x_norm, dtype=float)
@@ -103,12 +105,9 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
     if not base_spike.any() and not base_step.any():
         return RefineResult(series=x_norm.copy(), step_mask=base_step.copy())
 
-    current = x_norm.copy()
-    prev_z = None
-    spike_mask = base_spike.copy()
-    step_mask = base_step.copy()
-    log = []
-    history = []
+    # each round makes new arrays of these, and leaves the inputs alone
+    current, prev_z, spike_mask, step_mask = x_norm, None, base_spike, base_step
+    log, history = [], []
     for k in range(1, config.iterations + 1):
         decay = config.threshold_decay ** (k - 1)
         if k == 1 and first is not None:
@@ -126,12 +125,9 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
         # per-iteration error |xhat_k - xhat_{k-1}| on the gated series
         change = np.abs(nxt - current)
         mean_change = float(change.mean())
-        log.append(IterationRecord(
-            iteration=k,
-            mean_change=mean_change,
-            masked_count=int(gate.sum()),
-            max_correction=float(change.max()) if n else 0.0,
-        ))
+        log.append(IterationRecord(iteration=k, mean_change=mean_change,
+                                   masked_count=int(gate.sum()),
+                                   max_correction=float(change.max()) if n else 0.0))
         if config.keep_history:
             history.append((nxt.copy(), gate.copy()))
         current = nxt

@@ -457,6 +457,18 @@ def check_rules(config, path: str, rules):
                 raise ConfigError(f"{path}.{key} must be {rule}, got {getattr(config, key)!r}")
 
 
+# the most memory one config may ask for, in bytes: a constant, so that a
+# config is valid or not whatever machine reads it
+MEMORY_BUDGET = 4 << 30
+
+
+def check_budget(key: str, nbytes: int, what: str):
+    """Raise ``ConfigError`` naming ``key`` if ``nbytes`` is over budget."""
+    if nbytes > MEMORY_BUDGET:
+        raise ConfigError(f"{key} needs {nbytes:,} bytes for {what}, over the "
+                          f"{MEMORY_BUDGET:,}-byte budget")
+
+
 def _entry(name: str, value, version):
     """The shape of a ``params`` entry and its payload: the base64 string
     of a ``{"shape", "data"}`` object, or, in a version 1 or 2 file, the

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .series_io import FLAG_MISSING, FLAG_VALID, LAST_SECOND, RawSeries, check_rules
+from .series_io import FLAG_MISSING, FLAG_VALID, LAST_SECOND, RawSeries, check_budget, check_rules
 
 # dominant semidiurnal constituents: lunar M2 and solar S2 periods in seconds
 DEFAULT_TIDES = ((0.3, 44714.0, 0.0), (0.15, 43200.0, 1.3))
@@ -59,6 +59,8 @@ class SynthSpec:
             (("spike_count", "step_count", "gap_count"), lambda v: v >= 0, "a count >= 0"),
             (("seed",), lambda v: v >= 0, "an integer >= 0"),
         ])
+        # generate holds up to nine series-length float64 arrays at once
+        check_budget("synth.n", 9 * 8 * self.n, f"{self.n:,} samples")
 
 
 def _is_pair(values) -> bool:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import LatentState
 from .optim import SCHEDULE_VARIANTS, Adam, clip_by_global_norm, learning_rate
 from .series_io import check_rules
@@ -119,35 +119,39 @@ def early_stop_check(val_history, kl_history, grad_norm, config: TrainConfig):
     return False, None
 
 
-def train(model, windows, config: TrainConfig):
-    """Train a Vae on a WindowBatch; returns (TrainLog, stop reason).
+def train(model, X, config: TrainConfig):
+    """Train a Vae on the [n x window] windows ``X``, which may be a
+    sliding window view of the series; returns (TrainLog, stop reason).
 
     The model is left holding the parameters with the best validation loss
     seen during the run.  The validation split is the chronologically last
     fraction of windows, so the same seed always yields the same split,
     batches, and numeric trajectory.
     """
-    X = np.asarray(windows.windows if hasattr(windows, "windows") else windows,
-                   dtype=float)
+    X = np.asarray(X, dtype=float)
     if X.size == 0:
         raise DataError("no training windows supplied")
     n_windows = X.shape[0]
     n_val = max(1, int(round(config.val_fraction * n_windows)))
     if n_val >= n_windows:
         raise DataError("too few windows for the requested validation fraction")
-    X_train, X_val = X[:-n_val], X[-n_val:]
+    # batches are copies; so is X_val: the mean penalty's X.mean() sums a
+    # window view in another order than its copy
+    X_train, X_val = X[:-n_val], X[-n_val:].copy()
+    batches = math.ceil(len(X_train) / config.batch_size)
+    if config.accumulation_steps > batches:
+        raise ConfigError(f"train.accumulation_steps must be at most the {batches} batches "
+                          f"of one epoch, got {config.accumulation_steps}")
 
     rng = np.random.default_rng(config.seed)
-    total_steps = config.epochs * math.ceil(len(X_train) / config.batch_size)
+    total_steps = config.epochs * batches
     optimizer = Adam(model.params, model.decayed, weight_decay=config.weight_decay)
 
     log = TrainLog()
     val_history, kl_history = [], []
-    best_val = math.inf
-    best_state = model.clone_state()
-    global_step = 0
+    best_val, best_state = math.inf, model.clone_state()
+    global_step = bad_batches = 0
     reason = "epochs_exhausted"
-    bad_batches = 0
     # the running sum of the gradients since the last step, when accumulating
     pending = np.zeros_like(model.grad) if config.accumulation_steps > 1 else None
     n_pending = 0
@@ -200,19 +204,15 @@ def train(model, windows, config: TrainConfig):
             raise DivergenceError("no finite batches in epoch", log)
 
         val = _validation_loss(model, X_val, global_step, config)
-        val_total = val.total
-        val_history.append(val_total)
-        kl_history.append(sums[1] / n_batches)
+        val_history.append(val.total)
+        means = sums / n_batches   # recon, kl, temporal, mean, total
+        kl_history.append(means[1])
         grad_norm = float(np.mean(norms)) if norms else 0.0
-        lr_logged = learning_rate(config, global_step, epoch - 1, total_steps)
         log.records.append(EpochRecord(
-            epoch=epoch, recon=sums[0] / n_batches, kl=sums[1] / n_batches,
-            temporal=sums[2] / n_batches, mean=sums[3] / n_batches,
-            total=sums[4] / n_batches, val_total=val_total, lr=lr_logged,
-            grad_norm=grad_norm, val_recon=val.recon,
-        ))
-        if val_total < best_val:
-            best_val = val_total
+            epoch, *means, val_total=val.total, grad_norm=grad_norm, val_recon=val.recon,
+            lr=learning_rate(config, global_step, epoch - 1, total_steps)))
+        if val.total < best_val:
+            best_val = val.total
             best_state = model.clone_state()
         stop, why = early_stop_check(val_history, kl_history, grad_norm, config)
         if stop:

@@ -19,6 +19,7 @@ import csv
 import io
 import math
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from dartclean.series_io import CSV_HEADER, CleanedOutput
 from dartclean.layers import dropout_rate
 from dartclean.model import LOGVAR_CLIP, LatentState
 from dartclean.optim import LR_FLOOR
-from dartclean.preprocess import WindowBatch
 
 ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
@@ -232,11 +232,16 @@ def oracle_lr_at(variant, base_lr, decay_steps, t_warmup, total_steps, step, epo
 
 # ------------------------------------------------------- windows and passes
 
+class Windows(NamedTuple):
+    windows: np.ndarray   # [num_windows x w], copies
+    origins: np.ndarray   # start index of each window in the source series
+
+
 def oracle_make_windows(series, w=48, s=1):
     values = np.asarray(series, dtype=float)
     origins = np.arange(0, len(values) - w + 1, s)
     windows = np.stack([values[o:o + w] for o in origins])
-    return WindowBatch(windows=windows, origins=origins)
+    return Windows(windows=windows, origins=origins)
 
 
 def overlap_add(window_values, origins, n):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,51 @@ class TestCmdTrain:
         cfg = _write_config(tmp_path, input=str(dart),
                             checkpoint=str(tmp_path / "ck.json"))
         assert main(["train", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("rows", [10, 47])
+    def test_input_shorter_than_the_window_is_data_error(self, tmp_path, capsys, rows):
+        dart = tmp_path / "short.dart"
+        series_io.emit_dart(series_io.RawSeries(
+            timestamps=1640995200.0 + 900.0 * np.arange(rows),
+            values=np.linspace(0.0, 1.0, rows), flags=np.zeros(rows, dtype=int)), dart)
+        checkpoint = tmp_path / "ck.json"
+        cfg = _write_config(tmp_path, input=str(dart), checkpoint=str(checkpoint))
+        assert main(["train", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: series of length {rows} is shorter than window 48\n")
+        assert not checkpoint.exists()
+
+    def test_accumulation_past_one_epoch_is_config_error(self, tmp_path, capsys):
+        # 3 000 samples make 2 953 windows, 2 658 of them for training: 21
+        # batches of 128, so 1 000 accumulation steps would never step
+        cfg, dart = _synth_args(tmp_path, n=3000)
+        assert main(["synth", "--config", cfg]) == 0
+        checkpoint = tmp_path / "ck.json"
+        cfg = _write_config(tmp_path, name="train.json", input=str(dart),
+                            checkpoint=str(checkpoint))
+        assert main(["train", "--config", cfg, "--set", "train.accumulation_steps=1000"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: train.accumulation_steps must be at most the 21 "
+                       "batches of one epoch, got 1000\n")
+        assert not checkpoint.exists()
+
+    def test_training_holds_no_window_matrix(self, tmp_path):
+        # the 20 000-sample acceptance spike series has 19 953 windows of 48
+        # samples: 7.3 MiB as one float64 matrix, which training never builds
+        cfg, dart = _synth_args(tmp_path, n=20000, cadence=900.0, noise_sigma=0.05,
+                                spike_count=40)
+        assert main(["synth", "--config", cfg]) == 0
+        cfg = _write_config(tmp_path, name="train.json", input=str(dart),
+                            checkpoint=str(tmp_path / "ck.json"),
+                            model={"hidden": [8], "latent": 2},
+                            train={"epochs": 1}, verbosity=0)
+        tracemalloc.start()
+        try:
+            assert main(["train", "--config", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19953 * 48 * 8, f"{peak / 2**20:.2f} MiB"
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path, nonsense=True)
@@ -682,44 +728,68 @@ class TestMainErrors:
 # the child's address space, capped in the child alone: an allocation past
 # it fails at once with MemoryError instead of paging or being killed
 CAPPED_CHILD = """import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
 from dartclean.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def _capped_cli(*args):
-    """Run ``dartclean *args`` in a child process with a 3 GB address space
-    and one BLAS thread; returns the completed process."""
+def _capped_cli(*args, cap=3 << 30):
+    """Run ``dartclean *args`` in a child process with a ``cap``-byte
+    address space and one BLAS thread; returns the completed process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *args], env=env,
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(cap), *args], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
 class TestOutOfMemory:
-    """An allocation that cannot be met exits 1 with one line naming the
-    command, not a traceback."""
+    """A config that would allocate past ``series_io.MEMORY_BUDGET`` exits 2
+    naming its key and the bytes, before allocating; an allocation within
+    the budget that still cannot be met exits 1 with one line naming the
+    command, not a traceback.  Each runs in a capped child, so a check
+    that does not fire cannot page the host."""
 
-    def assert_one_line(self, proc, command):
-        assert proc.returncode == 1
-        assert proc.stderr.startswith(f"error: dartclean {command} ran out of memory: ")
-        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    def assert_over_budget(self, proc, key, nbytes):
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: {key} needs {nbytes} bytes for ")
+        assert proc.stderr.endswith(f", over the {series_io.MEMORY_BUDGET:,}-byte budget\n")
 
     def test_synth_of_two_billion_samples(self, tmp_path):
         cfg, out = _synth_args(tmp_path)
         proc = _capped_cli("synth", "--config", cfg,
                            "--set", "synth.n=2000000000", "--set", "synth.cadence=1")
-        self.assert_one_line(proc, "synth")
+        self.assert_over_budget(proc, "synth.n", "144,000,000,000")
         assert not out.exists()
 
-    def test_train_of_a_layer_too_wide(self, tmp_path):
+    def train_over_budget(self, tmp_path, override, key, nbytes):
         cfg, dart = _synth_args(tmp_path, n=600)
         assert main(["synth", "--config", cfg]) == 0
         checkpoint = tmp_path / "ck.json"
         cfg = _write_config(tmp_path, name="train.json", input=str(dart),
                             checkpoint=str(checkpoint))
-        proc = _capped_cli("train", "--config", cfg, "--set", "model.hidden=[200000000]")
-        self.assert_one_line(proc, "train")
+        proc = _capped_cli("train", "--config", cfg, "--set", override)
+        self.assert_over_budget(proc, key, nbytes)
         assert not checkpoint.exists()
+
+    def test_train_of_a_layer_too_wide(self, tmp_path):
+        # 30 800 000 082 parameters, kept five times over
+        self.train_over_budget(tmp_path, "model.hidden=[200000000]", "model.hidden",
+                               "1,232,000,003,280")
+
+    def test_train_of_a_window_too_wide(self, tmp_path):
+        # one infer block of 1 024 windows of 10^6 float64
+        self.train_over_budget(tmp_path, "model.window=1000000", "model.window",
+                               "8,192,000,000")
+
+    def test_synth_within_the_budget_past_the_cap(self, tmp_path):
+        # 50 000 000 samples are within the budget, but one of their
+        # float64 arrays (400 MB) is past a 384 MB address space
+        cfg, out = _synth_args(tmp_path)
+        proc = _capped_cli("synth", "--config", cfg, "--set", "synth.n=50000000",
+                           "--set", "synth.cadence=1", cap=384 << 20)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: dartclean synth ran out of memory: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()

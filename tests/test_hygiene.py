@@ -132,7 +132,6 @@ READ_OUTSIDE = {
     "Vae.trainable": "tests/test_acceptance.py",
     "CleanResult.spike_mask": "tests/test_acceptance.py",
     "CleanResult.refine_history": "tests/test_acceptance.py",
-    "WindowBatch.origins": "tests/test_acceptance.py",
     "GroundTruth.spike_events": "tests/test_acceptance.py",
     "GroundTruth.step_magnitudes": "tests/test_acceptance.py",
     "EpochRecord.val_recon": "tests/test_acceptance.py",

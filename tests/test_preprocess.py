@@ -100,37 +100,40 @@ class TestZscoreNormalize:
 
 class TestMakeWindows:
     def test_counts_and_origins(self):
-        batch = make_windows(np.arange(50.0), w=48)
-        assert batch.windows.shape == (3, 48)
-        assert list(batch.origins) == [0, 1, 2]
+        windows = make_windows(np.arange(50.0), w=48)
+        assert windows.shape == (3, 48)
+        assert list(windows[:, 0]) == [0.0, 1.0, 2.0]
 
     def test_single_window(self):
         x = np.arange(48.0)
-        batch = make_windows(x, w=48)
-        assert batch.windows.shape == (1, 48)
-        assert np.array_equal(batch.windows[0], x)
+        windows = make_windows(x, w=48)
+        assert windows.shape == (1, 48)
+        assert np.array_equal(windows[0], x)
 
     def test_windows_are_exact_slices(self, rng):
         x = rng.normal(size=100)
-        batch = make_windows(x, w=16)
-        for row, origin in zip(batch.windows, batch.origins):
+        windows = make_windows(x, w=16)
+        for origin, row in enumerate(windows):
             assert np.array_equal(row, x[origin:origin + 16])
 
     def test_too_short_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="series of length 10 is shorter than window 48"):
             make_windows(np.arange(10.0), w=48)
 
     def test_mutating_batch_leaves_source_alone(self, rng):
         x = rng.normal(size=60)
         snapshot = x.copy()
-        batch = make_windows(x, w=12)
-        batch.windows += 100.0
+        windows = make_windows(x, w=12)
+        with pytest.raises(ValueError):
+            windows += 100.0
+        batch = windows[[0, 3, 5]]
+        batch += 100.0
         assert np.array_equal(x, snapshot)
 
     def test_overlap_add_identity(self, rng):
         x = rng.normal(size=300)
-        batch = make_windows(x, w=48)
-        back = overlap_add(batch.windows, batch.origins, len(x))
+        windows = make_windows(x, w=48)
+        back = overlap_add(windows, np.arange(len(windows)), len(x))
         assert np.max(np.abs(back - x)) <= 1e-9
 
 

@@ -3,10 +3,9 @@ import pytest
 
 from dartclean.detector import AnomalyMasks, DetectConfig
 from dartclean.errors import ConfigError, DataError
-from dartclean.preprocess import make_windows
 from dartclean.refiner import RefineConfig, refine
 from tests.conftest import plain_decoder, tiny_model
-from tests.oracles import overlap_add
+from tests.oracles import oracle_make_windows, overlap_add
 
 
 def _masks(n, spike_idx=(), step_idx=()):
@@ -43,7 +42,7 @@ class TestWindowsToSeries:
         model = tiny_model(window=12, seed=1)
         x = rng.normal(size=90)
         _, out = model.infer_series(x)
-        batch = make_windows(x, w=12)
+        batch = oracle_make_windows(x, w=12)
         _, decoded = model.infer(batch.windows)
         assert np.array_equal(out, overlap_add(decoded, batch.origins, 90))
 

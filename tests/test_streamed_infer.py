@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
-from dartclean.errors import DataError, NumericError
+from dartclean.errors import DataError, NumericError, ShapeError
 from dartclean.model import ModelConfig, Vae
 from tests.conftest import perturbed_model, tiny_model
-from tests.oracles import oracle_infer_pass, overlap_add
+from tests.oracles import oracle_infer_pass, oracle_make_windows, overlap_add
 from tests.test_infer import identical
 
 
@@ -37,8 +37,8 @@ def test_infer_series_matches_windowed_pass(count, w, blend):
     n = count + w - 1
     x = rng.normal(size=n) + np.linspace(0.0, 2.0, n)
     prev_z = rng.normal(size=(count, model.config.latent)) if blend else None
-    z, recon = model.infer_series(x, prev_z, 0.5)
-    batch = preprocess.make_windows(x, w=w)
+    z, recon = model.infer_series(x, None if prev_z is None else prev_z.copy(), 0.5)
+    batch = oracle_make_windows(x, w=w)
     z_o, decoded = model.infer(batch.windows, prev_z, 0.5)
     recon_o = overlap_add(decoded, batch.origins, n)
     assert np.array_equal(z, z_o) and identical(z, z_o)
@@ -56,8 +56,51 @@ def test_fused_overlap_add_of_arbitrary_values(count, w):
     model.beta[...] = 1e-7
     x = rng.normal(size=count + w - 1) * 1e4
     _, recon = model.infer_series(x)
-    _, decoded = model.infer(preprocess.make_windows(x, w=w).windows)
+    _, decoded = model.infer(oracle_make_windows(x, w=w).windows)
     assert identical(recon, overlap_add(decoded, np.arange(count), len(x)))
+
+
+def test_infer_series_writes_the_blend_over_prev_z():
+    model = perturbed_model((16, 8), seed=3, window=12)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=2100)   # 2 089 windows: two row blocks
+    prev_z = rng.normal(size=(2089, model.config.latent))
+    want, _ = model.infer(oracle_make_windows(x, w=12).windows, prev_z.copy(), 0.5)
+    z, _ = model.infer_series(x, prev_z, 0.5)
+    assert z is prev_z and identical(z, want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda z: np.require(z, requirements="F"),
+    lambda z: z.astype(np.float32),
+    lambda z: z.astype(int),
+    lambda z: np.broadcast_to(z, z.shape),   # read-only
+    lambda z: z.tolist(),
+], ids=["fortran", "float32", "integer", "read-only", "list"])
+def test_infer_series_rejects_latents_it_cannot_overwrite(make):
+    model = perturbed_model((16, 8), window=12)
+    prev_z = make(np.zeros((89, model.config.latent)))
+    with pytest.raises(ShapeError, match="writable, C-contiguous float64"):
+        model.infer_series(np.zeros(100), prev_z, 0.5)
+
+
+def test_every_refinement_round_writes_one_latent_array(monkeypatch):
+    spec = synth.SynthSpec(n=20000, cadence=900.0, noise_sigma=0.05, spike_count=40, seed=7)
+    raw = synth.generate(spec).to_raw_series()
+    stats = preprocess.NormStats(mean=float(raw.values.mean()), std=float(raw.values.std()))
+    passes = []
+
+    def recording(*args, **kwargs):
+        passes.append(infer_pass(*args, **kwargs))
+        return passes[-1]
+
+    infer_pass = refiner.infer_pass
+    monkeypatch.setattr(refiner, "infer_pass", recording)
+    model = Vae(ModelConfig(hidden=(16, 8), latent=4), seed=0)
+    result = pipeline.clean_series(model, stats, raw)
+    # the detect pass is round 1; rounds 2-10 blend into its latents
+    assert len(result.refine_log) == len(passes) == 10
+    assert all(p.z is passes[0].z for p in passes[1:])
 
 
 def test_infer_series_rejects_short_series():
@@ -113,7 +156,7 @@ def test_clean_is_byte_identical_with_windowed_pass(contaminated, monkeypatch):
 
 
 # a clean holds its input, the series-length arrays of two refinement
-# passes (latents, n x latent, of this and the previous pass) and
+# passes, one n x latent array of latents that each pass overwrites and
 # row-block scratch; whole-series window copies (48 float64 each per
 # sample) put the windowed pass at ~210 float64 a sample
 PEAK_BYTES_PER_SAMPLE = 150 * 8

@@ -2,10 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dartclean import trainer
 from dartclean.errors import DataError
-from dartclean.preprocess import make_windows, zscore_normalize
+from dartclean.preprocess import zscore_normalize
 from dartclean.trainer import (
     EpochRecord,
     TrainConfig,
@@ -19,7 +20,7 @@ from tests.conftest import tiny_model
 def _sine_windows(n=600, w=6):
     t = np.arange(n)
     x = np.sin(2 * np.pi * t / 50.0)
-    return make_windows(zscore_normalize(x).values, w=w)
+    return sliding_window_view(zscore_normalize(x).values, w)
 
 
 def _record(epoch, total=1.0, val=1.0):
@@ -118,8 +119,8 @@ class TestTrain:
         windows = _sine_windows()
         cfg = TrainConfig(epochs=8, seed=3)
         log, _ = train(model, windows, cfg)
-        n_val = max(1, int(round(cfg.val_fraction * len(windows.windows))))
-        X_val = windows.windows[-n_val:]
+        n_val = max(1, int(round(cfg.val_fraction * len(windows))))
+        X_val = windows[-n_val:]
         best = min(log.records, key=lambda r: r.val_total)
         # the restored state reproduces the best epoch's validation recon
         # bit-for-bit (infer mode is deterministic)
