@@ -107,7 +107,7 @@ def cmd_synth(cfg) -> int:
 def cmd_train(cfg) -> int:
     raw = series_io.parse_dart_file(_require(cfg, "input"))
     norm = zscore_normalize(fill_gaps(raw))
-    windows = make_windows(norm, w=cfg["model"].window)
+    windows = make_windows(norm.values, w=cfg["model"].window)
     model = Vae(cfg["model"], seed=cfg["seed"])
     train_cfg = cfg["train"]
     log_path = _derived(cfg, "train_log", ".train.csv", base="checkpoint")

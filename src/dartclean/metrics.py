@@ -11,6 +11,9 @@ import numpy as np
 from . import detector
 from .errors import DataError
 
+MERGE_GAP = 2         # predicted spike runs at most this many samples apart are one event
+RESIDUAL_BOUND = 0.5  # metres
+
 
 def match_events(predicted_segments, true_indices, tolerance: int = 2):
     """Greedy one-to-one matching of predicted segments to true events.
@@ -36,11 +39,9 @@ def match_events(predicted_segments, true_indices, tolerance: int = 2):
     return tp, len(predicted_segments), len(true_indices)
 
 
-def spike_f1(predicted_mask, true_spike_starts, tolerance: int = 2,
-             merge_gap: int = 2) -> dict:
+def spike_f1(predicted_mask, true_spike_starts, tolerance: int = 2) -> dict:
     """Event-level precision/recall/F1 with +-tolerance sample matching."""
-    segments = detector.merge_segments(np.asarray(predicted_mask, dtype=bool),
-                                       merge_gap)
+    segments = detector.merge_segments(np.asarray(predicted_mask, dtype=bool), MERGE_GAP)
     tp, n_pred, n_true = match_events(segments, true_spike_starts, tolerance)
     precision = tp / n_pred if n_pred else 0.0
     recall = tp / n_true if n_true else 0.0
@@ -62,7 +63,7 @@ def temporal_consistency(x, xhat) -> float:
     return float(np.corrcoef(dx, dxhat)[0, 1])
 
 
-def residual_stats(raw, cleaned, bound: float = 0.5) -> dict:
+def residual_stats(raw, cleaned) -> dict:
     raw = np.asarray(raw, dtype=float)
     cleaned = np.asarray(cleaned, dtype=float)
     if raw.shape != cleaned.shape:
@@ -71,12 +72,12 @@ def residual_stats(raw, cleaned, bound: float = 0.5) -> dict:
     nonzero = residual[residual != 0.0]
     return {
         "max_abs": float(np.abs(residual).max()) if residual.size else 0.0,
-        "fraction_within_bound": float(np.mean(np.abs(residual) <= bound)),
+        "fraction_within_bound": float(np.mean(np.abs(residual) <= RESIDUAL_BOUND)),
         "nonzero_fraction_within_bound": (
-            float(np.mean(np.abs(nonzero) <= bound)) if nonzero.size else 1.0
+            float(np.mean(np.abs(nonzero) <= RESIDUAL_BOUND)) if nonzero.size else 1.0
         ),
         "nonzero_count": int(nonzero.size),
-        "bound": bound,
+        "bound": RESIDUAL_BOUND,
     }
 
 

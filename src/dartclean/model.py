@@ -71,10 +71,18 @@ class ModelConfig:
             (("bn_momentum",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
             (("skip_alpha_init", "beta0", "conf_decay"), math.isfinite, "a finite number"),
         ])
-        check_budget("model.window", 8 * INFER_BLOCK_ROWS * self.window, "an infer block")
+        width, key = infer_width(self)
+        check_budget(key, 8 * INFER_BLOCK_ROWS * width, "an infer block")
         count = sum(math.prod(shape) for shape in state_shapes(self).values())
         check_budget("model.hidden", 5 * 8 * count, f"{count:,} parameters, their gradient, "
                      "Adam's m and v and the best state")
+
+
+def infer_width(config: ModelConfig) -> tuple:
+    """The widest row of an infer block's buffers (the window, both latent
+    heads or a hidden layer), and the key that sets it."""
+    return max((config.window, "model.window"), (2 * config.latent, "model.latent"),
+               (max(config.hidden), "model.hidden"))
 
 
 @dataclass
@@ -442,7 +450,7 @@ class Vae:
         # decoded block waits for the overlap-add in the (block mod
         # ahead)-th of ``ahead`` more.
         rows = max(hi - lo for lo, hi in spans)
-        width = max(w, 2 * latent, *self.config.hidden)
+        width = infer_width(self.config)[0]
         scratch = [(np.empty(rows * width), np.empty(rows * width)) for _ in range(count)]
         ahead = min(DECODED_AHEAD * count, len(spans))
         decoded = [np.empty(rows * w) for _ in range(ahead)]

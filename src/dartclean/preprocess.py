@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .series_io import FLAG_VALID, RawSeries
 
 
@@ -42,16 +42,13 @@ def fill_gaps(series: RawSeries) -> RawSeries:
     )
 
 
-def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries:
+def zscore_normalize(series: RawSeries, stats: NormStats | None = None) -> NormalizedSeries:
     """(x - mean) / std with population std; supplied stats are reused
     verbatim so inference can share training-time statistics.
     """
-    if isinstance(series, RawSeries):
-        if np.any(series.flags != FLAG_VALID):
-            raise DataError("normalize requires a gap-free series; run fill_gaps first")
-        values = np.asarray(series.values, dtype=float)
-    else:
-        values = np.asarray(series, dtype=float)
+    if np.any(series.flags != FLAG_VALID):
+        raise DataError("normalize requires a gap-free series; run fill_gaps first")
+    values = np.asarray(series.values, dtype=float)
     if stats is None:
         std = float(values.std())
         if std <= 1e-12:
@@ -59,19 +56,14 @@ def zscore_normalize(series, stats: NormStats | None = None) -> NormalizedSeries
         stats = NormStats(mean=float(values.mean()), std=std)
     if not (math.isfinite(stats.mean) and math.isfinite(stats.std) and stats.std > 1e-12):
         raise DataError(f"normalization stats need a finite mean and std > 1e-12, got {stats}")
-    normalized = (values - stats.mean) / stats.std
-    return NormalizedSeries(values=normalized, stats=stats)
+    return NormalizedSeries(values=(values - stats.mean) / stats.std, stats=stats)
 
 
-def make_windows(series, w: int = 48) -> np.ndarray:
+def make_windows(values: np.ndarray, w: int) -> np.ndarray:
     """All stride-1 windows of width w as a read-only [n - w + 1 x w] view
-    of the series; row i starts at sample i. Callers that write copy rows."""
-    values = series.values if isinstance(series, NormalizedSeries) else np.asarray(series, dtype=float)
-    n = len(values)
-    if w < 2:
-        raise ConfigError("window size must be >= 2")
-    if n < w:
-        raise DataError(f"series of length {n} is shorter than window {w}")
+    of ``values``; row i starts at sample i. Callers that write copy rows."""
+    if len(values) < w:
+        raise DataError(f"series of length {len(values)} is shorter than window {w}")
     return sliding_window_view(values, w)
 
 

@@ -71,7 +71,6 @@ class CleanedOutput:
 CHUNK_ROWS = 1024
 # Whole-second range of ``datetime``: 0001-01-01T00:00:00 .. 9999-12-31T23:59:59
 FIRST_SECOND, LAST_SECOND = -62135596800, 253402300799
-_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DATE_LIMITS = [(1, 9999), (1, 12), (1, 31), (0, 23), (0, 59), (0, 59)]
 _BAD_INT = -1  # below every date field's range
 
@@ -104,16 +103,6 @@ def _date_int(token) -> int:
     return value if 0 <= value <= 9999 else _BAD_INT
 
 
-def _epoch_days(y, mo, d):
-    """Days since 1970-01-01 of proleptic Gregorian dates (Hinnant's
-    days_from_civil), on int64 arrays with y >= 1."""
-    y = y - (mo <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((mo + 9) % 12) + 2) // 5 + d - 1
-    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-
-
 def _column(tokens, kind):
     """``kind(token)`` (float or int) of every token, and the mask of the
     tokens it rejects (their values are 0)."""
@@ -130,15 +119,17 @@ def _column(tokens, kind):
 
 
 def _calendar(date):
-    """Epoch seconds of the [6, n] int64 rows Y M D h m s, and the mask of
-    the columns that are no valid date and time."""
+    """Epoch seconds, in NumPy's proleptic Gregorian calendar, of the [6, n]
+    int64 rows Y M D h m s, and the mask of the columns that are no valid date and time."""
     fault = np.zeros(date.shape[1], dtype=bool)
     for row, (lo, hi) in zip(date, _DATE_LIMITS):
         fault |= (row < lo) | (row > hi)
     y, mo, d, h, mi, s = date
-    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
-    fault |= d > _DAYS_IN_MONTH[np.clip(mo, 1, 12) - 1] + (leap & (mo == 2))
-    return _epoch_days(y, mo, d) * 86400 + h * 3600 + mi * 60 + s, fault
+    # days since 1970-01-01 of the first of the month, and of the first of the next
+    month = ((y - 1970) * 12 + mo - 1).astype("M8[M]")
+    first = month.astype("M8[D]").astype(np.int64)
+    fault |= d > (month + 1).astype("M8[D]").astype(np.int64) - first
+    return (first + d - 1) * 86400 + h * 3600 + mi * 60 + s, fault
 
 
 def _parse_rows(rows, ints: dict):

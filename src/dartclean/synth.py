@@ -18,6 +18,7 @@ from .series_io import FLAG_MISSING, FLAG_VALID, LAST_SECOND, RawSeries, check_b
 DEFAULT_TIDES = ((0.3, 44714.0, 0.0), (0.15, 43200.0, 1.3))
 START = 1640995200.0  # series start at 2022-01-01T00:00:00Z
 DRIFT_KINDS = ("none", "linear", "exponential")
+PLACE_TRIES = 10000  # draws of event starts before placement gives up
 
 
 @dataclass
@@ -57,8 +58,14 @@ class SynthSpec:
              "two integers, 1 <= low <= high"),
             (("drift_rate", "drift_scale", "base_level"), np.isfinite, "a finite number"),
             (("spike_count", "step_count", "gap_count"), lambda v: v >= 0, "a count >= 0"),
+            (("step_min_separation",), lambda v: v >= 1, "an integer >= 1"),
             (("seed",), lambda v: v >= 0, "an integer >= 0"),
         ])
+        # the widest event placed: _place_events draws its starts in [margin, n - margin)
+        margin = max(self.spike_width_range[1] * (self.spike_count > 0),
+                     self.gap_len_range[1] * (self.gap_count > 0), int(self.step_count > 0))
+        check_rules(self, "synth", [(("n",), lambda v: v > 2 * margin,
+                                     f"an integer > {2 * margin}, twice the widest event placed")])
         # generate holds up to nine series-length float64 arrays at once
         check_budget("synth.n", 9 * 8 * self.n, f"{self.n:,} samples")
 
@@ -86,12 +93,12 @@ class GroundTruth:
                          values=self.contaminated.copy(), flags=flags)
 
 
-def _place_events(rng, n, count, width, min_separation, exclusion, tries=10000):
+def _place_events(rng, n, count, margin, min_separation, exclusion):
     """Draw event start indices separated by min_separation and avoiding
-    ``exclusion`` (a boolean mask of already-used samples)."""
+    ``exclusion`` (a boolean mask of already-used samples), each in
+    [margin, n - margin)."""
     chosen = []
-    margin = max(width, 1)
-    for _ in range(tries):
+    for _ in range(PLACE_TRIES):
         if len(chosen) == count:
             break
         cand = int(rng.integers(margin, n - margin))

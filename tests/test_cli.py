@@ -95,6 +95,16 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert "object" in err if doc[0] != "{" else json.loads(doc).popitem()[0] in err
 
+    def test_infer_block_width_covers_hidden_and_latent(self):
+        # an infer block's buffers are as wide as the window, both latent
+        # heads or the widest hidden layer; 1 024 rows of 500 000 float64
+        # fit the budget, of 600 000 do not
+        assert load_config(None, overrides=["model.hidden=[500000]"])["model"].hidden == (500000,)
+        for override, key in [("model.hidden=[600000]", "model.hidden"),
+                              ("model.latent=300000", "model.latent")]:
+            with pytest.raises(ConfigError, match=f"^{key} needs .* for an infer block"):
+                load_config(None, overrides=[override])
+
     def test_verbosity_must_be_an_integer(self, capsys):
         assert main(["synth", "--set", "verbosity=abc"]) == 2
         assert "verbosity must be an integer" in capsys.readouterr().err
@@ -174,6 +184,7 @@ class TestCmdSynth:
         "synth.spike_width_range=[3,1]", "synth.gap_len_range=[1]", "synth.gap_len_range=[0,0]",
         "synth.drift_rate=Infinity", "synth.drift_scale=-Infinity", "synth.base_level=Infinity",
         "synth.spike_count=-1", "synth.step_count=-1", "synth.gap_count=-1",
+        "synth.step_min_separation=0",
     ])
     def test_synth_setting_out_of_range_is_config_error(self, tmp_path, capsys, override):
         # every setting is drawn on: spikes, a step, a gap and an exponential drift
@@ -184,6 +195,19 @@ class TestCmdSynth:
         assert main(["synth", "--config", cfg, "--set", override]) == 2
         assert override.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, n, margin", [("spike_count", 6, 3), ("gap_count", 8, 5),
+                                                 ("step_count", 2, 1)])
+    def test_series_too_short_for_its_events_is_config_error(self, tmp_path, capsys,
+                                                             kind, n, margin):
+        # each start is drawn in [margin, n - margin): the margin is the
+        # widest spike (3) or gap (5), or 1 for a step
+        cfg, out = _synth_args(tmp_path, n=n, **{kind: 1})
+        assert main(["synth", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: synth.n must be an integer > {2 * margin}")
+        assert not out.exists()
+        assert main(["synth", "--config", cfg, "--set", f"synth.n={2 * margin + 1}"]) == 0
 
     def test_reparse_matches_generator(self, tmp_path):
         cfg, out = _synth_args(tmp_path, seed=21)
@@ -774,9 +798,15 @@ class TestOutOfMemory:
         assert not checkpoint.exists()
 
     def test_train_of_a_layer_too_wide(self, tmp_path):
-        # 30 800 000 082 parameters, kept five times over
+        # one infer block of 1 024 rows of 2 * 10^8 float64
         self.train_over_budget(tmp_path, "model.hidden=[200000000]", "model.hidden",
-                               "1,232,000,003,280")
+                               "1,638,400,000,000")
+
+    def test_train_of_too_many_parameters(self, tmp_path):
+        # each layer fits an infer block, but 320 065 600 083 parameters,
+        # kept five times over, do not fit
+        self.train_over_budget(tmp_path, "model.hidden=[400000,400000]", "model.hidden",
+                               "12,802,624,003,320")
 
     def test_train_of_a_window_too_wide(self, tmp_path):
         # one infer block of 1 024 windows of 10^6 float64

@@ -214,3 +214,82 @@ def test_no_package_code_rebinds_a_model_array(path):
                and id(node) not in inside_init
                for attr in stored_attributes(node) if attr in MODEL_ARRAYS]
     assert not rebound, f"{path.name} rebinds model arrays outside __init__: {rebound}"
+
+
+def defaulted_parameters(tree, module):
+    """``(name, called, parameter, position)`` of each parameter with a
+    default of the module's functions and methods.  ``name`` is
+    ``module.function.parameter`` or ``Class.method.parameter``; ``called``
+    is the name a call uses, the class's own for its ``__init__``;
+    ``position`` is the parameter's index among a call's positional
+    arguments (past ``self``), or None if it is keyword-only."""
+    functions = [(module, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(cls.name, node, 0 if any("staticmethod" in read_names(d)
+                                            for d in node.decorator_list) else 1)
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for owner, node, bound in functions:
+        called = owner if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        for index in range(len(positional) - len(node.args.defaults), len(positional)):
+            arg = positional[index].arg
+            yield f"{owner}.{node.name}.{arg}", called, arg, index - bound
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{owner}.{node.name}.{arg.arg}", called, arg.arg, None
+
+
+def passes(tree, called, parameter, position):
+    """Whether some call in ``tree`` to the name ``called`` passes
+    ``parameter``: by keyword, at ``position``, or through ``*`` or ``**``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != called:
+            continue
+        if any(k.arg in (parameter, None) for k in node.keywords):
+            return True
+        if position is not None and (len(node.args) > position or any(
+                isinstance(arg, ast.Starred) for arg in node.args)):
+            return True
+    return False
+
+
+def package_parameters():
+    """Each defaulted parameter of the package by name: its ``(called,
+    parameter, position)`` and whether some package call passes it."""
+    trees = {module.stem: ast.parse(module.read_text()) for module in sorted(PACKAGE.glob("*.py"))}
+    return {name: (call, any(passes(tree, *call) for tree in trees.values()))
+            for module, tree in trees.items()
+            for name, *call in defaulted_parameters(tree, module)}
+
+
+# defaulted parameters no package call passes, each with the file outside
+# the package that passes it: the benchmark's driver and accuracy figure,
+# the acceptance gate's gradient check and the decoder tests
+SET_OUTSIDE = {
+    "cli.main.argv": "perfbench/workloads.py",
+    "metrics.spike_f1.tolerance": "perfbench/workloads.py",
+    "Vae.loss_and_grads.eps": "tests/test_acceptance.py",
+    "Vae.infer.prev_z": "tests/test_model.py",
+    "Vae.infer.blend_alpha": "tests/test_model.py",
+}
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # a parameter that only tests pass is a mode the program never runs
+    unset = [name for name, (_, passed) in package_parameters().items()
+             if not passed and name not in SET_OUTSIDE]
+    assert not unset, f"no package call passes {unset}"
+
+
+@pytest.mark.parametrize("name", sorted(SET_OUTSIDE))
+def test_each_parameter_set_outside_is_still_set_there_alone(name):
+    parameters = package_parameters()
+    assert name in parameters, f"{name} is no longer a defaulted parameter"
+    call, passed = parameters[name]
+    assert not passed, f"package code passes {name}; drop it from SET_OUTSIDE"
+    setter = SET_OUTSIDE[name]
+    assert passes(ast.parse((ROOT / setter).read_text()), *call), \
+        f"{setter} no longer passes {name}"

@@ -67,23 +67,23 @@ class TestFillGaps:
 
 class TestZscoreNormalize:
     def test_simple_case(self):
-        norm = zscore_normalize(np.array([1.0, 2.0, 3.0]))
+        norm = zscore_normalize(_series([1.0, 2.0, 3.0]))
         assert norm.stats.mean == 2.0
         assert abs(norm.stats.std - 0.816497) < 1e-6
         assert np.allclose(norm.values, [-1.224745, 0.0, 1.224745], atol=1e-6)
 
     def test_constant_series_rejected(self):
-        with pytest.raises(DataError):
-            zscore_normalize(np.full(10, 4.2))
+        with pytest.raises(DataError, match="standard deviation"):
+            zscore_normalize(_series(np.full(10, 4.2)))
 
     def test_self_computed_moments(self, rng):
-        norm = zscore_normalize(rng.normal(2584.0, 0.4, 5000))
+        norm = zscore_normalize(_series(rng.normal(2584.0, 0.4, 5000)))
         assert abs(norm.values.mean()) <= 1e-12
         assert abs(norm.values.std() - 1.0) <= 1e-9
 
     def test_supplied_stats_reused_verbatim(self):
         stats = NormStats(mean=10.0, std=2.0)
-        norm = zscore_normalize(np.array([10.0, 12.0, 14.0]), stats)
+        norm = zscore_normalize(_series([10.0, 12.0, 14.0]), stats)
         assert np.array_equal(norm.values, [0.0, 1.0, 2.0])
         assert norm.stats is stats
 
@@ -94,7 +94,7 @@ class TestZscoreNormalize:
 
     def test_invertibility(self, rng):
         x = rng.normal(2584.0, 0.4, 300)
-        norm = zscore_normalize(x)
+        norm = zscore_normalize(_series(x))
         assert np.max(np.abs(denormalize(norm.values, norm.stats) - x)) <= 1e-9
 
 

@@ -97,7 +97,7 @@ class TestSpikeF1:
         for _ in range(20):
             mask = rng.random(200) < 0.05
             true_idx = sorted(rng.choice(200, size=6, replace=False))
-            out = metrics.spike_f1(mask, true_idx, tolerance=2, merge_gap=2)
+            out = metrics.spike_f1(mask, true_idx, tolerance=2)
             segments = merge_segments(mask, 2)
             # brute force: count true events hit by at least one segment,
             # greedily consuming events as the production matcher does

@@ -10,6 +10,7 @@ number.  The two CSV readers are compared with the row-by-row readers of
 match the oracles' exception type and line number.
 """
 
+import calendar
 import io
 import json
 import re
@@ -39,6 +40,9 @@ from dartclean.series_io import (
 from tests.oracles import oracle_read_cleaned_csv, oracle_read_ground_truth
 
 FIRST_SECOND, LAST_SECOND = series_io.FIRST_SECOND, series_io.LAST_SECOND
+# the first and last years, leap years by each of the Gregorian rules, and
+# common years on both sides of a leap year
+CALENDAR_YEARS = [1, 4, 100, 400, 1900, 2000, 2023, 2024, 9999]
 
 
 def oracle_epoch_seconds(year, month, day, hour, minute, second):
@@ -190,6 +194,15 @@ class TestParse:
                               dart_line(2024, 2, 29), dart_line(2024, 3, 1)]))
         self._same(dart_line(2024, 2, 29) + "\n" + dart_line(2025, 2, 29))
         assert self._same(dart_line(1900, 2, 29) + "\n")[0] is ParseError
+
+    @pytest.mark.parametrize("year", CALENDAR_YEARS)
+    def test_every_day_of_the_calendar(self, year):
+        # days 0-32 of every month, each date alone, then the valid ones as one file
+        lines = [dart_line(year, month, day, 23, 59, 59)
+                 for month in range(1, 13) for day in range(33)]
+        valid = [line for line in lines if isinstance(self._same(line + "\n"), RawSeries)]
+        assert len(valid) == 365 + calendar.isleap(year)
+        self._same("\n".join(valid) + "\n")
 
     @pytest.mark.parametrize("height", [
         "9999", "9999.000", "9999.000001", "9998.999999", "9999.0000010000001",
@@ -505,6 +518,16 @@ class TestReadCsv:
         assert "1000-01-01T00:00:00Z" in text and "2024-02-29T00:00:00Z" in text
         got = self._same("cleaned", text)
         assert got.timestamps.tobytes() == ts.tobytes()
+
+    @pytest.mark.parametrize("year", CALENDAR_YEARS)
+    def test_every_day_of_the_calendar(self, year):
+        # days 0-32 of every month, each date alone, then the valid ones as one file
+        rows = [f"{year:04d}-{month:02d}-{day:02d}T23:59:59Z,1,1,0,0,0"
+                for month in range(1, 13) for day in range(33)]
+        valid = [row for row in rows if isinstance(
+            self._same("cleaned", f"{CSV_HEADER}\n{row}\n"), CleanedOutput)]
+        assert len(valid) == 365 + calendar.isleap(year)
+        self._same("cleaned", "\n".join([CSV_HEADER, *valid]) + "\n")
 
     def test_year_below_1000_round_trips(self):
         ts = np.array([-31535999999.0, series_io.FIRST_SECOND, -30610224001.0])

@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from dartclean import trainer
 from dartclean.errors import DataError
 from dartclean.preprocess import zscore_normalize
+from dartclean.series_io import FLAG_VALID, RawSeries
 from dartclean.trainer import (
     EpochRecord,
     TrainConfig,
@@ -20,7 +21,8 @@ from tests.conftest import tiny_model
 def _sine_windows(n=600, w=6):
     t = np.arange(n)
     x = np.sin(2 * np.pi * t / 50.0)
-    return sliding_window_view(zscore_normalize(x).values, w)
+    raw = RawSeries(timestamps=900.0 * t, values=x, flags=np.full(n, FLAG_VALID))
+    return sliding_window_view(zscore_normalize(raw).values, w)
 
 
 def _record(epoch, total=1.0, val=1.0):
