@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -90,34 +91,41 @@ def _require(cfg, key):
     return value
 
 
-def _derived(cfg, key, suffix, base="output"):
-    """``cfg[key]``, or the required path ``cfg[base]`` plus ``suffix``."""
-    return cfg[key] or _require(cfg, base) + suffix
+def _outputs(cfg, base, **suffixes):
+    """The required path ``cfg[base]``, then for each key ``cfg[key]`` or
+    that path plus its suffix; two keys naming one file are a config error."""
+    paths = {base: _require(cfg, base)}
+    paths |= {key: cfg[key] or paths[base] + suffix for key, suffix in suffixes.items()}
+    owners = {}
+    for key, path in paths.items():
+        if (other := owners.setdefault(os.path.realpath(path), key)) != key:
+            raise ConfigError(f"{other!r} and {key!r} both name the file {path}")
+    return paths.values()
 
 
 def cmd_synth(cfg) -> int:
+    out_path, truth_path = _outputs(cfg, "output", ground_truth=".truth.csv")
     spec = cfg["synth"]
     truth = synth.generate(spec)
-    out_path = _require(cfg, "output")
     series_io.emit_dart(truth.to_raw_series(), out_path)
-    series_io.write_ground_truth(truth, spec, _derived(cfg, "ground_truth", ".truth.csv"))
+    series_io.write_ground_truth(truth, spec, truth_path)
     return 0
 
 
 def cmd_train(cfg) -> int:
+    checkpoint, log_path = _outputs(cfg, "checkpoint", train_log=".train.csv")
     raw = series_io.parse_dart_file(_require(cfg, "input"))
     norm = zscore_normalize(fill_gaps(raw))
     windows = make_windows(norm.values, w=cfg["model"].window)
     model = Vae(cfg["model"], seed=cfg["seed"])
     train_cfg = cfg["train"]
-    log_path = _derived(cfg, "train_log", ".train.csv", base="checkpoint")
     try:
         log, reason = trainer.train(model, windows, train_cfg)
     except trainer.DivergenceError as exc:
         series_io.write_text(log_path, exc.log.to_csv())
         raise
     series_io.write_text(log_path, log.to_csv())
-    series_io.save_checkpoint(model, norm.stats, _require(cfg, "checkpoint"),
+    series_io.save_checkpoint(model, norm.stats, checkpoint,
                               hyperparameters=dataclasses.asdict(train_cfg))
     if cfg["verbosity"]:
         final = log.records[-1]
@@ -127,33 +135,31 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_clean(cfg) -> int:
+    out_path, segments_path, log_path = _outputs(cfg, "output", segments=".segments.json",
+                                                 iteration_log=".iterations.csv")
     model, stats = series_io.load_checkpoint(_require(cfg, "checkpoint"))
     raw = series_io.parse_dart_file(_require(cfg, "input"))
     result = pipeline.clean_series(model, stats, raw, cfg["detect"],
                                    cfg["refine"], cfg["smooth"])
-    out_path = _require(cfg, "output")
     series_io.write_cleaned_csv(result.output, out_path)
     segments = [
         {"kind": kind, "start": int(start), "end": int(end),
          "peak_value": float(np.abs(result.normalized_input[start:end + 1]).max())}
         for kind, start, end in result.segments
     ]
-    series_io.write_text(_derived(cfg, "segments", ".segments.json"), json.dumps(
+    series_io.write_text(segments_path, json.dumps(
         {"segments": segments, "step_edge_warnings": result.step_warnings}, indent=2) + "\n")
-    series_io.write_text(
-        _derived(cfg, "iteration_log", ".iterations.csv"),
-        "iteration,mean_change,masked_count,max_correction\n" + "".join(
-            f"{r.iteration},{r.mean_change:.10g},{r.masked_count},{r.max_correction:.10g}\n"
-            for r in result.refine_log))
+    series_io.write_text(log_path, "iteration,mean_change,masked_count,max_correction\n" + "".join(
+        f"{r.iteration},{r.mean_change:.10g},{r.masked_count},{r.max_correction:.10g}\n"
+        for r in result.refine_log))
     return 0
 
 
-def _method_metrics(cleaned, spike_mask, step_locations, truth, cadence) -> dict:
+def _method_metrics(cleaned, spike_mask, step_mask, truth, cadence) -> dict:
     clean = truth["clean"]
     f1 = metrics.spike_f1(spike_mask, np.flatnonzero(truth["spike"]))
     true_steps = np.flatnonzero(truth["step"])
-    detected = np.flatnonzero(step_locations) if step_locations is not None else np.array([], dtype=int)
-    step_hits = sum(1 for t in true_steps if detected.size and np.abs(detected - t).min() <= 240)
+    step_hits = (np.abs(true_steps[:, None] - np.flatnonzero(step_mask)) <= 240).any(1).sum()
     return {
         "mse": float(np.mean((cleaned - clean) ** 2)),
         "temporal_consistency": metrics.temporal_consistency(clean, cleaned),
@@ -167,25 +173,32 @@ def _method_metrics(cleaned, spike_mask, step_locations, truth, cadence) -> dict
 
 
 def cmd_eval(cfg) -> int:
+    out_path = _require(cfg, "output")
     truth_path, cleaned_path = _require(cfg, "ground_truth"), _require(cfg, "input")
     truth = read_ground_truth(truth_path)
     cleaned_doc = series_io.read_cleaned_csv(cleaned_path)
     if len(cleaned_doc.cleaned) != len(truth["clean"]):
         raise DataError(f"{cleaned_path} has {len(cleaned_doc.cleaned)} rows but "
                         f"{truth_path} has {len(truth['clean'])}")
+    differ = np.flatnonzero(cleaned_doc.timestamps != truth["timestamps"])
+    if differ.size:
+        raise DataError(f"{cleaned_path} and {truth_path} are not one series: "
+                        f"their times differ from data row {differ[0] + 1} on")
     cadence = truth["cadence"]
     base_cleaned, base_mask = metrics.baseline_rolling_median(
         truth["contaminated"], cfg["detect"])
     report = {
         "pipeline": _method_metrics(cleaned_doc.cleaned, cleaned_doc.spike.astype(bool),
                                     cleaned_doc.step.astype(bool), truth, cadence),
-        "baseline": _method_metrics(base_cleaned, base_mask, None, truth, cadence),
+        "baseline": _method_metrics(base_cleaned, base_mask, np.zeros_like(base_mask),
+                                    truth, cadence),
     }
-    series_io.write_text(_require(cfg, "output"), json.dumps(report, indent=2) + "\n")
+    series_io.write_text(out_path, json.dumps(report, indent=2) + "\n")
     return 0
 
 
 def cmd_latent(cfg) -> int:
+    out_path = _require(cfg, "output")
     model, stats = series_io.load_checkpoint(_require(cfg, "checkpoint"))
     raw = series_io.parse_dart_file(_require(cfg, "input"))
     norm = zscore_normalize(fill_gaps(raw), stats)
@@ -196,7 +209,7 @@ def cmd_latent(cfg) -> int:
     masks, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
     labels = pipeline.label_windows(origins, model.config.window, masks.segments)
     coords = metrics.project_latent(first.z)
-    series_io.write_text(_require(cfg, "output"), "window_origin,pc1,pc2,is_anomalous\n" + "".join(
+    series_io.write_text(out_path, "window_origin,pc1,pc2,is_anomalous\n" + "".join(
         f"{origin},{p1:.6f},{p2:.6f},{flag}\n"
         for origin, (p1, p2), flag in zip(origins, coords, labels)))
     return 0

@@ -134,15 +134,14 @@ def _minmax_scale(values: np.ndarray) -> np.ndarray:
 
 def hybrid_score(re: np.ndarray, stat_dev: np.ndarray, hybrid_alpha: float = 0.7,
                  kappa: float = 3.0):
-    """Convex combination of min-max scaled reconstruction error and
-    statistical deviation; returns (score, anomaly indices)."""
+    """The mask where the convex combination of min-max scaled reconstruction
+    error and statistical deviation exceeds its mean + kappa population std."""
     re = np.asarray(re, dtype=float)
     stat_dev = np.asarray(stat_dev, dtype=float)
     if re.shape != stat_dev.shape:
         raise DataError("hybrid components must share a length")
     score = hybrid_alpha * _minmax_scale(re) + (1.0 - hybrid_alpha) * _minmax_scale(stat_dev)
-    threshold = float(score.mean() + kappa * score.std())
-    return score, np.flatnonzero(score > threshold)
+    return score > float(score.mean() + kappa * score.std())
 
 
 def _true_runs(mask: np.ndarray):

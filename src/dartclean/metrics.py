@@ -19,24 +19,19 @@ def match_events(predicted_segments, true_indices, tolerance: int = 2):
     """Greedy one-to-one matching of predicted segments to true events.
 
     A segment [s, e] matches a true event index i when the interval expanded
-    by ``tolerance`` contains i.  Returns (tp, n_pred, n_true).
+    by ``tolerance`` contains i; each segment in turn takes the unmatched
+    such i nearest to s or e, the first of equals.  ``true_indices`` is
+    ascending, as ``np.flatnonzero`` gives it.  Returns (tp, n_pred, n_true).
     """
-    true_indices = list(true_indices)
-    matched = set()
-    tp = 0
+    true_indices = np.asarray(true_indices)
+    free = np.ones(len(true_indices), dtype=bool)
     for start, end in predicted_segments:
-        best = None
-        for j, idx in enumerate(true_indices):
-            if j in matched:
-                continue
-            if start - tolerance <= idx <= end + tolerance:
-                dist = min(abs(idx - start), abs(idx - end))
-                if best is None or dist < best[1]:
-                    best = (j, dist)
-        if best is not None:
-            matched.add(best[0])
-            tp += 1
-    return tp, len(predicted_segments), len(true_indices)
+        lo, hi = np.searchsorted(true_indices, (start - tolerance, end + tolerance + 1))
+        near = lo + np.flatnonzero(free[lo:hi])
+        if near.size:
+            idx = true_indices[near]
+            free[near[np.argmin(np.minimum(np.abs(idx - start), np.abs(idx - end)))]] = False
+    return int((~free).sum()), len(predicted_segments), len(true_indices)
 
 
 def spike_f1(predicted_mask, true_spike_starts, tolerance: int = 2) -> dict:

@@ -287,9 +287,7 @@ class Vae:
         if eps is None:
             eps = np.zeros_like(mu) if rng is None else rng.standard_normal(mu.shape)
         z = mu + np.exp(0.5 * logvar) * eps
-        latent = LatentState(mu=mu, logvar=logvar, z=z, eps=eps)
-        cache = (caches, c_mu, c_lv, clip_mask, latent)
-        return latent, cache
+        return LatentState(mu=mu, logvar=logvar, z=z, eps=eps), (caches, c_mu, c_lv, clip_mask)
 
     def _record(self, grads: dict, prefix: str, *keys) -> list:
         """The gradient views of ``prefix.key`` for each key, entered into
@@ -299,7 +297,7 @@ class Vae:
         return views
 
     def encode_backward(self, gmu: np.ndarray, glogvar: np.ndarray, cache, grads: dict):
-        caches, c_mu, c_lv, clip_mask, _ = cache
+        caches, c_mu, c_lv, clip_mask = cache
         gh = self.mu_head.backward(gmu, c_mu, *self._record(grads, "mu", "W", "b"))
         gh += self.logvar_head.backward(glogvar * clip_mask, c_lv,
                                         *self._record(grads, "logvar", "W", "b"))

@@ -33,10 +33,8 @@ def detect_anomalies(model, x_norm: np.ndarray, config: detector.DetectConfig):
     """Initial detection pass; returns (masks, the :class:`refiner.InferPass`
     of ``x_norm``, for refinement round 1)."""
     first = refiner.infer_pass(model, x_norm, config)
-    _, hybrid_idx = detector.hybrid_score(np.abs(x_norm - first.recon), first.deviation,
-                                          config.hybrid_alpha, config.kappa)
-    spike_mask = np.zeros(len(x_norm), dtype=bool)
-    spike_mask[hybrid_idx] = True
+    spike_mask = detector.hybrid_score(np.abs(x_norm - first.recon), first.deviation,
+                                       config.hybrid_alpha, config.kappa)
     masks = detector.build_masks(spike_mask, first.step_mask, config.merge_gap)
     return masks, first
 

@@ -17,13 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import step_mean_shift
 from .errors import DataError
-from .preprocess import denormalize  # re-exported: the pipeline's last stage
 from .series_io import check_rules
-
-__all__ = [
-    "SmoothConfig", "gaussian_smooth", "validate_steps", "realign_steps",
-    "denormalize",
-]
 
 
 @dataclass
@@ -109,3 +103,10 @@ def realign_steps(x: np.ndarray, step_mask: np.ndarray, w_l: int = 480) -> np.nd
         offset = x[i:hi].mean() - x[lo:i].mean()
         x[i:] -= offset
     return x
+
+
+def denormalize(values, stats) -> np.ndarray:
+    """Exact affine inverse of zscore_normalize given the same stats."""
+    if stats is None:
+        raise DataError("normalization stats are required to denormalize")
+    return np.asarray(values, dtype=float) * stats.std + stats.mean

@@ -65,10 +65,3 @@ def make_windows(values: np.ndarray, w: int) -> np.ndarray:
     if len(values) < w:
         raise DataError(f"series of length {len(values)} is shorter than window {w}")
     return sliding_window_view(values, w)
-
-
-def denormalize(values, stats: NormStats) -> np.ndarray:
-    """Exact affine inverse of zscore_normalize given the same stats."""
-    if stats is None:
-        raise DataError("normalization stats are required to denormalize")
-    return np.asarray(values, dtype=float) * stats.std + stats.mean

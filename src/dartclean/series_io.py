@@ -360,9 +360,10 @@ def write_ground_truth(truth, spec, destination) -> None:
 
 
 def read_ground_truth(source) -> dict:
-    """The CSV ``write_ground_truth`` writes, from a path or a text stream;
-    the last ``cadence=`` token of its leading ``#`` lines sets the
-    cadence, a finite number of seconds > 0 (default 900 s)."""
+    """The CSV ``write_ground_truth`` writes, from a path or a text stream,
+    its stamps as epoch seconds under ``timestamps``; the last ``cadence=``
+    token of its leading ``#`` lines sets the cadence, a finite number of
+    seconds > 0 (default 900 s)."""
     lines = read_text(source).splitlines()
     try:
         cadences = [float(token[8:])
@@ -374,12 +375,12 @@ def read_ground_truth(source) -> dict:
     if not (cadence > 0 and np.isfinite(cadence)):
         raise ParseError(f"ground-truth cadence must be a finite number of seconds > 0, "
                          f"got {cadence}")
-    _, clean, contaminated, spike, step, gap = _read_csv(lines, TRUTH_HEADER,
-                                                         (float, float, int, int, int))
+    stamps, clean, contaminated, spike, step, gap = _read_csv(lines, TRUTH_HEADER,
+                                                              (float, float, int, int, int))
     if not len(clean):
         raise DataError(f"no ground-truth rows in {source}")
-    return {"clean": clean, "contaminated": contaminated, "spike": spike.astype(bool),
-            "step": step.astype(bool), "gap": gap.astype(bool),
+    return {"timestamps": stamps, "clean": clean, "contaminated": contaminated,
+            "spike": spike.astype(bool), "step": step.astype(bool), "gap": gap.astype(bool),
             "cadence": cadence}
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -72,15 +71,10 @@ class TrainLog:
     records: list = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(LOG_HEADER + "\n")
-        for r in self.records:
-            buf.write(
-                f"{r.epoch},{r.recon:.10g},{r.kl:.10g},{r.temporal:.10g},"
-                f"{r.mean:.10g},{r.total:.10g},{r.val_total:.10g},"
-                f"{r.lr:.10g},{r.grad_norm:.10g}\n"
-            )
-        return buf.getvalue()
+        return LOG_HEADER + "\n" + "".join(
+            f"{r.epoch},{r.recon:.10g},{r.kl:.10g},{r.temporal:.10g},"
+            f"{r.mean:.10g},{r.total:.10g},{r.val_total:.10g},"
+            f"{r.lr:.10g},{r.grad_norm:.10g}\n" for r in self.records)
 
 
 class DivergenceError(NumericError):

@@ -13,6 +13,10 @@ The two CSV reader oracles are the row-by-row readers the array reader of
 ``series_io`` replaced, reading text instead of a path or a stream.  The
 rate-of-change oracle is the per-sample rate that
 ``metrics.rate_of_change`` summarises to its least and greatest value.
+The event matcher is the nested loop over segments and all true events
+that ``metrics.match_events`` replaced, and the hybrid-score oracle is
+``detector.hybrid_score`` as it was when it returned the score and the
+indices above its threshold.
 """
 
 import csv
@@ -303,7 +307,41 @@ def oracle_validate_steps(x, step_mask, spike_mask, w_l=480, tau_l=0.05, w_s=48)
     return validated, warned
 
 
-# ----------------------------------------------------------------- metrics
+# ------------------------------------------------- detector and metrics
+
+def oracle_hybrid_score(re, stat_dev, hybrid_alpha=0.7, kappa=3.0):
+    """(score, indices): the convex combination of min-max scaled ``re`` and
+    ``stat_dev``, and the indices where it exceeds its mean plus ``kappa``
+    population standard deviations."""
+    def scaled(values):
+        span = values.max() - values.min()
+        return np.zeros_like(values) if span <= 0 else (values - values.min()) / span
+    score = hybrid_alpha * scaled(np.asarray(re, dtype=float)) + (1.0 - hybrid_alpha) * scaled(
+        np.asarray(stat_dev, dtype=float))
+    return score, np.flatnonzero(score > float(score.mean() + kappa * score.std()))
+
+
+def oracle_match_events(predicted_segments, true_indices, tolerance=2):
+    """(tp, n_pred, n_true): each segment in turn scans every true event and
+    takes the unmatched one nearest to its start or end within
+    ``tolerance``, the first of equals."""
+    true_indices = list(true_indices)
+    matched = set()
+    tp = 0
+    for start, end in predicted_segments:
+        best = None
+        for j, idx in enumerate(true_indices):
+            if j in matched:
+                continue
+            if start - tolerance <= idx <= end + tolerance:
+                dist = min(abs(idx - start), abs(idx - end))
+                if best is None or dist < best[1]:
+                    best = (j, dist)
+        if best is not None:
+            matched.add(best[0])
+            tp += 1
+    return tp, len(predicted_segments), len(true_indices)
+
 
 def oracle_rate_of_change(series, cadence_seconds):
     """First differences of ``series`` in meters per minute."""
@@ -341,9 +379,9 @@ def oracle_read_cleaned_csv(text) -> CleanedOutput:
 
 
 def oracle_read_ground_truth(text) -> dict:
-    """``series_io.read_ground_truth``: one line at a time; the stamps are
-    not read."""
-    clean, contaminated, spike, step, gap = [], [], [], [], []
+    """``series_io.read_ground_truth``: one line at a time, ``strptime`` per
+    stamp."""
+    ts, clean, contaminated, spike, step, gap = [], [], [], [], [], []
     cadence = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -358,6 +396,8 @@ def oracle_read_ground_truth(text) -> dict:
             parts = line.split(",")
             if len(parts) != 6:
                 raise ValueError(f"expected 6 fields, found {len(parts)}")
+            ts.append(datetime.strptime(parts[0], ISO_FORMAT)
+                      .replace(tzinfo=timezone.utc).timestamp())
             clean.append(float(parts[1]))
             contaminated.append(float(parts[2]))
             spike.append(int(parts[3]))
@@ -370,6 +410,7 @@ def oracle_read_ground_truth(text) -> dict:
     if not clean:
         raise DataError("no ground-truth rows")
     return {
+        "timestamps": np.asarray(ts),
         "clean": np.asarray(clean), "contaminated": np.asarray(contaminated),
         "spike": np.asarray(spike, dtype=bool), "step": np.asarray(step, dtype=bool),
         "gap": np.asarray(gap, dtype=bool), "cadence": 900.0 if cadence is None else cadence,

@@ -665,6 +665,71 @@ class TestTypedReadErrors:
         assert str(paths["cleaned"]) in err and str(paths["truth"]) in err
 
 
+class TestOutputsCheckedFirst:
+    """A command works out its output paths, defaults included, before it
+    reads any input: a missing output, or two outputs that name one file,
+    exits 2 and leaves every file as it was."""
+
+    def test_train_without_checkpoint_trains_nothing(self, trained, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        cfg = _write_config(tmp_path, input=str(trained["dart"]), train_log=str(log),
+                            model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1})
+        assert main(["train", "--config", cfg]) == 2
+        assert "'checkpoint'" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("command", ["clean", "eval", "latent"])
+    def test_missing_output_is_found_before_the_input(self, tmp_path, capsys, command):
+        # the inputs do not exist, so reading one first would exit 3
+        missing = str(tmp_path / "missing")
+        cfg = _write_config(tmp_path, input=missing, checkpoint=missing, ground_truth=missing)
+        assert main([command, "--config", cfg]) == 2
+        assert "'output'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, paths", [
+        ("synth", {"output": "x.dart", "ground_truth": "x.dart"}),
+        ("synth", {"output": "x.dart", "ground_truth": "sub/../x.dart"}),
+        ("train", {"checkpoint": "ck.json", "train_log": "ck.json"}),
+        ("clean", {"output": "c.csv", "segments": "c.csv"}),
+        ("clean", {"output": "c.csv", "iteration_log": "c.csv.segments.json"}),
+        ("clean", {"output": "c.csv", "segments": "s.json", "iteration_log": "./s.json"}),
+    ])
+    def test_two_outputs_naming_one_file_exit_2(self, trained, tmp_path, capsys, command,
+                                                 paths):
+        (tmp_path / "sub").mkdir()
+        paths = {key: str(tmp_path / path) for key, path in paths.items()}
+        cfg = _write_config(tmp_path, input=str(trained["dart"]),
+                            checkpoint=paths.pop("checkpoint", str(trained["checkpoint"])),
+                            model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1}, synth={"n": 300, "seed": 1},
+                            detect={"w_s": 24, "w_l": 96}, refine={"iterations": 1}, **paths)
+        before = sorted(path.name for path in tmp_path.iterdir())
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        keys = [key for key in ("output", "ground_truth", "checkpoint", "train_log",
+                                "segments", "iteration_log") if f"'{key}'" in err]
+        assert len(keys) == 2, err
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+class TestEvalSameSeries:
+    def test_truth_of_another_series_exits_3(self, trained, tmp_path, capsys):
+        # the same row count at another cadence: every row but the first differs in time
+        cfg, _ = _synth_args(tmp_path, n=2500, seed=7, gap_count=1, cadence=60.0)
+        assert main(["synth", "--config", cfg]) == 0
+        clean_cfg, cleaned = TestCmdClean()._clean_cfg(trained, suffix="_other")
+        assert main(["clean", "--config", clean_cfg]) == 0
+        truth, report = tmp_path / "truth.csv", tmp_path / "report.json"
+        cfg = _write_config(tmp_path, name="eval.json", input=str(cleaned),
+                            ground_truth=str(truth), output=str(report),
+                            detect={"w_s": 24, "w_l": 96})
+        assert main(["eval", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert str(cleaned) in err and str(truth) in err and "data row 2 " in err
+        assert not report.exists()
+
+
 class TestUnreadableInput:
     """A directory or a non-UTF-8 file given as an input exits 3 naming the
     path; given as the config, it exits 2."""

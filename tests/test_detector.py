@@ -13,6 +13,7 @@ from dartclean.detector import (
 from dartclean.errors import ConfigError, DataError
 from dartclean.metrics import baseline_rolling_median
 from dartclean.pipeline import detect_anomalies
+from tests.oracles import oracle_hybrid_score
 
 
 class FixedDecoder:
@@ -189,28 +190,40 @@ class TestStepMeanShift:
 
 
 class TestHybridScore:
-    def test_weighting_formula(self):
+    """``hybrid_score``'s mask against the indices of the score oracle."""
+
+    def test_weighting_formula(self, rng):
         re = np.zeros(100)
         re[10] = 1.0
         stat = np.zeros(100)
         stat[20] = 1.0
-        score, _ = hybrid_score(re, stat, hybrid_alpha=0.7)
+        score, idx = oracle_hybrid_score(re, stat, hybrid_alpha=0.7)
         assert score[10] == pytest.approx(0.7)
         assert score[20] == pytest.approx(0.3)
+        assert list(idx) == [10, 20]
+        assert np.array_equal(np.flatnonzero(hybrid_score(re, stat, hybrid_alpha=0.7)), idx)
+        for _ in range(20):
+            re, stat = np.abs(rng.standard_cauchy(size=(2, 500)))
+            _, idx = oracle_hybrid_score(re, stat, hybrid_alpha=0.7)
+            assert np.array_equal(np.flatnonzero(hybrid_score(re, stat, hybrid_alpha=0.7)), idx)
 
     def test_alpha_one_matches_scaled_re_threshold(self, rng):
         re = np.abs(rng.normal(size=1000))
         re[44] += 20.0
         stat = np.abs(rng.normal(size=1000))
-        _, idx = hybrid_score(re, stat, hybrid_alpha=1.0, kappa=3.0)
+        mask = hybrid_score(re, stat, hybrid_alpha=1.0, kappa=3.0)
         scaled = (re - re.min()) / (re.max() - re.min())
         _, ref_idx = re_threshold(scaled, kappa=3.0)
-        assert np.array_equal(idx, ref_idx)
+        assert 44 in ref_idx
+        assert np.array_equal(np.flatnonzero(mask), ref_idx)
+        assert np.array_equal(np.flatnonzero(mask), oracle_hybrid_score(re, stat, 1.0, 3.0)[1])
 
     def test_zero_range_component_contributes_nothing(self, rng):
         re = np.abs(rng.normal(size=200))
-        score, _ = hybrid_score(re, np.zeros(200), hybrid_alpha=0.7)
+        score, idx = oracle_hybrid_score(re, np.zeros(200), hybrid_alpha=0.7)
         assert np.array_equal(score, 0.7 * ((re - re.min()) / (re.max() - re.min())))
+        mask = hybrid_score(re, np.zeros(200), hybrid_alpha=0.7)
+        assert idx.size and np.array_equal(np.flatnonzero(mask), idx)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dartclean.errors import DataError
+from dartclean.postprocess import denormalize
 from dartclean.preprocess import (
     NormStats,
-    denormalize,
     fill_gaps,
     make_windows,
     zscore_normalize,

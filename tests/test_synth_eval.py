@@ -4,7 +4,7 @@ import pytest
 from dartclean import metrics, synth
 from dartclean.errors import ConfigError, DataError
 from dartclean.series_io import FLAG_MISSING
-from tests.oracles import oracle_rate_of_change
+from tests.oracles import oracle_match_events, oracle_rate_of_change
 
 
 class TestGenerate:
@@ -107,6 +107,18 @@ class TestSpikeF1:
             assert out["precision"] == (tp / n_pred if n_pred else 0.0)
             assert out["recall"] == tp / n_true
             assert 0.0 <= out["f1"] <= 1.0
+
+    @pytest.mark.parametrize("merge_gap", range(4))
+    def test_match_events_equals_the_nested_loop(self, rng, merge_gap):
+        from dartclean.detector import merge_segments
+        for _ in range(100):
+            n = int(rng.integers(5, 301))
+            mask = rng.random(n) < rng.uniform(0.01, 0.5)
+            true_idx = np.flatnonzero(rng.random(n) < rng.uniform(0.01, 0.5))
+            segments = merge_segments(mask, merge_gap)
+            for tolerance in range(8):
+                assert metrics.match_events(segments, true_idx, tolerance) == \
+                    oracle_match_events(segments, true_idx, tolerance), (n, tolerance)
 
 
 class TestTemporalConsistency:
