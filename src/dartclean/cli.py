@@ -91,20 +91,28 @@ def _require(cfg, key):
     return value
 
 
-def _outputs(cfg, base, **suffixes):
-    """The required path ``cfg[base]``, then for each key ``cfg[key]`` or
-    that path plus its suffix; two keys naming one file are a config error."""
-    paths = {base: _require(cfg, base)}
+def _paths(cfg, inputs, base, **suffixes):
+    """The required path ``cfg[key]`` of each key of ``inputs``, then the
+    outputs: the required path ``cfg[base]``, then for each key of
+    ``suffixes`` ``cfg[key]`` or that path plus its suffix.  An output that
+    names the file of another key is a config error, and an output whose
+    directory is missing or unwritable a data error, so a command checks
+    where it writes before it reads or computes anything."""
+    paths = {key: _require(cfg, key) for key in (*inputs, base)}
     paths |= {key: cfg[key] or paths[base] + suffix for key, suffix in suffixes.items()}
     owners = {}
     for key, path in paths.items():
-        if (other := owners.setdefault(os.path.realpath(path), key)) != key:
+        if (other := owners.setdefault(os.path.realpath(path), key)) != key and key not in inputs:
             raise ConfigError(f"{other!r} and {key!r} both name the file {path}")
+    for key, path in paths.items():
+        folder = os.path.dirname(path) or "."
+        if key not in inputs and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise DataError(f"cannot write {path}: {folder} is not a writable directory")
     return paths.values()
 
 
 def cmd_synth(cfg) -> int:
-    out_path, truth_path = _outputs(cfg, "output", ground_truth=".truth.csv")
+    out_path, truth_path = _paths(cfg, (), "output", ground_truth=".truth.csv")
     spec = cfg["synth"]
     truth = synth.generate(spec)
     series_io.emit_dart(truth.to_raw_series(), out_path)
@@ -113,8 +121,9 @@ def cmd_synth(cfg) -> int:
 
 
 def cmd_train(cfg) -> int:
-    checkpoint, log_path = _outputs(cfg, "checkpoint", train_log=".train.csv")
-    raw = series_io.parse_dart_file(_require(cfg, "input"))
+    source, checkpoint, log_path = _paths(cfg, ("input",), "checkpoint",
+                                          train_log=".train.csv")
+    raw = series_io.parse_dart_file(source)
     norm = zscore_normalize(fill_gaps(raw))
     windows = make_windows(norm.values, w=cfg["model"].window)
     model = Vae(cfg["model"], seed=cfg["seed"])
@@ -135,10 +144,11 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_clean(cfg) -> int:
-    out_path, segments_path, log_path = _outputs(cfg, "output", segments=".segments.json",
-                                                 iteration_log=".iterations.csv")
-    model, stats = series_io.load_checkpoint(_require(cfg, "checkpoint"))
-    raw = series_io.parse_dart_file(_require(cfg, "input"))
+    checkpoint, source, out_path, segments_path, log_path = _paths(
+        cfg, ("checkpoint", "input"), "output", segments=".segments.json",
+        iteration_log=".iterations.csv")
+    model, stats = series_io.load_checkpoint(checkpoint)
+    raw = series_io.parse_dart_file(source)
     result = pipeline.clean_series(model, stats, raw, cfg["detect"],
                                    cfg["refine"], cfg["smooth"])
     series_io.write_cleaned_csv(result.output, out_path)
@@ -156,8 +166,9 @@ def cmd_clean(cfg) -> int:
 
 
 def _method_metrics(cleaned, spike_mask, step_mask, truth, cadence) -> dict:
-    clean = truth["clean"]
-    f1 = metrics.spike_f1(spike_mask, np.flatnonzero(truth["spike"]))
+    clean, spike = truth["clean"], truth["spike"]
+    # each spike is matched at its start, as the acceptance gate scores it
+    f1 = metrics.spike_f1(spike_mask, np.flatnonzero(spike & ~np.r_[False, spike[:-1]]))
     true_steps = np.flatnonzero(truth["step"])
     step_hits = (np.abs(true_steps[:, None] - np.flatnonzero(step_mask)) <= 240).any(1).sum()
     return {
@@ -173,8 +184,7 @@ def _method_metrics(cleaned, spike_mask, step_mask, truth, cadence) -> dict:
 
 
 def cmd_eval(cfg) -> int:
-    out_path = _require(cfg, "output")
-    truth_path, cleaned_path = _require(cfg, "ground_truth"), _require(cfg, "input")
+    truth_path, cleaned_path, out_path = _paths(cfg, ("ground_truth", "input"), "output")
     truth = read_ground_truth(truth_path)
     cleaned_doc = series_io.read_cleaned_csv(cleaned_path)
     if len(cleaned_doc.cleaned) != len(truth["clean"]):
@@ -198,9 +208,9 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_latent(cfg) -> int:
-    out_path = _require(cfg, "output")
-    model, stats = series_io.load_checkpoint(_require(cfg, "checkpoint"))
-    raw = series_io.parse_dart_file(_require(cfg, "input"))
+    checkpoint, source, out_path = _paths(cfg, ("checkpoint", "input"), "output")
+    model, stats = series_io.load_checkpoint(checkpoint)
+    raw = series_io.parse_dart_file(source)
     norm = zscore_normalize(fill_gaps(raw), stats)
     origins = np.arange(len(norm.values) - model.config.window + 1)
     if len(origins) < 3:

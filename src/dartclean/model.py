@@ -38,10 +38,6 @@ from .layers import (
 from .series_io import check_budget, check_rules
 
 LOGVAR_CLIP = 10.0
-# rows per block of :meth:`Vae.infer`: small enough that a block's widest
-# activation stays in cache, large enough to keep the BLAS kernel of a full
-# batch (OpenBLAS 0.3.31 rounds batches of 75 rows or fewer differently)
-INFER_BLOCK_ROWS = 1024
 # decoded blocks of :meth:`Vae.infer` that may wait for their turn in the
 # overlap-add, per worker: enough that the other workers run on while one
 # worker's CPU is held up
@@ -71,18 +67,29 @@ class ModelConfig:
             (("bn_momentum",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
             (("skip_alpha_init", "beta0", "conf_decay"), math.isfinite, "a finite number"),
         ])
-        width, key = infer_width(self)
-        check_budget(key, 8 * INFER_BLOCK_ROWS * width, "an infer block")
+        rows, width, key = infer_block(self)
+        check_budget(key, 8 * rows * width, "an infer block")
         count = sum(math.prod(shape) for shape in state_shapes(self).values())
         check_budget("model.hidden", 5 * 8 * count, f"{count:,} parameters, their gradient, "
                      "Adam's m and v and the best state")
 
 
-def infer_width(config: ModelConfig) -> tuple:
-    """The widest row of an infer block's buffers (the window, both latent
-    heads or a hidden layer), and the key that sets it."""
-    return max((config.window, "model.window"), (2 * config.latent, "model.latent"),
-               (max(config.hidden), "model.hidden"))
+def infer_block(config: ModelConfig) -> tuple:
+    """(rows, width, key) of the infer-mode forward's row blocks.  A row of
+    a block's scratch buffers holds ``width`` float64, the widest of the
+    window, both latent heads and the hidden layers, set by config key
+    ``key``.  :func:`blocks.row_blocks` cuts n windows into blocks of
+    ``rows`` to ``2 * rows - 1`` rows, or one block if n < rows.
+
+    ``rows`` keeps a buffer of ``rows`` rows to 2^17 float64 (1 MiB),
+    between two bounds.  The cap is 1 024 rows: a narrow model's blocks are
+    cache-sized already, and smaller ones only ran slower (20 000 windows
+    of a 128-wide model took 47 ms at 1 024 rows, 63 ms at 256 and 108 ms
+    at 128).  The floor is 76 rows: OpenBLAS 0.3.31 rounds batches of 75
+    rows or fewer differently from a full batch."""
+    width, key = max((config.window, "model.window"), (2 * config.latent, "model.latent"),
+                     (max(config.hidden), "model.hidden"))
+    return max(76, min(1024, 2 ** 17 // width)), width, key
 
 
 @dataclass
@@ -436,7 +443,8 @@ class Vae:
         if prev_z is not None and np.shape(prev_z) != (n, latent):
             raise ShapeError(f"expected [{n} x {latent}] previous latents, "
                              f"got {np.shape(prev_z)}")
-        spans = row_blocks(n, INFER_BLOCK_ROWS)
+        size, width, _ = infer_block(self.config)
+        spans = row_blocks(n, size)
         count = workers(len(spans))
         # Every block-sized array a block writes lives in a flat buffer
         # allocated by this thread: a pool thread's malloc arena would keep
@@ -448,12 +456,11 @@ class Vae:
         # decoded block waits for the overlap-add in the (block mod
         # ahead)-th of ``ahead`` more.
         rows = max(hi - lo for lo, hi in spans)
-        width = infer_width(self.config)[0]
         scratch = [(np.empty(rows * width), np.empty(rows * width)) for _ in range(count)]
         ahead = min(DECODED_AHEAD * count, len(spans))
         decoded = [np.empty(rows * w) for _ in range(ahead)]
 
-        def infer_block(i, worker):
+        def run_block(i, worker):
             lo, hi = spans[i]
             a, b = scratch[worker]
             h = _rows(a, hi - lo, w)
@@ -485,7 +492,7 @@ class Vae:
             y += np.multiply(self.beta, X[lo:hi], out=_rows(a, hi - lo, w))
             return y
 
-        for (lo, hi), y in zip(spans, map_blocks(infer_block, range(len(spans)), count, ahead)):
+        for (lo, hi), y in zip(spans, map_blocks(run_block, range(len(spans)), count, ahead)):
             emit(lo, hi, y)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite decoder outputs")

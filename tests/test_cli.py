@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dartclean import series_io, synth
-from dartclean.cli import load_config, main, read_ground_truth
+from dartclean.cli import _method_metrics, load_config, main, read_ground_truth
 from dartclean.errors import ConfigError, ParseError
 from tests.conftest import as_version_2
 
@@ -97,11 +97,12 @@ class TestLoadConfig:
 
     def test_infer_block_width_covers_hidden_and_latent(self):
         # an infer block's buffers are as wide as the window, both latent
-        # heads or the widest hidden layer; 1 024 rows of 500 000 float64
-        # fit the budget, of 600 000 do not
+        # heads or the widest hidden layer; a block this wide has the
+        # 76-row floor, and 76 rows of 500 000 float64 fit the budget, of
+        # 8 000 000 do not
         assert load_config(None, overrides=["model.hidden=[500000]"])["model"].hidden == (500000,)
-        for override, key in [("model.hidden=[600000]", "model.hidden"),
-                              ("model.latent=300000", "model.latent")]:
+        for override, key in [("model.hidden=[8000000]", "model.hidden"),
+                              ("model.latent=4000000", "model.latent")]:
             with pytest.raises(ConfigError, match=f"^{key} needs .* for an infer block"):
                 load_config(None, overrides=[override])
 
@@ -585,9 +586,22 @@ class TestCmdEvalLatent:
         report = json.loads((tmp_path / "report.json").read_text())
         truth = read_ground_truth(tmp_path / "truth.csv")
         doc = series_io.read_cleaned_csv(str(tmp_path / "cleaned_e.csv"))
-        expect = metrics.spike_f1(doc.spike.astype(bool),
-                                  np.flatnonzero(truth["spike"]))
+        spike = truth["spike"]
+        starts = np.flatnonzero(spike & ~np.r_[False, spike[:-1]])
+        expect = metrics.spike_f1(doc.spike.astype(bool), starts)
         assert report["pipeline"]["f1_spike"] == pytest.approx(expect["f1"])
+
+    def test_eval_scores_each_spike_at_its_start(self):
+        # a three-sample spike and a one-sample spike: a mask of the first
+        # one's start alone finds one of two events, with no false alarm
+        n = 40
+        clean = np.sin(np.arange(n) / 3.0)
+        spike, step = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        spike[[10, 11, 12, 30]] = True
+        truth = {"clean": clean, "spike": spike, "step": step, "contaminated": clean + spike}
+        found = np.arange(n) == 10
+        report = _method_metrics(clean + 0.01 * np.cos(np.arange(n)), found, step, truth, 900.0)
+        assert (report["precision"], report["recall"]) == (1.0, 0.5)
 
     def test_latent_rows_and_labels(self, trained):
         tmp_path = trained["dir"]
@@ -667,8 +681,8 @@ class TestTypedReadErrors:
 
 class TestOutputsCheckedFirst:
     """A command works out its output paths, defaults included, before it
-    reads any input: a missing output, or two outputs that name one file,
-    exits 2 and leaves every file as it was."""
+    reads any input: a missing output, or an output that names the file of
+    another output or of an input, exits 2 and leaves every file as it was."""
 
     def test_train_without_checkpoint_trains_nothing(self, trained, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -711,6 +725,33 @@ class TestOutputsCheckedFirst:
                                 "segments", "iteration_log") if f"'{key}'" in err]
         assert len(keys) == 2, err
         assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, output, name", [
+        ("train", "checkpoint", "input.dart"),
+        ("train", "train_log", "./input.dart"),
+        ("clean", "output", "input.dart"),
+        ("clean", "segments", "ck.json"),
+        ("clean", "iteration_log", "sub/../ck.json"),
+    ])
+    def test_output_naming_an_input_exits_2(self, trained, tmp_path, capsys, command, output,
+                                            name):
+        (tmp_path / "sub").mkdir()
+        inputs = {"input": tmp_path / "input.dart", "checkpoint": tmp_path / "ck.json"}
+        inputs["input"].write_bytes(trained["dart"].read_bytes())
+        inputs["checkpoint"].write_bytes(trained["checkpoint"].read_bytes())
+        before = {key: path.read_bytes() for key, path in inputs.items()}
+        paths = {"input": str(inputs["input"]), "checkpoint": str(inputs["checkpoint"]),
+                 "output": str(tmp_path / "c.csv"), output: str(tmp_path / name)}
+        cfg = _write_config(tmp_path, model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1}, detect={"w_s": 24, "w_l": 96},
+                            refine={"iterations": 1}, **paths)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        read = "input" if name.endswith(".dart") else "checkpoint"
+        assert f"'{read}' and '{output}' both name the file" in err, err
+        assert {key: path.read_bytes() for key, path in inputs.items()} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "cfg.json", "ck.json", "input.dart", "sub"]
 
 
 class TestEvalSameSeries:
@@ -764,7 +805,33 @@ class TestUnreadableInput:
 
 
 class TestWritesIntoMissingDirectory:
-    """Every command that cannot write an output exits 3 naming the path."""
+    """Every command that cannot write an output exits 3 naming the path,
+    before it has read an input or written any output."""
+
+    @pytest.mark.parametrize("command, last", [
+        ("synth", "ground_truth"), ("train", "checkpoint"), ("clean", "iteration_log"),
+        ("eval", "output"), ("latent", "output"),
+    ])
+    def test_output_in_a_missing_directory_exits_3_before_any_output(
+            self, trained, tmp_path, capsys, command, last):
+        # every input is valid, so were the directory found only when the
+        # last output is written, train and clean would first write the rest
+        missing = tmp_path / "missing" / "out"
+        paths = {key: str(tmp_path / key) for key in
+                 ("output", "train_log", "segments", "iteration_log")}
+        paths["checkpoint"] = str(tmp_path / "checkpoint" if command == "train"
+                                  else trained["checkpoint"])
+        paths["ground_truth"] = str(tmp_path / "ground_truth" if command == "synth"
+                                    else trained["dir"] / "truth.csv")
+        paths[last] = str(missing)
+        cfg = _write_config(tmp_path, input=str(trained["dart"]),
+                            model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1}, synth={"n": 300, "seed": 1},
+                            detect={"w_s": 24, "w_l": 96}, refine={"iterations": 1}, **paths)
+        assert main([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == (f"data error: cannot write {missing}: "
+                                           f"{missing.parent} is not a writable directory\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_synth(self, tmp_path, capsys):
         out = tmp_path / "missing" / "series.dart"
@@ -863,9 +930,9 @@ class TestOutOfMemory:
         assert not checkpoint.exists()
 
     def test_train_of_a_layer_too_wide(self, tmp_path):
-        # one infer block of 1 024 rows of 2 * 10^8 float64
+        # one infer block of 76 rows of 2 * 10^8 float64
         self.train_over_budget(tmp_path, "model.hidden=[200000000]", "model.hidden",
-                               "1,638,400,000,000")
+                               "121,600,000,000")
 
     def test_train_of_too_many_parameters(self, tmp_path):
         # each layer fits an infer block, but 320 065 600 083 parameters,
@@ -874,9 +941,9 @@ class TestOutOfMemory:
                                "12,802,624,003,320")
 
     def test_train_of_a_window_too_wide(self, tmp_path):
-        # one infer block of 1 024 windows of 10^6 float64
-        self.train_over_budget(tmp_path, "model.window=1000000", "model.window",
-                               "8,192,000,000")
+        # one infer block of 76 windows of 8 * 10^6 float64
+        self.train_over_budget(tmp_path, "model.window=8000000", "model.window",
+                               "4,864,000,000")
 
     def test_synth_within_the_budget_past_the_cap(self, tmp_path):
         # 50 000 000 samples are within the budget, but one of their

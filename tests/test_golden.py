@@ -95,7 +95,7 @@ GOLDEN = {
     },
 }
 
-EVAL_GOLDEN = "65b071285cc30c9e988bd7299ada9a76e85030e235003eac4a15fa4a737a974f"
+EVAL_GOLDEN = "e87505ad61d81733a5354124aef42b23dadf8ededd0673176acc9c5570c65864"
 
 # format version 3: each array as the base64 of its little-endian float64 bytes
 CHECKPOINT_GOLDEN = "1120a0f117ed4cc1ac2d58bdaf5bdbd5946dde44b51d0058e5e7432f1d697f6a"

@@ -7,14 +7,16 @@ of a zero could differ, a byte comparison.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
+from dartclean import (detector, model as model_module, pipeline, postprocess, preprocess,
+                       refiner, series_io, synth)
 from dartclean.blocks import row_blocks
 from dartclean.errors import NumericError, ShapeError
-from dartclean.model import INFER_BLOCK_ROWS, ModelConfig, Vae
+from dartclean.model import ModelConfig, Vae, infer_block
 from tests.conftest import perturbed_model
 from tests.oracles import oracle_infer, oracle_infer_series
 
@@ -47,12 +49,57 @@ def test_infer_matches_encode_decode(model, rows, blend):
 
 @pytest.mark.parametrize("n", [1, 75, 1023, 1024, 1025, 2047, 2048, 2085, 19953])
 def test_row_blocks_cover_in_near_equal_blocks(n):
-    blocks = row_blocks(n, INFER_BLOCK_ROWS)
+    blocks = row_blocks(n, 1024)
     assert blocks[0][0] == 0 and blocks[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     sizes = [hi - lo for lo, hi in blocks]
-    assert min(sizes) >= min(n, INFER_BLOCK_ROWS)
+    assert min(sizes) >= min(n, 1024)
     assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("width", [48, 128, 129, 512, 5000])
+def test_infer_blocks_are_sized_by_bytes(width):
+    rows, got, _ = infer_block(ModelConfig(hidden=(width,)))
+    assert got == width
+    assert 76 <= rows <= 1024
+    assert rows * width <= 2 ** 17 or rows == 76
+    if width <= 128:
+        assert rows == 1024
+    for n in (1, 75, 76, 1995, 5953):
+        sizes = [hi - lo for lo, hi in row_blocks(n, rows)]
+        assert all(min(n, rows) <= size < 2 * rows for size in sizes)
+
+
+@pytest.mark.parametrize("n", [1995, 5953])
+def test_wide_model_matches_oracle_in_byte_sized_blocks(n):
+    # a validation set's and a 6 000-sample clean's windows, in blocks of
+    # 256 to 511 rows of the default model
+    model = perturbed_model(ModelConfig().hidden)
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, model.config.window))
+    prev_z = rng.normal(size=(n, model.config.latent))
+    for got, expect in zip(model.infer(X, prev_z, 0.5), oracle_infer(model, X, prev_z, 0.5)):
+        assert identical(got, expect)
+    x = rng.normal(size=n + model.config.window - 1)
+    for got, expect in zip(model.infer_series(x), oracle_infer_series(model, x)):
+        assert identical(got, expect)
+
+
+def test_wide_infer_series_scratch_is_bounded(monkeypatch):
+    # one worker's 1 995 windows of the default 512-wide model: seven
+    # blocks of 285 rows put two 1.2 MB scratch buffers, two 0.1 MB
+    # decoded blocks and the 0.26 MB latents at ~2.9 MB; one 1 995-row
+    # block would take two 8.2 MB scratch buffers
+    monkeypatch.setattr(model_module, "workers", lambda count: 1)
+    model = perturbed_model(ModelConfig().hidden)
+    x = np.random.default_rng(0).normal(size=1995 + model.config.window - 1)
+    tracemalloc.start()
+    try:
+        model.infer_series(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"{peak:,} bytes"
 
 
 class TestErrors:

@@ -24,7 +24,8 @@ from tests.oracles import oracle_infer_pass, oracle_make_windows, overlap_add
 from tests.test_infer import identical
 
 
-# window counts around the row-block edges: 1 024 rows a block, none under 76
+# window counts around the row-block edges: 1 024 rows a block of a 16-wide
+# model, none under 76
 WINDOW_COUNTS = [1, 75, 76, 1023, 1024, 1025, 2048, 2049, 2085]
 
 
