@@ -5,10 +5,10 @@ and its blocks are independent: each reads shared inputs and writes only
 its own rows.  :func:`map_blocks` runs such blocks on a pool of one
 thread per CPU the process may use, each pinned to its own CPU.  The
 calling thread runs no block and is never pinned: it allocates the
-caller's scratch buffers and takes the results in block order, for the
-infer pass's overlap-add.  Each block still runs the same operations on
-the same rows, with whatever BLAS thread count the process has, so the
-results do not depend on the number of CPUs.
+caller's scratch buffers and takes the results in block order, the seams
+of the infer pass's overlap-add.  Each block still runs the same
+operations on the same rows, with whatever BLAS thread count the process
+has, so the results do not depend on the number of CPUs.
 """
 
 from __future__ import annotations

@@ -31,8 +31,10 @@ from .series_io import check_rules
 STD_FLOOR = 1e-8
 # rows of the sliding-window view per block of rolling_median_std: the sort
 # copies every row it is given, and .std subtracts each row's mean in a new
-# array, so whole-view calls would hold two [n x w] arrays
-ROLLING_BLOCK_ROWS = 4096
+# array, so whole-view calls would hold two [n x w] arrays.  Memory sets
+# the size: at 4 096 rows of 48, the two block copies, not an infer pass,
+# set a clean's peak
+ROLLING_BLOCK_ROWS = 2048
 
 
 @dataclass

@@ -38,10 +38,10 @@ from .layers import (
 from .series_io import check_budget, check_rules
 
 LOGVAR_CLIP = 10.0
-# decoded blocks of :meth:`Vae.infer` that may wait for their turn in the
-# overlap-add, per worker: enough that the other workers run on while one
-# worker's CPU is held up
-DECODED_AHEAD = 2
+# row blocks of an infer pass per worker that may be started before the
+# calling thread has taken their seams: enough that the other workers run
+# on while one worker's CPU is held up
+BLOCKS_AHEAD = 2
 # keys of the checkpointed arrays that gradient descent does not train
 BUFFER_KEYS = {"running_mean", "running_var", "beta"}
 
@@ -67,29 +67,52 @@ class ModelConfig:
             (("bn_momentum",), lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
             (("skip_alpha_init", "beta0", "conf_decay"), math.isfinite, "a finite number"),
         ])
-        rows, width, key = infer_block(self)
-        check_budget(key, 8 * rows * width, "an infer block")
+        # one worker's two buffers at the largest block row_blocks cuts,
+        # its seam slots and the seam's (sample, element) order
+        rows, widths, key = infer_block(self)
+        most = 2 * rows - 1
+        seam = min(self.window - 1, most) * self.window
+        check_budget(key, 8 * (most * sum(widths) + (BLOCKS_AHEAD + 2) * seam), "an infer block")
         count = sum(math.prod(shape) for shape in state_shapes(self).values())
         check_budget("model.hidden", 5 * 8 * count, f"{count:,} parameters, their gradient, "
                      "Adam's m and v and the best state")
 
 
 def infer_block(config: ModelConfig) -> tuple:
-    """(rows, width, key) of the infer-mode forward's row blocks.  A row of
-    a block's scratch buffers holds ``width`` float64, the widest of the
-    window, both latent heads and the hidden layers, set by config key
-    ``key``.  :func:`blocks.row_blocks` cuts n windows into blocks of
-    ``rows`` to ``2 * rows - 1`` rows, or one block if n < rows.
+    """(rows, widths, key) of the infer-mode forward's row blocks.
+    :func:`blocks.row_blocks` cuts n windows into blocks of ``rows`` to
+    ``2 * rows - 1`` rows, or one block if n < rows.  Each worker has two
+    scratch buffers, a row of the first ``widths[0]`` float64 wide and of
+    the second ``widths[1]``: the widest array each holds as the layers
+    read one and write the other.  Both hold a window: the first the
+    encoder's input, then the decoded block, the second the global skip.
+    Hidden layer i writes buffer ``_target(i)``, and the buffer the last
+    hidden layer does not write holds both latent heads.  ``key`` names the
+    config key of the widest of all these arrays.
 
-    ``rows`` keeps a buffer of ``rows`` rows to 2^17 float64 (1 MiB),
+    ``rows`` keeps a block of the widest array to 2^17 float64 (1 MiB),
     between two bounds.  The cap is 1 024 rows: a narrow model's blocks are
     cache-sized already, and smaller ones only ran slower (20 000 windows
     of a 128-wide model took 47 ms at 1 024 rows, 63 ms at 256 and 108 ms
     at 128).  The floor is 76 rows: OpenBLAS 0.3.31 rounds batches of 75
     rows or fewer differently from a full batch."""
+    hidden = config.hidden
+    widths = [config.window, config.window]
+    for i, width in enumerate(hidden):
+        widths[_target(i)] = max(widths[_target(i)], width)
+    heads = 1 - _target(len(hidden) - 1)
+    widths[heads] = max(widths[heads], 2 * config.latent)
     width, key = max((config.window, "model.window"), (2 * config.latent, "model.latent"),
-                     (max(config.hidden), "model.hidden"))
-    return max(76, min(1024, 2 ** 17 // width)), width, key
+                     (max(hidden), "model.hidden"))
+    return max(76, min(1024, 2 ** 17 // width)), tuple(widths), key
+
+
+def _target(i: int) -> int:
+    """The scratch buffer, 0 or 1, that hidden layer i of an infer block
+    writes, in the encoder and again in the decoder: buffer 0 takes the
+    window in and the decoded block out, and each layer writes the buffer
+    its input is not in."""
+    return (i + 1) % 2
 
 
 @dataclass
@@ -429,51 +452,59 @@ class Vae:
 
     # --------------------------------------------------------------- helpers
 
-    def _infer_rows(self, X: np.ndarray, z, prev_z, blend_alpha: float, logvar_out, emit, out):
+    def _infer_rows(self, X: np.ndarray, z, prev_z, blend_alpha: float, logvar_out, place,
+                    out, join=None):
         """The one infer-mode forward, behind :meth:`infer` and
         :meth:`infer_series`.  Each row block of the [n x window] windows
         ``X`` is encoded, blended into ``z`` (which may be ``prev_z``: a
-        block reads its rows of it first) and decoded by one task of
-        :func:`blocks.map_blocks`; each decoded block is handed, in block
-        order, to ``emit(lo, hi, xhat_block)`` in the calling thread, which
-        must be done with the block when it returns and writes ``out``.  An
-        encoder fault raises when its block's turn comes, before ``out`` is
-        checked once every block is emitted, so encoder faults come first."""
+        block reads its rows of it first), decoded and placed by one task
+        of :func:`blocks.map_blocks`: the worker hands its decoded block to
+        ``place(lo, hi, y)``, which must be done with it when it returns
+        and may write only what no other block writes.  With ``join``, the
+        worker also copies the block's first min(window - 1, rows) rows, its
+        seam, into a slot, and the calling thread hands each seam, in block
+        order, to ``join(lo, seam)``.  An encoder fault raises when its
+        block's turn comes, before ``out`` is checked once every block is
+        done, so encoder faults come first."""
         n, w, latent = X.shape[0], self.config.window, self.config.latent
         if prev_z is not None and np.shape(prev_z) != (n, latent):
             raise ShapeError(f"expected [{n} x {latent}] previous latents, "
                              f"got {np.shape(prev_z)}")
-        size, width, _ = infer_block(self.config)
+        size, widths, _ = infer_block(self.config)
         spans = row_blocks(n, size)
         count = workers(len(spans))
         # Every block-sized array a block writes lives in a flat buffer
         # allocated by this thread: a pool thread's malloc arena would keep
         # what the thread frees for the life of the process.  Each worker
-        # has two.  A layer reads one and writes the other; the spare one
-        # takes the log-variances beside the blend product, then the
-        # products of the first decoder skip and the global skip.  A later
-        # decoder layer writes its skip products over its spent input.  A
-        # decoded block waits for the overlap-add in the (block mod
-        # ahead)-th of ``ahead`` more.
+        # has two, as wide as ``infer_block`` says.  Hidden layer k writes
+        # buffer ``_target(k)``, reading the other; the spare one the last
+        # encoder layer leaves takes the log-variances beside the blend
+        # product, then the products of the first decoder skip.  A later
+        # decoder layer writes its skip products over its spent input.  The
+        # decoded block and the global skip take one each.  A block's seam,
+        # at most ``rows`` rows, waits for the calling thread in the (block
+        # mod ahead)-th of ``ahead`` slots.
         rows = max(hi - lo for lo, hi in spans)
-        scratch = [(np.empty(rows * width), np.empty(rows * width)) for _ in range(count)]
-        ahead = min(DECODED_AHEAD * count, len(spans))
-        decoded = [np.empty(rows * w) for _ in range(ahead)]
+        scratch = [tuple(np.empty(rows * width) for width in widths) for _ in range(count)]
+        ahead = min(BLOCKS_AHEAD * count, len(spans))
+        seam_rows = min(w - 1, rows)
+        seams = [np.empty(seam_rows * w) for _ in range(ahead if join else 0)]
+        depth = len(self.enc_dense)
 
         def run_block(i, worker):
             lo, hi = spans[i]
-            a, b = scratch[worker]
-            h = _rows(a, hi - lo, w)
+            buffers = scratch[worker]
+            h = _rows(buffers[0], hi - lo, w)
             np.copyto(h, X[lo:hi])
-            for dn, bn in zip(self.enc_dense, self.enc_bn):
-                a, b = b, a
-                h = _frozen_block(h, dn, bn, a)
+            for k, (dn, bn) in enumerate(zip(self.enc_dense, self.enc_bn)):
+                h = _frozen_block(h, dn, bn, buffers[_target(k)])
+            spare = buffers[1 - _target(depth - 1)]
             if prev_z is not None:
                 kept = np.multiply(1.0 - blend_alpha, prev_z[lo:hi],
-                                   out=_rows(b[(hi - lo) * latent:], hi - lo, latent))
+                                   out=_rows(spare[(hi - lo) * latent:], hi - lo, latent))
             mu = np.matmul(h, self.mu_head.W.T, out=z[lo:hi])
             mu += self.mu_head.b
-            logvar = np.matmul(h, self.logvar_head.W.T, out=_rows(b, hi - lo, latent)
+            logvar = np.matmul(h, self.logvar_head.W.T, out=_rows(spare, hi - lo, latent)
                                if logvar_out is None else logvar_out[lo:hi])
             logvar += self.logvar_head.b
             np.clip(logvar, -LOGVAR_CLIP, LOGVAR_CLIP, out=logvar)
@@ -483,17 +514,23 @@ class Vae:
             if prev_z is not None:
                 mu *= blend_alpha
                 mu += kept
-            h, skip = mu, _rows(b, hi - lo, latent)
-            for dn, bn, alpha in zip(self.dec_dense, self.dec_bn, self.dec_alpha):
-                h = skip = _frozen_block(h, dn, bn, a, alpha, skip)
-                a, b = b, a
-            y = np.matmul(h, self.out_layer.W.T, out=_rows(decoded[i % ahead], hi - lo, w))
+            h, skip = mu, _rows(spare, hi - lo, latent)
+            # decoder block j is the mirror of hidden layer depth - 1 - j
+            for k, dn, bn, alpha in zip(range(depth - 1, -1, -1), self.dec_dense, self.dec_bn,
+                                        self.dec_alpha):
+                h = skip = _frozen_block(h, dn, bn, buffers[_target(k)], alpha, skip)
+            y = np.matmul(h, self.out_layer.W.T, out=_rows(buffers[0], hi - lo, w))
             y += self.out_layer.b
-            y += np.multiply(self.beta, X[lo:hi], out=_rows(a, hi - lo, w))
-            return y
+            y += np.multiply(self.beta, X[lo:hi], out=_rows(buffers[1], hi - lo, w))
+            place(lo, hi, y)
+            if join is not None:
+                seam = _rows(seams[i % ahead], min(w - 1, hi - lo), w)
+                np.copyto(seam, y[:len(seam)])
+                return seam
 
-        for (lo, hi), y in zip(spans, map_blocks(run_block, range(len(spans)), count, ahead)):
-            emit(lo, hi, y)
+        for (lo, _), seam in zip(spans, map_blocks(run_block, range(len(spans)), count, ahead)):
+            if join is not None:
+                join(lo, seam)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite decoder outputs")
 
@@ -513,10 +550,10 @@ class Vae:
         xhat = np.empty_like(X)
         z = np.empty((len(X), self.config.latent))
 
-        def keep(lo, hi, block):
-            xhat[lo:hi] = block
+        def place(lo, hi, y):
+            xhat[lo:hi] = y
 
-        self._infer_rows(X, z, prev_z, blend_alpha, logvar_out, keep, xhat)
+        self._infer_rows(X, z, prev_z, blend_alpha, logvar_out, place, xhat)
         return z, xhat
 
     def infer_series(self, x: np.ndarray, prev_z: np.ndarray | None = None,
@@ -529,10 +566,15 @@ class Vae:
         refinement holds one latent array (undefined after a fault).
 
         Holds no [windows x window] array.  Each encoder block is copied
-        out of a sliding view of ``x``, and each decoded block is added into
-        one running accumulator column by column, j = window-1 ... 0, so
-        every sample sums its covering windows in ascending origin order:
-        the order of the plain window-by-window overlap-add, bit for bit.
+        out of a sliding view of ``x``, and every sample sums its covering
+        windows in ascending origin order: the order of the plain
+        window-by-window overlap-add, bit for bit.  A block of windows lo
+        ... hi - 1 covers samples lo ... hi + window - 2.  No earlier block
+        covers samples lo + window - 1 on, so the worker adds the block to
+        them itself, column by column, j = window-1 ... 0.  The calling
+        thread adds its seam, its first window - 1 rows (all of a shorter
+        block), to samples lo ... lo + window - 2 once every earlier block
+        is done.
         """
         x = np.asarray(x, dtype=float)
         n, w = len(x), self.config.window
@@ -543,13 +585,26 @@ class Vae:
                 and z.flags.c_contiguous and z.flags.writeable):
             raise ShapeError("previous latents must be a writable, C-contiguous float64 array")
         recon = np.zeros(n)
+        # seam row r adds its element s - r to sample lo + s, for s = r ...
+        # window - 2; by row, so each sample sums in ascending origin order.
+        # Only the rows the largest block's seam has are ordered
+        size = infer_block(self.config)[0]
+        rows = min(w - 1, max(hi - lo for lo, hi in row_blocks(n - w + 1, size)))
+        r, s = np.triu_indices(rows, m=w - 1)
+        take = r * (w - 1) + s
+        del r
 
-        def overlap_add(lo, hi, block):
+        def place(lo, hi, y):
             for j in range(w - 1, -1, -1):
-                recon[lo + j:hi + j] += block[:, j]
+                recon[lo + w - 1:hi + j] += y[w - 1 - j:, j]
 
-        self._infer_rows(sliding_window_view(x, w), z, prev_z, blend_alpha, None, overlap_add,
-                         recon)
+        def join(lo, seam):
+            m = len(seam)
+            held = m * (w - 1) - m * (m - 1) // 2   # row r holds w - 1 - r pairs
+            np.add.at(recon[lo:], s[:held], seam.ravel()[take[:held]])
+
+        self._infer_rows(sliding_window_view(x, w), z, prev_z, blend_alpha, None, place, recon,
+                         join)
         i = np.arange(n)
         recon /= np.minimum(i, n - w) - np.maximum(i - (w - 1), 0) + 1
         return z, recon

@@ -47,6 +47,8 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
 
     filled = fill_gaps(raw)
     x_norm = zscore_normalize(filled, stats).values
+    values = filled.values
+    del filled   # its all-valid flags, which no pass reads
 
     masks, first = detect_anomalies(model, x_norm, detect_config)
     result = refiner.refine(model, x_norm, masks, detect_config, refine_config, first)
@@ -63,7 +65,7 @@ def clean_series(model, stats: NormStats, raw: RawSeries,
     anomaly = detector.build_masks(masks.spike, validated, detect_config.merge_gap)
     output = CleanedOutput(
         timestamps=raw.timestamps,
-        raw=filled.values,
+        raw=values,
         cleaned=cleaned,
         spike=masks.spike.astype(int),
         step=validated.astype(int),

@@ -63,10 +63,12 @@ class RefineResult:
 
 @dataclass
 class InferPass:
-    """One infer-mode pass over a series."""
-    z: np.ndarray            # latents of the stride-1 windows, blended if asked
-    recon: np.ndarray        # decoded windows, overlap-added to series length
-    deviation: np.ndarray    # rolling-median spike deviation of the input
+    """One infer-mode pass over a series.  :func:`refine` sets ``recon``
+    and ``deviation`` to None once its round has read them, the ``first``
+    pass it is given included, so no later pass runs beside them."""
+    z: np.ndarray                    # latents of the stride-1 windows, blended if asked
+    recon: np.ndarray | None         # decoded windows, overlap-added to series length
+    deviation: np.ndarray | None     # rolling-median spike deviation of the input
     step_mask: np.ndarray    # point step mask of the input
 
 
@@ -89,8 +91,8 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
     """Run the full refinement loop; see the module docstring.
 
     ``first``, if given, must be ``infer_pass(model, x_norm, detect_config)``;
-    round 1 then reuses it instead of computing it again, and round 2
-    overwrites its z.
+    round 1 then reuses it instead of computing it again and drops its
+    recon and deviation, and round 2 overwrites its z.
     """
     config = config or RefineConfig()
     x_norm = np.asarray(x_norm, dtype=float)
@@ -122,8 +124,12 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
 
         gate = spike_mask | step_mask
         nxt = np.where(gate, inferred.recon, current)
+        # the pass's series arrays are spent, so the next pass runs without
+        # them; ``first``'s too, though the caller holds it
+        inferred.recon = inferred.deviation = None
         # per-iteration error |xhat_k - xhat_{k-1}| on the gated series
-        change = np.abs(nxt - current)
+        change = nxt - current
+        np.abs(change, out=change)
         mean_change = float(change.mean())
         log.append(IterationRecord(iteration=k, mean_change=mean_change,
                                    masked_count=int(gate.sum()),

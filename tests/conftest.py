@@ -1,4 +1,5 @@
 import base64
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,18 @@ def as_version_2(doc: dict) -> dict:
     return dict(doc, format_version=2, params={
         name: np.frombuffer(base64.b64decode(entry["data"]), "<f8").reshape(entry["shape"]).tolist()
         for name, entry in doc["params"].items()})
+
+
+def traced_peak(fn, *args):
+    """(``fn(*args)``, the peak of traced memory while it ran above what
+    was traced when it began, in bytes)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def standalone_layers(in_dim, out_dim, rng=None, momentum=0.9, eps=1e-5):

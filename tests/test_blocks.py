@@ -20,9 +20,9 @@ from dartclean import detector
 from dartclean.blocks import map_blocks, workers
 from dartclean.detector import ROLLING_BLOCK_ROWS
 from dartclean.errors import NumericError
-from dartclean.model import ModelConfig, Vae
+from dartclean.model import ModelConfig, Vae, infer_block
 from tests.conftest import perturbed_model
-from tests.oracles import oracle_infer
+from tests.oracles import oracle_infer, oracle_infer_series
 from tests.test_infer import identical
 from tests.test_kernels import oracle_rolling_median_std
 
@@ -256,13 +256,71 @@ def test_infer_series_is_identical_on_one_and_two_cpus(monkeypatch, model, n, bl
         x, None if prev_z is None else prev_z.copy(), 0.5)))
 
 
-# the view of n samples has n - w + 1 rows; one row past a rolling block
-# makes a second block
+# window counts at the seam of 48-sample windows: one block shorter than
+# the 47-row seam, as long as it or a window, either side of the 76-row
+# floor, and either side of the second block at 2 * rows windows
+SEAM_CASES = [(hidden, count) for hidden in [(128, 64, 32), (512, 256, 128)]
+              for rows in [infer_block(ModelConfig(hidden=hidden))[0]]
+              for count in [1, 46, 47, 48, 75, 76, 2 * rows - 1, 2 * rows]]
+
+
+@pytest.fixture(scope="module")
+def models(model):
+    return {(128, 64, 32): model, (512, 256, 128): perturbed_model((512, 256, 128), seed=3)}
+
+
+def assert_series_matches_oracle(monkeypatch, model, count, blend):
+    w = model.config.window
+    rng = np.random.default_rng(count)
+    x = rng.normal(size=count + w - 1) + np.linspace(0.0, 3.0, count + w - 1)
+    prev_z = rng.normal(size=(count, model.config.latent)) if blend else None
+    want = oracle_infer_series(model, x, prev_z, 0.5)
+    # each run overwrites the latents it is given, so each gets a copy
+    for got in on_cpus(monkeypatch, lambda: model.infer_series(
+            x, None if prev_z is None else prev_z.copy(), 0.5)):
+        assert_identical(got, want)
+
+
+@pytest.mark.parametrize("blend", [False, True], ids=["plain", "blend"])
+@pytest.mark.parametrize("hidden, count", SEAM_CASES)
+def test_seam_hand_off_matches_oracle_on_one_and_two_cpus(monkeypatch, models, hidden, count,
+                                                          blend):
+    assert_series_matches_oracle(monkeypatch, models[hidden], count, blend)
+
+
+@pytest.mark.parametrize("blend", [False, True], ids=["plain", "blend"])
+def test_blocks_shorter_than_the_seam_match_oracle(monkeypatch, blend):
+    # 200-sample windows over a 2 000-wide layer: 400 windows in five
+    # blocks of 80 rows, each seam cut to its block, so a sample takes
+    # the seams of up to three blocks
+    model = perturbed_model((2000,), seed=4, window=200)
+    assert infer_block(model.config)[0] == 76
+    assert_series_matches_oracle(monkeypatch, model, 400, blend)
+
+
+def test_seam_hand_off_loses_no_sum_under_contention(monkeypatch, model):
+    # four workers on at most two CPUs, the interpreter switching threads
+    # every microsecond: the workers add their blocks to recon while the
+    # calling thread adds the seams, and one lost sum changes the bits
+    usable_cpus(monkeypatch, 4)
+    x = np.random.default_rng(9).normal(size=8 * 1024 + 47)
+    want = oracle_infer_series(model, x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert_identical(model.infer_series(x), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# the view of n samples has n - w + 1 rows; one row past a whole number of
+# rolling blocks makes one more block
 @pytest.mark.parametrize("w, n", [
     *[(48, n) for n in [48, 75, 1023, 1025, 2085, 5000, *SAMPLES]],
-    (48, ROLLING_BLOCK_ROWS + 47), (48, ROLLING_BLOCK_ROWS + 48),
+    *[(48, blocks * ROLLING_BLOCK_ROWS + 47 + row) for blocks in (1, 2) for row in (0, 1)],
     *[(480, n) for n in [1023, 1025, 2085, 5000, *SAMPLES]],
-    (480, 2 * ROLLING_BLOCK_ROWS + 479), (480, 2 * ROLLING_BLOCK_ROWS + 480),
+    (480, 4 * ROLLING_BLOCK_ROWS + 479), (480, 4 * ROLLING_BLOCK_ROWS + 480),
 ])
 def test_rolling_median_std_is_identical_on_one_and_two_cpus(monkeypatch, w, n):
     x = np.random.default_rng(n).normal(size=n).round(2)   # ties in the medians

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from dartclean import series_io, synth
 from dartclean.cli import _method_metrics, load_config, main, read_ground_truth
 from dartclean.errors import ConfigError, ParseError
-from tests.conftest import as_version_2
+from tests.conftest import as_version_2, traced_peak
 
 
 def _write_config(tmp_path, name="cfg.json", **data):
@@ -96,10 +95,11 @@ class TestLoadConfig:
         assert "object" in err if doc[0] != "{" else json.loads(doc).popitem()[0] in err
 
     def test_infer_block_width_covers_hidden_and_latent(self):
-        # an infer block's buffers are as wide as the window, both latent
-        # heads or the widest hidden layer; a block this wide has the
-        # 76-row floor, and 76 rows of 500 000 float64 fit the budget, of
-        # 8 000 000 do not
+        # an infer worker's two buffers are as wide as the window, both
+        # latent heads or a hidden layer; a layer this wide sets the 76-row
+        # floor, so blocks of up to 151 rows, and two such buffers 48 and
+        # 500 000 float64 wide fit the budget, 48 and 8 000 000 (or
+        # 8 000 000 latent-head and 512 hidden) do not
         assert load_config(None, overrides=["model.hidden=[500000]"])["model"].hidden == (500000,)
         for override, key in [("model.hidden=[8000000]", "model.hidden"),
                               ("model.latent=4000000", "model.latent")]:
@@ -306,12 +306,8 @@ class TestCmdTrain:
                             checkpoint=str(tmp_path / "ck.json"),
                             model={"hidden": [8], "latent": 2},
                             train={"epochs": 1}, verbosity=0)
-        tracemalloc.start()
-        try:
-            assert main(["train", "--config", cfg]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["train", "--config", cfg])
+        assert code == 0
         assert peak < 19953 * 48 * 8, f"{peak / 2**20:.2f} MiB"
 
     def test_config_error_exit_code(self, tmp_path):
@@ -543,18 +539,24 @@ class TestCmdClean:
 
 
 class TestCmdEvalLatent:
-    def test_eval_schema(self, trained):
+    @staticmethod
+    def _evaluated(trained, suffix):
+        """Clean the trained series and evaluate the cleaned CSV; returns
+        (the report, the cleaned CSV's path)."""
         tmp_path = trained["dir"]
-        clean_cfg, out = TestCmdClean()._clean_cfg(trained, suffix="_e")
-        main(["clean", "--config", clean_cfg])
+        clean_cfg, out = TestCmdClean()._clean_cfg(trained, suffix=suffix)
+        assert main(["clean", "--config", clean_cfg]) == 0
+        report = tmp_path / f"report{suffix}.json"
         cfg = _write_config(
-            tmp_path, name="eval.json",
+            tmp_path, name=f"eval{suffix}.json",
             input=str(out), ground_truth=str(tmp_path / "truth.csv"),
-            output=str(tmp_path / "report.json"),
-            detect={"w_s": 24, "w_l": 96},
+            output=str(report), detect={"w_s": 24, "w_l": 96},
         )
         assert main(["eval", "--config", cfg]) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
+        return json.loads(report.read_text()), out
+
+    def test_eval_schema(self, trained):
+        report, _ = self._evaluated(trained, "_e")
         for block in ("pipeline", "baseline"):
             for key in ("mse", "temporal_consistency", "precision", "recall",
                         "f1_spike", "step_recall", "residual", "rate_of_change"):
@@ -582,10 +584,9 @@ class TestCmdEvalLatent:
 
     def test_eval_f1_matches_library(self, trained):
         from dartclean import metrics
-        tmp_path = trained["dir"]
-        report = json.loads((tmp_path / "report.json").read_text())
-        truth = read_ground_truth(tmp_path / "truth.csv")
-        doc = series_io.read_cleaned_csv(str(tmp_path / "cleaned_e.csv"))
+        report, out = self._evaluated(trained, "_f1")
+        truth = read_ground_truth(trained["dir"] / "truth.csv")
+        doc = series_io.read_cleaned_csv(str(out))
         spike = truth["spike"]
         starts = np.flatnonzero(spike & ~np.r_[False, spike[:-1]])
         expect = metrics.spike_f1(doc.spike.astype(bool), starts)
@@ -930,9 +931,11 @@ class TestOutOfMemory:
         assert not checkpoint.exists()
 
     def test_train_of_a_layer_too_wide(self, tmp_path):
-        # one infer block of 76 rows of 2 * 10^8 float64
+        # one infer worker's two buffers for the largest block, 151 rows,
+        # 48 and 2 * 10^8 float64 wide, and its two seam slots and the
+        # seam's two index arrays, each 47 rows of 48
         self.train_over_budget(tmp_path, "model.hidden=[200000000]", "model.hidden",
-                               "121,600,000,000")
+                               "241,600,130,176")
 
     def test_train_of_too_many_parameters(self, tmp_path):
         # each layer fits an infer block, but 320 065 600 083 parameters,
@@ -941,9 +944,11 @@ class TestOutOfMemory:
                                "12,802,624,003,320")
 
     def test_train_of_a_window_too_wide(self, tmp_path):
-        # one infer block of 76 windows of 8 * 10^6 float64
+        # one infer worker's two buffers for the largest block, 151 rows,
+        # its two seam slots and the seam's two index arrays: each holds
+        # 151 rows of a window of 8 * 10^6 float64
         self.train_over_budget(tmp_path, "model.window=8000000", "model.window",
-                               "4,864,000,000")
+                               "57,984,000,000")
 
     def test_synth_within_the_budget_past_the_cap(self, tmp_path):
         # 50 000 000 samples are within the budget, but one of their

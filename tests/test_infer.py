@@ -7,7 +7,6 @@ of a zero could differ, a byte comparison.
 """
 
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from dartclean import (detector, model as model_module, pipeline, postprocess, p
 from dartclean.blocks import row_blocks
 from dartclean.errors import NumericError, ShapeError
 from dartclean.model import ModelConfig, Vae, infer_block
-from tests.conftest import perturbed_model
+from tests.conftest import perturbed_model, traced_peak
 from tests.oracles import oracle_infer, oracle_infer_series
 
 
@@ -60,7 +59,7 @@ def test_row_blocks_cover_in_near_equal_blocks(n):
 @pytest.mark.parametrize("width", [48, 128, 129, 512, 5000])
 def test_infer_blocks_are_sized_by_bytes(width):
     rows, got, _ = infer_block(ModelConfig(hidden=(width,)))
-    assert got == width
+    assert got == (48, width)   # the window and both latent heads; the layer
     assert 76 <= rows <= 1024
     assert rows * width <= 2 ** 17 or rows == 76
     if width <= 128:
@@ -85,21 +84,47 @@ def test_wide_model_matches_oracle_in_byte_sized_blocks(n):
         assert identical(got, expect)
 
 
+@pytest.mark.parametrize("window, hidden, latent, widths", [
+    (48, (128, 64, 32), 16, (64, 128)), (48, (512, 256, 128), 16, (256, 512)),
+    (12, (16, 8), 4, (12, 16)), (4, (3,), 9, (18, 4)), (4, (5, 2), 9, (4, 18)),
+    (48, (100, 20, 200, 30), 4, (48, 200))])
+def test_scratch_buffers_are_as_wide_as_what_each_holds(window, hidden, latent, widths):
+    # the ping-pong writes hidden layer i into the second buffer for even
+    # i, the first for odd i, and both latent heads into the buffer the
+    # last hidden layer leaves; a blended pass runs in buffers this wide
+    config = ModelConfig(window=window, hidden=hidden, latent=latent)
+    assert infer_block(config)[1] == widths
+    model = Vae(config, seed=1)
+    rng = np.random.default_rng(1)
+    X, prev_z = rng.normal(size=(80, window)), rng.normal(size=(80, latent))
+    for got, expect in zip(model.infer(X, prev_z, 0.5), oracle_infer(model, X, prev_z, 0.5)):
+        assert identical(got, expect)
+
+
 def test_wide_infer_series_scratch_is_bounded(monkeypatch):
     # one worker's 1 995 windows of the default 512-wide model: seven
-    # blocks of 285 rows put two 1.2 MB scratch buffers, two 0.1 MB
-    # decoded blocks and the 0.26 MB latents at ~2.9 MB; one 1 995-row
-    # block would take two 8.2 MB scratch buffers
+    # blocks of 285 rows put its 256- and 512-wide scratch buffers at
+    # 1.75 MB, and with the 0.26 MB latents and two 18 KB seams the pass
+    # holds ~2.1 MB; one 1 995-row block would take 12.3 MB of scratch
     monkeypatch.setattr(model_module, "workers", lambda count: 1)
     model = perturbed_model(ModelConfig().hidden)
     x = np.random.default_rng(0).normal(size=1995 + model.config.window - 1)
-    tracemalloc.start()
-    try:
-        model.infer_series(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20, f"{peak:,} bytes"
+    peak = traced_peak(model.infer_series, x)[1]
+    assert peak < 2.4 * 2**20, f"{peak:,} bytes"
+
+
+def test_wide_window_seams_are_sized_by_the_block(monkeypatch):
+    # 400 windows of 2 000 samples on two workers: five 80-row blocks put
+    # the two workers' scratch buffers at 5.1 MB, the four seam slots of 80
+    # rows at 5.1 MB and the seam's order at 2.5 MB.  Slots and an order of
+    # w - 1 rows would take 128 MB and 48 MB
+    monkeypatch.setattr(model_module, "workers", lambda count: min(2, count))
+    model = Vae(ModelConfig(window=2000, hidden=(8,)), seed=0)
+    x = np.random.default_rng(0).normal(size=400 + 2000 - 1)
+    got, peak = traced_peak(model.infer_series, x)
+    assert peak < 16 * 2**20, f"{peak:,} bytes"
+    for a, b in zip(got, oracle_infer_series(model, x)):
+        assert identical(a, b)
 
 
 class TestErrors:

@@ -77,12 +77,13 @@ def _edge_shapes(windows):
     return [(w, n) for w in windows for n in (w, w + 1, 3 * w + 1)]
 
 
-# the view of n samples has n - w + 1 rows; one row past a rolling block
-# makes a second block
+# the view of n samples has n - w + 1 rows; one row past a whole number of
+# rolling blocks makes one more block
 @pytest.mark.parametrize("w, n", [
     *_edge_shapes((3, 4, 5, 8, 48, 49)),
-    (48, detector.ROLLING_BLOCK_ROWS + 47), (48, detector.ROLLING_BLOCK_ROWS + 48),
-    (480, 2 * detector.ROLLING_BLOCK_ROWS + 480),
+    *[(48, blocks * detector.ROLLING_BLOCK_ROWS + 47 + row)
+      for blocks in (1, 2) for row in (0, 1)],
+    (480, 4 * detector.ROLLING_BLOCK_ROWS + 480),
 ])
 def test_rolling_median_std_edge_shapes(w, n):
     x = _series(n, seed=n + w)

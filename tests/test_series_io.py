@@ -20,7 +20,7 @@ from dartclean.series_io import (
     save_checkpoint,
     write_cleaned_csv,
 )
-from tests.conftest import as_version_2, tiny_model
+from tests.conftest import as_version_2, tiny_model, traced_peak
 
 
 SAMPLE = (
@@ -208,19 +208,16 @@ class TestCheckpoint:
         # a 48-sample model's arrays under an architecture that claims
         # 200 000: building that model first would draw two 16 x 200 000
         # weight matrices (25.6 MB each) before any shape was checked
-        import tracemalloc
         path = tmp_path / "ck.json"
         doc = _saved(tiny_model(window=48, hidden=(16,)), path, version=version)
         doc["architecture"]["window"] = 200_000
         path.write_text(json.dumps(doc))
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(DataError, match="enc0.W"):
                 load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+
+        assert traced_peak(load)[1] < 4 * 2**20
 
     def test_shapes_checked_before_the_model_is_built(self, tmp_path):
         self._huge_architecture(tmp_path, version=2)

@@ -9,17 +9,17 @@ comparison is to the bit.
 """
 
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dartclean import detector, pipeline, postprocess, preprocess, refiner, series_io, synth
+from dartclean import (detector, model as model_module, pipeline, postprocess, preprocess,
+                       refiner, series_io, synth)
 from dartclean.errors import DataError, NumericError, ShapeError
 from dartclean.model import ModelConfig, Vae
-from tests.conftest import perturbed_model, tiny_model
+from tests.conftest import perturbed_model, tiny_model, traced_peak
 from tests.oracles import oracle_infer_pass, oracle_make_windows, overlap_add
 from tests.test_infer import identical
 
@@ -156,10 +156,11 @@ def test_clean_is_byte_identical_with_windowed_pass(contaminated, monkeypatch):
     assert result.refine_log == expect.refine_log
 
 
-# a clean holds its input, the series-length arrays of two refinement
-# passes, one n x latent array of latents that each pass overwrites and
-# row-block scratch; whole-series window copies (48 float64 each per
-# sample) put the windowed pass at ~210 float64 a sample
+# a clean holds its input, the current and next series and the masks,
+# one n x latent array of latents that each pass overwrites and one
+# pass's recon, deviation and row-block scratch; whole-series window
+# copies (48 float64 each per sample) put the windowed pass at ~210
+# float64 a sample
 PEAK_BYTES_PER_SAMPLE = 150 * 8
 
 
@@ -170,14 +171,30 @@ def test_clean_peak_memory_is_bounded_per_sample():
     stats = preprocess.NormStats(mean=float(raw.values.mean()),
                                  std=float(raw.values.std()))
     model = Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        pipeline.clean_series(model, stats, raw)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(pipeline.clean_series, model, stats, raw)[1]
     assert peak < PEAK_BYTES_PER_SAMPLE * spec.n, f"{peak / spec.n / 8:.0f} float64 a sample"
+
+
+def test_station_year_clean_peak_memory_is_bounded(monkeypatch):
+    # a year at 15-minute cadence with gaps, drift and two steps, on two
+    # workers: the input and the series-length arrays a clean keeps
+    # (~2.5 MB), the 34 993 x 16 latents (4.5 MB) and one pass's scratch,
+    # blocks of ~1 029 rows into two workers' 64- and 128-wide buffers
+    # (3.2 MB), come to ~10.7 MB.  Decoded blocks waiting for the calling
+    # thread, both buffers at the widest layer and the last pass's spent
+    # recon and deviation held through the next pass took 14.7 MB
+    monkeypatch.setattr(model_module, "workers", lambda count: min(2, count))
+    spec = synth.SynthSpec(n=35040, cadence=900.0, noise_sigma=0.05,
+                           tides=[[0.3, 43200.0, 0.0], [0.15, 21600.0, 1.3]],
+                           spike_count=24, step_count=2, step_mag_range=[0.1, 0.2],
+                           drift="linear", drift_rate=3e-6, gap_count=12,
+                           gap_len_range=[2, 8], seed=365)
+    raw = synth.generate(spec).to_raw_series()
+    stats = preprocess.zscore_normalize(preprocess.fill_gaps(raw)).stats
+    model = Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)
+    result, peak = traced_peak(pipeline.clean_series, model, stats, raw)
+    assert len(result.refine_log) == 10
+    assert peak < 12_000_000, f"{peak:,} bytes"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
