@@ -57,7 +57,8 @@ def map_blocks(fn, spans, at_once: int, ahead: int):
     i - ``ahead``, so at most ``ahead`` spans are started and not yet done
     with: span i may keep its result in the (i mod ``ahead``)-th of
     ``ahead`` buffers.  Each span runs in a copy of the caller's context,
-    so NumPy's error state (``np.errstate``) holds in it too.  A failing
+    so NumPy's error state (``np.errstate``) and ufunc buffer size
+    (``np.setbufsize``) hold in it too.  A failing
     span raises its exception when its turn in span order comes.  The pool
     closes before the generator returns or raises: spans not yet started
     are cancelled and running ones waited for, so no thread outlives it.

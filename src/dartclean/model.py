@@ -42,6 +42,10 @@ LOGVAR_CLIP = 10.0
 # calling thread has taken their seams: enough that the other workers run
 # on while one worker's CPU is held up
 BLOCKS_AHEAD = 2
+# elements of NumPy's ufunc buffer while an infer pass runs: five of each
+# hidden block's six element-wise passes broadcast a per-feature vector
+# over the block's rows, and each ran 1.3-1.6x as long with the default 8 192
+INFER_BUFSIZE = 1024
 # keys of the checkpointed arrays that gradient descent does not train
 BUFFER_KEYS = {"running_mean", "running_var", "beta"}
 
@@ -196,13 +200,14 @@ def _rows(buffer: np.ndarray, m: int, k: int) -> np.ndarray:
     return buffer[:m * k].reshape(m, k)
 
 
-def _frozen_block(h: np.ndarray, dense: Dense, bn: BatchNorm, out: np.ndarray,
-                  alpha=None, skip=None) -> np.ndarray:
+def _frozen_block(h: np.ndarray, dense: Dense, bn: BatchNorm, scale: np.ndarray,
+                  out: np.ndarray, alpha=None, skip=None) -> np.ndarray:
     """One infer-mode hidden block on a row block, uncached, into the flat
     buffer ``out``: Dense (plus the decoder skip when ``alpha`` is given,
     its products written into ``skip``, an array shaped like ``h`` or ``h``
-    itself), frozen batch norm, ReLU; the operations, in order, of the
-    cached infer-mode forward that ``tests/oracles.py`` keeps."""
+    itself), frozen batch norm (``scale`` is ``1 / sqrt(running_var +
+    eps)``), ReLU; the operations, in order, of the cached infer-mode
+    forward that ``tests/oracles.py`` keeps."""
     u = np.matmul(h, dense.W.T, out=_rows(out, len(h), dense.W.shape[0]))
     u += dense.b
     if alpha is not None:
@@ -210,7 +215,7 @@ def _frozen_block(h: np.ndarray, dense: Dense, bn: BatchNorm, out: np.ndarray,
         u[:, :k] += np.multiply(alpha, h[:, :k], out=skip[:, :k])
         u[:, k:] += alpha * 0.0   # the zero-padded skip: may flip the sign of a zero
     u -= bn.running_mean
-    u *= 1.0 / np.sqrt(bn.running_var + bn.eps)
+    u *= scale
     u *= bn.gamma
     u += bn.shift
     return np.maximum(u, 0.0, out=u)
@@ -490,14 +495,17 @@ class Vae:
         seam_rows = min(w - 1, rows)
         seams = [np.empty(seam_rows * w) for _ in range(ahead if join else 0)]
         depth = len(self.enc_dense)
+        # frozen batch norm's 1 / sqrt(running_var + eps), once per layer and pass
+        enc_scale, dec_scale = ([1.0 / np.sqrt(bn.running_var + bn.eps) for bn in norms]
+                                for norms in (self.enc_bn, self.dec_bn))
 
         def run_block(i, worker):
             lo, hi = spans[i]
             buffers = scratch[worker]
             h = _rows(buffers[0], hi - lo, w)
             np.copyto(h, X[lo:hi])
-            for k, (dn, bn) in enumerate(zip(self.enc_dense, self.enc_bn)):
-                h = _frozen_block(h, dn, bn, buffers[_target(k)])
+            for k, (dn, bn, scale) in enumerate(zip(self.enc_dense, self.enc_bn, enc_scale)):
+                h = _frozen_block(h, dn, bn, scale, buffers[_target(k)])
             spare = buffers[1 - _target(depth - 1)]
             if prev_z is not None:
                 kept = np.multiply(1.0 - blend_alpha, prev_z[lo:hi],
@@ -516,9 +524,9 @@ class Vae:
                 mu += kept
             h, skip = mu, _rows(spare, hi - lo, latent)
             # decoder block j is the mirror of hidden layer depth - 1 - j
-            for k, dn, bn, alpha in zip(range(depth - 1, -1, -1), self.dec_dense, self.dec_bn,
-                                        self.dec_alpha):
-                h = skip = _frozen_block(h, dn, bn, buffers[_target(k)], alpha, skip)
+            for k, dn, bn, scale, alpha in zip(range(depth - 1, -1, -1), self.dec_dense,
+                                               self.dec_bn, dec_scale, self.dec_alpha):
+                h = skip = _frozen_block(h, dn, bn, scale, buffers[_target(k)], alpha, skip)
             y = np.matmul(h, self.out_layer.W.T, out=_rows(buffers[0], hi - lo, w))
             y += self.out_layer.b
             y += np.multiply(self.beta, X[lo:hi], out=_rows(buffers[1], hi - lo, w))
@@ -528,9 +536,15 @@ class Vae:
                 np.copyto(seam, y[:len(seam)])
                 return seam
 
-        for (lo, _), seam in zip(spans, map_blocks(run_block, range(len(spans)), count, ahead)):
-            if join is not None:
-                join(lo, seam)
+        # Every block runs on the smaller ufunc buffer, which the pool threads
+        # take from this context; leaving it restores the caller's.  No
+        # reduction in here sums in an order the buffer size sets
+        with np.errstate():
+            np.setbufsize(INFER_BUFSIZE)
+            for (lo, _), seam in zip(spans, map_blocks(run_block, range(len(spans)), count,
+                                                       ahead)):
+                if join is not None:
+                    join(lo, seam)
         if not np.all(np.isfinite(out)):
             raise NumericError("non-finite decoder outputs")
 

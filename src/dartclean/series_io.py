@@ -73,6 +73,9 @@ CHUNK_ROWS = 1024
 FIRST_SECOND, LAST_SECOND = -62135596800, 253402300799
 _DATE_LIMITS = [(1, 9999), (1, 12), (1, 31), (0, 23), (0, 59), (0, 59)]
 _BAD_INT = -1  # below every date field's range
+# the DART ``T`` column: 1 for 15-min standard mode, 2 and 3 for 1-min and
+# 15-s event mode
+MEASUREMENT_TYPES = (1, 2, 3)
 
 
 def _raise_row_fault(parts, lineno):
@@ -81,10 +84,12 @@ def _raise_row_fault(parts, lineno):
     if len(parts) != 8:
         raise ParseError(f"expected 8 columns, found {len(parts)}", lineno)
     try:
-        y, mo, d, h, mi, s = (int(p) for p in parts[:6])
+        y, mo, d, h, mi, s, kind = (int(p) for p in parts[:7])
         height = float(parts[7])
     except ValueError as exc:
         raise ParseError(f"unparseable number: {exc}", lineno) from None
+    if kind not in MEASUREMENT_TYPES:
+        raise ParseError(f"measurement type T must be 1, 2 or 3, found {parts[6]}", lineno)
     try:
         datetime(y, mo, d, h, mi, s, tzinfo=timezone.utc).timestamp()
     except ValueError as exc:
@@ -135,20 +140,21 @@ def _calendar(date):
 def _parse_rows(rows, ints: dict):
     """Timestamps, heights, missing mask and fault mask of 8-column rows.
 
-    ``ints`` memoises ``int()`` of the date tokens across chunks; a token
-    that is no integer, or one outside every date field's range (so none
-    overflows int64), maps to ``_BAD_INT``."""
+    ``ints`` memoises ``int()`` of the date and ``T`` tokens across chunks;
+    a token that is no integer, or one outside every date field's range (so
+    none overflows int64), maps to ``_BAD_INT``."""
     n = len(rows)
     tokens = list(itertools.chain.from_iterable(rows))
-    date = np.empty((6, n), dtype=np.int64)
-    for j in range(6):
+    fields = np.empty((7, n), dtype=np.int64)   # Y M D h m s T
+    for j in range(7):
         column = tokens[j::8]
         ints.update((t, _date_int(t)) for t in set(column).difference(ints))
-        date[j] = np.fromiter(map(ints.__getitem__, column), np.int64, n)
+        fields[j] = np.fromiter(map(ints.__getitem__, column), np.int64, n)
     heights, fault = _column(tokens[7::8], float)
-    seconds, bad_date = _calendar(date)
+    seconds, bad_date = _calendar(fields[:6])
     missing = np.abs(heights - SENTINEL) <= SENTINEL_TOL
-    fault |= bad_date | (~missing & ~np.isfinite(heights))
+    fault |= bad_date | ~np.isin(fields[6], MEASUREMENT_TYPES)
+    fault |= ~missing & ~np.isfinite(heights)
     return seconds.astype(float), heights, missing, fault
 
 
@@ -171,7 +177,8 @@ def _parse_chunk(lines, start, ints):
 def parse_dart_file(source) -> RawSeries:
     """Parse NOAA DART text (YEAR MONTH DAY HOUR MIN SEC T HEIGHT columns).
 
-    Lines starting with '#' are headers.  Heights within 1e-6 of the 9999
+    Lines starting with '#' are headers.  The measurement type ``T`` must
+    be 1, 2 or 3; it is checked, not kept.  Heights within 1e-6 of the 9999
     sentinel are marked missing.  ``source`` is a path or a text stream.
     Rows are converted ``CHUNK_ROWS`` at a time, a column at a time; the
     first faulty line (by line number) raises ``ParseError`` naming it.

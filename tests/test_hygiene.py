@@ -2,8 +2,9 @@
 every top-level function and class of the package is used by the package,
 so is every member of a package class unless a named file outside the
 package reads it, no package module reads the environment, no package
-module but ``blocks`` touches threads or CPU affinity, and no package
-code outside an ``__init__`` rebinds a model array.
+module but ``blocks`` touches threads or CPU affinity, only ``model``
+sets NumPy's buffer size, and no package code outside an ``__init__``
+rebinds a model array.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
@@ -233,6 +234,31 @@ def test_concurrency_lives_in_blocks_alone(path):
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "sched_setaffinity" not in used | set(imported_names(tree)), \
         f"{path.name} sets a CPU affinity"
+
+
+def called(node, name):
+    """Whether ``node`` is a call of ``name``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_buffer_size_is_set_in_infer_scopes_alone(path):
+    # NumPy's ufunc buffer size may set the order in which a reduction
+    # sums, so only the infer forward, whose only reductions are finite
+    # checks, changes it, and only as the first statement of a bare
+    # ``with np.errstate():``, which restores the caller's on the way out
+    tree = ast.parse(path.read_text())
+    mentions = sum(1 for node in ast.walk(tree)
+                   if "setbufsize" in (getattr(node, "id", None), getattr(node, "attr", None)))
+    mentions += list(imported_names(tree)).count("setbufsize")
+    scoped = [node for node in ast.walk(tree) if isinstance(node, ast.With)
+              and len(node.items) == 1 and called(node.items[0].context_expr, "errstate")
+              and not (node.items[0].context_expr.args or node.items[0].context_expr.keywords)
+              and isinstance(node.body[0], ast.Expr) and called(node.body[0].value, "setbufsize")]
+    assert mentions == len(scoped), \
+        f"{path.name} names setbufsize outside the first statement of a bare np.errstate()"
+    assert bool(scoped) == (path.name == "model.py"), f"{path.name}: {len(scoped)} scopes"
 
 
 # attributes that hold a model's checkpointed arrays

@@ -10,10 +10,11 @@ import io
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dartclean import (detector, model as model_module, pipeline, postprocess, preprocess,
                        refiner, series_io, synth)
-from dartclean.blocks import row_blocks
+from dartclean.blocks import map_blocks, row_blocks
 from dartclean.errors import NumericError, ShapeError
 from dartclean.model import ModelConfig, Vae, infer_block
 from tests.conftest import perturbed_model, traced_peak
@@ -123,6 +124,59 @@ def test_wide_window_seams_are_sized_by_the_block(monkeypatch):
     x = np.random.default_rng(0).normal(size=400 + 2000 - 1)
     got, peak = traced_peak(model.infer_series, x)
     assert peak < 16 * 2**20, f"{peak:,} bytes"
+    for a, b in zip(got, oracle_infer_series(model, x)):
+        assert identical(a, b)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_every_span_runs_on_the_infer_buffer(monkeypatch, count):
+    # 3 000 windows: two row blocks a pass, on the calling thread or a pool
+    seen = []
+
+    def recording(fn, spans, at_once, ahead):
+        def run(span, worker):
+            seen.append(np.getbufsize())
+            return fn(span, worker)
+        return map_blocks(run, spans, at_once, ahead)
+
+    monkeypatch.setattr(model_module, "workers", lambda spans: min(count, spans))
+    monkeypatch.setattr(model_module, "map_blocks", recording)
+    model = perturbed_model((16, 8), window=6)
+    x = np.random.default_rng(0).normal(size=3005)
+    model.infer_series(x)
+    model.infer(sliding_window_view(x, 6))
+    assert seen == [model_module.INFER_BUFSIZE] * 4
+
+
+def _caller_state():
+    return np.getbufsize(), np.geterr()
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["pass", "fault"])
+def test_a_pass_leaves_the_callers_buffer_and_error_state(fault):
+    model = perturbed_model((16, 8), window=6)
+    if fault:
+        model.enc_dense[1].W[0, 0] = np.nan
+    x = np.random.default_rng(0).normal(size=3005)
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(16)
+        before = _caller_state()
+        for run, arg in ((model.infer_series, x), (model.infer, sliding_window_view(x, 6))):
+            if fault:
+                with pytest.raises(NumericError, match="encoder"):
+                    run(arg)
+            else:
+                run(arg)
+            assert _caller_state() == before
+
+
+@pytest.mark.parametrize("bufsize", [16, 8192])
+def test_infer_series_matches_oracle_under_any_caller_buffer(bufsize):
+    model = perturbed_model((128, 64, 32))
+    x = np.random.default_rng(bufsize).normal(size=2500)
+    with np.errstate():
+        np.setbufsize(bufsize)
+        got = model.infer_series(x)
     for a, b in zip(got, oracle_infer_series(model, x)):
         assert identical(a, b)
 

@@ -61,10 +61,12 @@ def oracle_parse_dart_file(source) -> RawSeries:
         if len(parts) != 8:
             raise ParseError(f"expected 8 columns, found {len(parts)}", lineno)
         try:
-            y, mo, d, h, mi, s = (int(p) for p in parts[:6])
+            y, mo, d, h, mi, s, kind = (int(p) for p in parts[:7])
             height = float(parts[7])
         except ValueError as exc:
             raise ParseError(f"unparseable number: {exc}", lineno) from None
+        if kind not in (1, 2, 3):
+            raise ParseError(f"measurement type T must be 1, 2 or 3, found {parts[6]}", lineno)
         try:
             ts = oracle_epoch_seconds(y, mo, d, h, mi, s)
         except ValueError as exc:
@@ -142,8 +144,8 @@ def outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "line_number", None)
 
 
-def dart_line(y=2022, mo=1, d=1, h=0, mi=0, s=0, height="2584.25"):
-    return f"{y:04d} {mo:02d} {d:02d} {h:02d} {mi:02d} {s:02d} 1 {height}"
+def dart_line(y=2022, mo=1, d=1, h=0, mi=0, s=0, t=1, height="2584.25"):
+    return f"{y:04d} {mo:02d} {d:02d} {h:02d} {mi:02d} {s:02d} {t} {height}"
 
 
 def dart_text(n):
@@ -214,6 +216,10 @@ class TestParse:
     def test_heights_near_the_sentinel_and_odd_floats(self, height):
         self._same(dart_line(height="1.0") + "\n" + dart_line(mi=15, height=height))
 
+    def test_every_measurement_type(self):
+        text = "\n".join(dart_line(mi=15 * k, t=t) for k, t in enumerate((1, 2, 3, "03")))
+        assert len(self._same(text)) == 4
+
     def test_crlf_comments_blank_lines_and_tabs(self):
         text = ("#YY  MM DD hh mm ss T   HEIGHT\r\n"
                 + dart_line() + "\r\n"
@@ -246,6 +252,11 @@ class TestParse:
         (dart_line(mi=-1), "date"),
         (dart_line(height="nan"), "non-finite"),
         (dart_line(height="-inf"), "non-finite"),
+        (dart_line(t="xyz"), "number"),
+        (dart_line(t=0), "measurement type"),
+        (dart_line(t=4), "measurement type"),
+        (dart_line(t="99999999999999999999"), "measurement type"),
+        (dart_line(h=24, t=4), "measurement type"),
     ])
     def test_fault_parity(self, line, kind):
         # the fault is line 3, after the header and one good row
@@ -273,6 +284,8 @@ class TestParse:
         (dart_line(2023, 2, 30), dart_line(height="inf")),
         (dart_line(height="inf"), "2022 01"),
         (dart_line(h=24), dart_line().replace("2022", "99999999999999999999")),
+        (dart_line(t=4), dart_line(height="inf")),
+        (dart_line(s=60), dart_line(t=0)),
     ])
     @pytest.mark.parametrize("gap", [1, CHUNK_ROWS])
     def test_earlier_line_wins(self, first, second, gap):
