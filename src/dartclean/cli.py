@@ -95,9 +95,9 @@ def _paths(cfg, inputs, base, **suffixes):
     """The required path ``cfg[key]`` of each key of ``inputs``, then the
     outputs: the required path ``cfg[base]``, then for each key of
     ``suffixes`` ``cfg[key]`` or that path plus its suffix.  An output that
-    names the file of another key is a config error, and an output whose
-    directory is missing or unwritable a data error, so a command checks
-    where it writes before it reads or computes anything."""
+    names the file of another key is a config error, and an output that is
+    a directory, or whose directory is missing or unwritable, a data error,
+    so a command checks where it writes before it reads or computes anything."""
     paths = {key: _require(cfg, key) for key in (*inputs, base)}
     paths |= {key: cfg[key] or paths[base] + suffix for key, suffix in suffixes.items()}
     owners = {}
@@ -106,44 +106,42 @@ def _paths(cfg, inputs, base, **suffixes):
             raise ConfigError(f"{other!r} and {key!r} both name the file {path}")
     for key, path in paths.items():
         folder = os.path.dirname(path) or "."
+        if key not in inputs and os.path.isdir(path):
+            raise DataError(f"cannot write {path}: it is a directory")
         if key not in inputs and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise DataError(f"cannot write {path}: {folder} is not a writable directory")
     return paths.values()
 
 
-def cmd_synth(cfg) -> int:
+def cmd_synth(cfg) -> dict:
     out_path, truth_path = _paths(cfg, (), "output", ground_truth=".truth.csv")
-    spec = cfg["synth"]
-    truth = synth.generate(spec)
-    series_io.emit_dart(truth.to_raw_series(), out_path)
-    series_io.write_ground_truth(truth, spec, truth_path)
-    return 0
+    truth = synth.generate(cfg["synth"])
+    return {out_path: series_io.emit_dart(truth.to_raw_series()),
+            truth_path: series_io.write_ground_truth(truth, cfg["synth"])}
 
 
-def cmd_train(cfg) -> int:
+def cmd_train(cfg) -> dict:
     source, checkpoint, log_path = _paths(cfg, ("input",), "checkpoint",
                                           train_log=".train.csv")
     raw = series_io.parse_dart_file(source)
     norm = zscore_normalize(fill_gaps(raw))
     windows = make_windows(norm.values, w=cfg["model"].window)
     model = Vae(cfg["model"], seed=cfg["seed"])
-    train_cfg = cfg["train"]
     try:
-        log, reason = trainer.train(model, windows, train_cfg)
+        log, reason = trainer.train(model, windows, cfg["train"])
     except trainer.DivergenceError as exc:
-        series_io.write_text(log_path, exc.log.to_csv())
+        series_io.write_files({log_path: exc.log.to_csv()})
         raise
-    series_io.write_text(log_path, log.to_csv())
-    series_io.save_checkpoint(model, norm.stats, checkpoint,
-                              hyperparameters=dataclasses.asdict(train_cfg))
     if cfg["verbosity"]:
         final = log.records[-1]
         print(f"trained {final.epoch} epochs (stop: {reason}); "
               f"val loss {final.val_total:.6g}")
-    return 0
+    return {checkpoint: series_io.save_checkpoint(model, norm.stats,
+                                                  dataclasses.asdict(cfg["train"])),
+            log_path: log.to_csv()}
 
 
-def cmd_clean(cfg) -> int:
+def cmd_clean(cfg) -> dict:
     checkpoint, source, out_path, segments_path, log_path = _paths(
         cfg, ("checkpoint", "input"), "output", segments=".segments.json",
         iteration_log=".iterations.csv")
@@ -151,18 +149,9 @@ def cmd_clean(cfg) -> int:
     raw = series_io.parse_dart_file(source)
     result = pipeline.clean_series(model, stats, raw, cfg["detect"],
                                    cfg["refine"], cfg["smooth"])
-    series_io.write_cleaned_csv(result.output, out_path)
-    segments = [
-        {"kind": kind, "start": int(start), "end": int(end),
-         "peak_value": float(np.abs(result.normalized_input[start:end + 1]).max())}
-        for kind, start, end in result.segments
-    ]
-    series_io.write_text(segments_path, json.dumps(
-        {"segments": segments, "step_edge_warnings": result.step_warnings}, indent=2) + "\n")
-    series_io.write_text(log_path, "iteration,mean_change,masked_count,max_correction\n" + "".join(
-        f"{r.iteration},{r.mean_change:.10g},{r.masked_count},{r.max_correction:.10g}\n"
-        for r in result.refine_log))
-    return 0
+    return {out_path: series_io.write_cleaned_csv(result.output),
+            segments_path: series_io.segments_json(result),
+            log_path: series_io.iteration_log_csv(result.refine_log)}
 
 
 def _method_metrics(cleaned, spike_mask, step_mask, truth, cadence) -> dict:
@@ -183,7 +172,7 @@ def _method_metrics(cleaned, spike_mask, step_mask, truth, cadence) -> dict:
     }
 
 
-def cmd_eval(cfg) -> int:
+def cmd_eval(cfg) -> dict:
     truth_path, cleaned_path, out_path = _paths(cfg, ("ground_truth", "input"), "output")
     truth = read_ground_truth(truth_path)
     cleaned_doc = series_io.read_cleaned_csv(cleaned_path)
@@ -203,11 +192,10 @@ def cmd_eval(cfg) -> int:
         "baseline": _method_metrics(base_cleaned, base_mask, np.zeros_like(base_mask),
                                     truth, cadence),
     }
-    series_io.write_text(out_path, json.dumps(report, indent=2) + "\n")
-    return 0
+    return {out_path: json.dumps(report, indent=2) + "\n"}
 
 
-def cmd_latent(cfg) -> int:
+def cmd_latent(cfg) -> dict:
     checkpoint, source, out_path = _paths(cfg, ("checkpoint", "input"), "output")
     model, stats = series_io.load_checkpoint(checkpoint)
     raw = series_io.parse_dart_file(source)
@@ -219,10 +207,9 @@ def cmd_latent(cfg) -> int:
     masks, first = pipeline.detect_anomalies(model, norm.values, cfg["detect"])
     labels = pipeline.label_windows(origins, model.config.window, masks.segments)
     coords = metrics.project_latent(first.z)
-    series_io.write_text(out_path, "window_origin,pc1,pc2,is_anomalous\n" + "".join(
+    return {out_path: "window_origin,pc1,pc2,is_anomalous\n" + "".join(
         f"{origin},{p1:.6f},{p2:.6f},{flag}\n"
-        for origin, (p1, p2), flag in zip(origins, coords, labels)))
-    return 0
+        for origin, (p1, p2), flag in zip(origins, coords, labels))}
 
 
 COMMANDS = {
@@ -244,7 +231,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
-        return COMMANDS[args.command](cfg)
+        series_io.write_files(COMMANDS[args.command](cfg))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -247,26 +247,25 @@ def format_rows(row, stamps, timestamps, columns):
                                    *(c[i:i + CHUNK_ROWS].tolist() for c in columns))))
 
 
-def write_text(destination, text) -> None:
-    """Write ``text``, a string or an iterable of strings, to a file object,
-    or atomically to a path: into a temporary file beside it, then
-    ``os.replace``.  The temporary file never outlives the call; a failed
-    write raises ``DataError`` naming the path."""
-    parts = [text] if isinstance(text, str) else text
-    if hasattr(destination, "write"):
-        destination.write("".join(parts))
-        return
-    path = os.fspath(destination)
-    tmp = f"{path}.{os.getpid()}.tmp"
+def write_files(outputs: dict) -> None:
+    """Write each ``{path: text}`` of ``outputs``, ``text`` a string or an
+    iterable of string chunks, all or nothing: every text into a temporary
+    file beside its path, then each over its path.  A failure before the
+    renames changes no path; an ``OSError`` raises ``DataError`` naming it."""
+    temps = {}
     try:
-        with open(tmp, "w") as fh:
-            fh.writelines(parts)
-        os.replace(tmp, path)
+        for path, text in outputs.items():
+            temps[path] = f"{path}.{os.getpid()}.tmp"
+            with open(temps[path], "w") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _dart_row(values) -> str:
@@ -274,15 +273,12 @@ def _dart_row(values) -> str:
     return f"{stamp} 1 {'9999.000' if missing else format(height, '.17g')}\n"
 
 
-def emit_dart(series: RawSeries, destination) -> None:
-    """Write a RawSeries as DART text; flagged samples emit the sentinel.
-
-    Heights use repr-precision formatting so emit -> parse round trips are
-    value-exact for finite data.
-    """
-    write_text(destination, itertools.chain(["#YY  MM DD hh mm ss T   HEIGHT\n"], format_rows(
+def emit_dart(series: RawSeries):
+    """A RawSeries as DART text chunks; flagged samples emit the sentinel.  Heights
+    use repr precision, so emit -> parse round trips are value-exact for finite data."""
+    return itertools.chain(["#YY  MM DD hh mm ss T   HEIGHT\n"], format_rows(
         _dart_row, _dart_stamps, series.timestamps,
-        [np.asarray(series.values, dtype=float), np.asarray(series.flags) == FLAG_MISSING])))
+        [np.asarray(series.values, dtype=float), np.asarray(series.flags) == FLAG_MISSING]))
 
 
 def read_text(source) -> str:
@@ -342,11 +338,27 @@ def _read_csv(lines, header, kinds) -> list:
     return [np.concatenate(c) for c in zip(*chunks)] if chunks else [np.empty(0)] * 6
 
 
-def write_cleaned_csv(out: CleanedOutput, destination) -> None:
-    """CSV with 6-decimal floats and 0/1 anomaly flags, one row per sample."""
+def write_cleaned_csv(out: CleanedOutput):
+    """CSV chunks with 6-decimal floats and 0/1 anomaly flags, one row per sample."""
     columns = [np.asarray(c) for c in (out.raw, out.cleaned, out.spike, out.step, out.residual)]
-    write_text(destination, itertools.chain(
-        [CSV_HEADER + "\n"], format_rows(CSV_ROW.__mod__, iso8601, out.timestamps, columns)))
+    return itertools.chain(
+        [CSV_HEADER + "\n"], format_rows(CSV_ROW.__mod__, iso8601, out.timestamps, columns))
+
+
+def segments_json(result) -> str:
+    """The segments JSON of a ``pipeline.CleanResult``: anomalies, step-edge warnings."""
+    segments = [{"kind": kind, "start": int(start), "end": int(end),
+                 "peak_value": float(np.abs(result.normalized_input[start:end + 1]).max())}
+                for kind, start, end in result.segments]
+    return json.dumps({"segments": segments, "step_edge_warnings": result.step_warnings},
+                      indent=2) + "\n"
+
+
+def iteration_log_csv(records) -> str:
+    """One CSV row per refinement iteration record."""
+    return "iteration,mean_change,masked_count,max_correction\n" + "".join(
+        f"{r.iteration},{r.mean_change:.10g},{r.masked_count},{r.max_correction:.10g}\n"
+        for r in records)
 
 
 def read_cleaned_csv(source) -> CleanedOutput:
@@ -355,15 +367,14 @@ def read_cleaned_csv(source) -> CleanedOutput:
                                     (float, float, int, int, float)))
 
 
-def write_ground_truth(truth, spec, destination) -> None:
-    """The ground-truth CSV of a ``synth.GroundTruth`` made from ``spec``:
+def write_ground_truth(truth, spec):
+    """The ground-truth CSV chunks of a ``synth.GroundTruth`` made from ``spec``:
     clean and contaminated heights and 0/1 spike, step and gap flags."""
+    yield f"# seed={spec.seed} cadence={spec.cadence}\n{TRUTH_HEADER}\n"
     flags = [np.isin(np.arange(len(truth.timestamps)), where).astype(int)
              for where in (truth.spike_indices, truth.step_locations, truth.gap_indices)]
-    write_text(destination, itertools.chain(
-        [f"# seed={spec.seed} cadence={spec.cadence}\n{TRUTH_HEADER}\n"],
-        format_rows(TRUTH_ROW.__mod__, iso8601, truth.timestamps,
-                    [truth.clean, truth.contaminated, *flags])))
+    yield from format_rows(TRUTH_ROW.__mod__, iso8601, truth.timestamps,
+                           [truth.clean, truth.contaminated, *flags])
 
 
 def read_ground_truth(source) -> dict:
@@ -391,9 +402,9 @@ def read_ground_truth(source) -> dict:
             "cadence": cadence}
 
 
-def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
-    """Persist a model plus normalization stats as a versioned JSON document;
-    each array is its shape and the base64 of its ``<f8`` bytes."""
+def save_checkpoint(model, stats, hyperparameters=None) -> str:
+    """A model plus normalization stats as a versioned JSON document; each
+    array is its shape and the base64 of its ``<f8`` bytes."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": dataclasses.asdict(model.config),
@@ -403,7 +414,7 @@ def save_checkpoint(model, stats, destination, hyperparameters=None) -> None:
             np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")}
                    for name, arr in model.state.items()},
     }
-    write_text(destination, json.dumps(doc))
+    return json.dumps(doc)
 
 
 def _object(doc: dict, key: str) -> dict:

@@ -1,4 +1,5 @@
 import base64
+import errno
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dartclean import series_io, synth
+from dartclean import cli, series_io, synth
 from dartclean.cli import _method_metrics, load_config, main, read_ground_truth
 from dartclean.errors import ConfigError, ParseError
 from tests.conftest import as_version_2, traced_peak
@@ -264,7 +265,7 @@ class TestCmdTrain:
             values=np.linspace(0.0, 1.0, 10),
             flags=np.zeros(10, dtype=int),
         )
-        series_io.emit_dart(series, dart)
+        dart.write_text("".join(series_io.emit_dart(series)))
         cfg = _write_config(tmp_path, input=str(dart),
                             checkpoint=str(tmp_path / "ck.json"))
         assert main(["train", "--config", cfg]) == 3
@@ -272,9 +273,9 @@ class TestCmdTrain:
     @pytest.mark.parametrize("rows", [10, 47])
     def test_input_shorter_than_the_window_is_data_error(self, tmp_path, capsys, rows):
         dart = tmp_path / "short.dart"
-        series_io.emit_dart(series_io.RawSeries(
+        dart.write_text("".join(series_io.emit_dart(series_io.RawSeries(
             timestamps=1640995200.0 + 900.0 * np.arange(rows),
-            values=np.linspace(0.0, 1.0, rows), flags=np.zeros(rows, dtype=int)), dart)
+            values=np.linspace(0.0, 1.0, rows), flags=np.zeros(rows, dtype=int)))))
         checkpoint = tmp_path / "ck.json"
         cfg = _write_config(tmp_path, input=str(dart), checkpoint=str(checkpoint))
         assert main(["train", "--config", cfg]) == 3
@@ -869,6 +870,76 @@ class TestWritesIntoMissingDirectory:
                             detect={"w_s": 24, "w_l": 96}, refine={"iterations": 1}, **paths)
         assert main(["clean", "--config", cfg]) == 3
         assert paths[key] in capsys.readouterr().err
+
+
+def fail_part_way(text):
+    """The first chunk of ``text`` (its first half, if it is one string),
+    then an ``OSError``."""
+    yield text[:len(text) // 2] if isinstance(text, str) else next(iter(text))
+    raise OSError(errno.EIO, "injected fault")
+
+
+class TestOutputsAllOrNothing:
+    """A command's outputs are replaced together or not at all: an output
+    that is a directory exits 3 before any input is read, and a write that
+    fails part-way leaves every output as it was and no temporary file."""
+
+    @pytest.mark.parametrize("command, key, kept", [("clean", "segments", "output"),
+                                                    ("train", "checkpoint", "train_log")])
+    def test_a_directory_output_exits_3_and_writes_nothing(self, trained, tmp_path, capsys,
+                                                           command, key, kept):
+        # every input is valid: found only when written, the directory
+        # would fail after the cleaned CSV or the train log had replaced its file
+        (tmp_path / key).mkdir()
+        (tmp_path / kept).write_text("old\n")
+        paths = {"checkpoint": str(trained["checkpoint"]), key: str(tmp_path / key),
+                 kept: str(tmp_path / kept)}
+        cfg = _write_config(tmp_path, input=str(trained["dart"]), verbosity=0,
+                            model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1}, detect={"w_s": 24, "w_l": 96},
+                            refine={"iterations": 1}, **paths)
+        assert main([command, "--config", cfg]) == 3
+        assert (tmp_path / kept).read_text() == "old\n"
+        assert capsys.readouterr().err == (f"data error: cannot write {tmp_path / key}: "
+                                           f"it is a directory\n")
+        assert list((tmp_path / key).iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", key, kept])
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("synth", ("output", "ground_truth")), ("train", ("checkpoint", "train_log")),
+        ("clean", ("output", "segments", "iteration_log")), ("eval", ("output",)),
+        ("latent", ("output",)),
+    ])
+    def test_a_failing_last_output_changes_no_output(self, trained, tmp_path, capsys,
+                                                      monkeypatch, command, outputs):
+        source = trained["dart"]
+        if command == "eval":
+            clean_cfg, source = TestCmdClean()._clean_cfg(trained, suffix="_all_or_nothing")
+            assert main(["clean", "--config", clean_cfg]) == 0
+        paths = {key: tmp_path / key for key in outputs}
+        for key, path in paths.items():
+            path.write_text(f"old {key}\n")
+        inputs = {"input": str(source), "checkpoint": str(trained["checkpoint"]),
+                  "ground_truth": str(trained["dir"] / "truth.csv")}
+        cfg = _write_config(tmp_path, verbosity=0,
+                            model={"window": 24, "hidden": [8], "latent": 4},
+                            train={"epochs": 1}, synth={"n": 300, "seed": 1},
+                            detect={"w_s": 24, "w_l": 96}, refine={"iterations": 1},
+                            **inputs | {key: str(path) for key, path in paths.items()})
+        run = cli.COMMANDS[command]
+
+        def last_fails(cfg):
+            texts = run(cfg)
+            last = list(texts)[-1]
+            return texts | {last: fail_part_way(texts[last])}
+
+        monkeypatch.setitem(cli.COMMANDS, command, last_fails)
+        assert main([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == (f"data error: cannot write {paths[outputs[-1]]}: "
+                                           f"injected fault\n")
+        assert {key: path.read_text() for key, path in paths.items()} == {
+            key: f"old {key}\n" for key in outputs}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", *outputs])
 
 
 class TestMainErrors:

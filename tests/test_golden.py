@@ -27,8 +27,8 @@ were computed with the row-by-row text writer that preceded the
 column-at-a-time one; they involve no matrix product, so they do not
 depend on the BLAS build.
 
-The checkpoint format is pinned by the digest of the file
-``save_checkpoint`` writes for the seeded 128/64/32 model with fixed
+The checkpoint format is pinned by the digest of the text
+``save_checkpoint`` returns for the seeded 128/64/32 model with fixed
 normalisation statistics, so a change to the format has to change this
 digest on purpose.  It involves no matrix product either.
 """
@@ -103,10 +103,10 @@ CHECKPOINT_GOLDEN = "1120a0f117ed4cc1ac2d58bdaf5bdbd5946dde44b51d0058e5e7432f1d6
 
 def clean_digests(tmp_path, spec) -> dict:
     raw = synth.generate(spec).to_raw_series()
-    series_io.emit_dart(raw, tmp_path / "series.dart")
+    (tmp_path / "series.dart").write_text("".join(series_io.emit_dart(raw)))
     model = Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)
     stats = zscore_normalize(fill_gaps(raw)).stats
-    series_io.save_checkpoint(model, stats, tmp_path / "model.json")
+    (tmp_path / "model.json").write_text(series_io.save_checkpoint(model, stats))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "input": str(tmp_path / "series.dart"),
@@ -128,7 +128,8 @@ def test_clean_output_digests(tmp_path, series):
 def test_eval_output_digest(tmp_path):
     spec = SPECS["spike"]
     assert clean_digests(tmp_path, spec) == GOLDEN["spike"]
-    series_io.write_ground_truth(synth.generate(spec), spec, tmp_path / "truth.csv")
+    truth = series_io.write_ground_truth(synth.generate(spec), spec)
+    (tmp_path / "truth.csv").write_text("".join(truth))
     cfg = tmp_path / "eval.cfg.json"
     cfg.write_text(json.dumps({"input": str(tmp_path / "cleaned.csv"),
                                "ground_truth": str(tmp_path / "truth.csv"),
@@ -151,8 +152,7 @@ def test_synth_output_digests(tmp_path, spec):
     assert digests == SYNTH_GOLDEN[spec]
 
 
-def test_checkpoint_digest(tmp_path):
-    path = tmp_path / "model.json"
-    series_io.save_checkpoint(Vae(ModelConfig(hidden=(128, 64, 32)), seed=0),
-                              NormStats(mean=2584.25, std=0.0625), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_GOLDEN
+def test_checkpoint_digest():
+    text = series_io.save_checkpoint(Vae(ModelConfig(hidden=(128, 64, 32)), seed=0),
+                                     NormStats(mean=2584.25, std=0.0625))
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECKPOINT_GOLDEN

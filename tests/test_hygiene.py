@@ -3,8 +3,8 @@ every top-level function and class of the package is used by the package,
 so is every member of a package class unless a named file outside the
 package reads it, no package module reads the environment, no package
 module but ``blocks`` touches threads or CPU affinity, only ``model``
-sets NumPy's buffer size, and no package code outside an ``__init__``
-rebinds a model array.
+sets NumPy's buffer size, only ``series_io.write_files`` writes a file,
+and no package code outside an ``__init__`` rebinds a model array.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
@@ -240,6 +240,46 @@ def called(node, name):
     """Whether ``node`` is a call of ``name``, bare or as an attribute."""
     return isinstance(node, ast.Call) and name in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+RENAMES = {"replace", "rename", "renames"}
+# calls that write a file they open themselves: pathlib's and NumPy's
+FILE_WRITERS = {"write_text", "write_bytes", "tofile", "save", "savetxt", "savez",
+                "savez_compressed"}
+
+
+def writes_a_file(node):
+    """Whether ``node`` is a call that opens a file in a mode other than a
+    constant read mode, one of ``FILE_WRITERS``, or ``os.replace``,
+    ``os.rename`` or ``os.renames``, bare or as an attribute of ``os``."""
+    if any(called(node, name) for name in FILE_WRITERS):
+        return True
+    if called(node, "open"):
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        return mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt"))
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        isinstance(func, ast.Name) and func.id in RENAMES
+        or isinstance(func, ast.Attribute) and func.attr in RENAMES
+        and getattr(func.value, "id", None) == "os")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_files_are_written_by_write_files_alone(path):
+    # one writer puts a command's outputs on disk, all or nothing: a file
+    # written anywhere else could land beside the outputs of an older run
+    tree = ast.parse(path.read_text())
+    writer = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and path.name == "series_io.py" and node.name == "write_files"]
+    inside = {id(sub) for node in writer for sub in ast.walk(node)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if id(node) not in inside and writes_a_file(node)]
+    assert not outside, f"{path.name} writes a file outside series_io.write_files: {outside}"
+    assert bool(writer) == (path.name == "series_io.py")
+    assert all(any(writes_a_file(sub) for sub in ast.walk(node)) for node in writer), \
+        "series_io.write_files no longer writes a file"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -6,8 +6,6 @@ bit, so every comparison here is ``np.array_equal`` and, where the sign
 of a zero could differ, a byte comparison.
 """
 
-import io
-
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -230,9 +228,7 @@ def _clean(model):
                                    detector.DetectConfig(w_s=24, w_l=240),
                                    refiner.RefineConfig(iterations=4),
                                    postprocess.SmoothConfig())
-    buf = io.StringIO()
-    series_io.write_cleaned_csv(result.output, buf)
-    return result, buf.getvalue()
+    return result, "".join(series_io.write_cleaned_csv(result.output))
 
 
 def test_clean_is_byte_identical_with_oracle(monkeypatch):

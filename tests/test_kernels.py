@@ -8,7 +8,6 @@ does not change by a byte.
 """
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -175,9 +174,7 @@ def contaminated():
 def _clean(contaminated):
     model, stats, raw, configs = contaminated
     result = pipeline.clean_series(model, stats, raw, *configs)
-    buf = io.StringIO()
-    series_io.write_cleaned_csv(result.output, buf)
-    return result, buf.getvalue()
+    return result, "".join(series_io.write_cleaned_csv(result.output))
 
 
 def test_clean_is_byte_identical_with_oracles(contaminated, monkeypatch):

@@ -298,7 +298,7 @@ class TestStateRoundTrip:
         z_t, xhat_t = twin.infer(X)
         assert z.tobytes() == z_t.tobytes() and xhat.tobytes() == xhat_t.tobytes()
         path = tmp_path / "ck.json"
-        save_checkpoint(model, NormStats(0.0, 1.0), path)
+        path.write_text(save_checkpoint(model, NormStats(0.0, 1.0)))
         loaded, _ = load_checkpoint(path)
         z_l, xhat_l = loaded.infer(X)
         assert z.tobytes() == z_l.tobytes() and xhat.tobytes() == xhat_l.tobytes()

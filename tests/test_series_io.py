@@ -88,9 +88,7 @@ class TestParseDartFile:
         truth = synth.generate(synth.SynthSpec(n=1000, spike_count=3, gap_count=2,
                                                seed=11))
         raw = truth.to_raw_series()
-        text = io.StringIO()
-        emit_dart(raw, text)
-        parsed = parse_dart_file(io.StringIO(text.getvalue()))
+        parsed = parse_dart_file(io.StringIO("".join(emit_dart(raw))))
         valid = raw.flags == FLAG_VALID
         assert np.array_equal(parsed.flags, raw.flags)
         # bitwise equality for every valid sample
@@ -107,16 +105,13 @@ class TestCleanedCsv:
         )
 
     def test_identity_row(self):
-        buf = io.StringIO()
-        write_cleaned_csv(self._one_sample(2.0, 2.0), buf)
-        lines = buf.getvalue().splitlines()
+        lines = "".join(write_cleaned_csv(self._one_sample(2.0, 2.0))).splitlines()
         assert lines[0] == series_io.CSV_HEADER
         assert lines[1].endswith(",2.000000,2.000000,0,0,0.000000")
 
     def test_spike_row_residual(self):
-        buf = io.StringIO()
-        write_cleaned_csv(self._one_sample(4.5, 2.0, spike=1), buf)
-        assert buf.getvalue().splitlines()[1].endswith(",1,0,2.500000")
+        text = "".join(write_cleaned_csv(self._one_sample(4.5, 2.0, spike=1)))
+        assert text.splitlines()[1].endswith(",1,0,2.500000")
 
     def test_round_trip_500_rows(self, rng):
         n = 500
@@ -127,9 +122,7 @@ class TestCleanedCsv:
             spike=rng.integers(0, 2, n),
             step=rng.integers(0, 2, n),
         )
-        buf = io.StringIO()
-        write_cleaned_csv(out, buf)
-        back = read_cleaned_csv(io.StringIO(buf.getvalue()))
+        back = read_cleaned_csv(io.StringIO("".join(write_cleaned_csv(out))))
         assert np.allclose(back.raw, out.raw, atol=1e-6)
         assert np.allclose(back.cleaned, out.cleaned, atol=1e-6)
         assert np.allclose(back.residual, out.residual, atol=2e-6)
@@ -152,7 +145,7 @@ class TestCheckpoint:
         model = tiny_model(seed=3)
         stats = NormStats(mean=2584.1, std=0.37)
         path = tmp_path / "ck.json"
-        save_checkpoint(model, stats, path)
+        path.write_text(save_checkpoint(model, stats))
         loaded, loaded_stats = load_checkpoint(path)
         for name, arr in model.state.items():
             other = loaded.state[name]
@@ -167,7 +160,7 @@ class TestCheckpoint:
                            conf_decay=0.3, skip_alpha_init=0.5)
         model.loss_and_grads(rng.normal(size=(16, 6)), step=0, rng=np.random.default_rng(2))
         path = tmp_path / "ck.json"
-        save_checkpoint(model, NormStats(0.0, 1.0), path)
+        path.write_text(save_checkpoint(model, NormStats(0.0, 1.0)))
         loaded, _ = load_checkpoint(path)
         assert loaded.config == model.config
         x = rng.normal(size=(10, 6))
@@ -178,8 +171,7 @@ class TestCheckpoint:
         import json
         model = tiny_model(seed=3)
         path = tmp_path / "ck.json"
-        save_checkpoint(model, NormStats(0.0, 1.0), path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(save_checkpoint(model, NormStats(0.0, 1.0)))
         doc["format_version"] = 1
         doc["architecture"] = {"window": 6, "hidden": [5], "latent": 4}
         path.write_text(json.dumps(doc))
@@ -235,8 +227,7 @@ class TestCheckpoint:
         import json
         model = tiny_model()
         path = tmp_path / "ck.json"
-        save_checkpoint(model, NormStats(0.0, 1.0), path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(save_checkpoint(model, NormStats(0.0, 1.0)))
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="version"):
@@ -303,8 +294,8 @@ class TestCheckpoint:
 
 
 def _saved(model, path, version=3) -> dict:
-    """The document ``save_checkpoint`` writes for ``model`` (as version 2
-    stored it when ``version`` is 2)."""
-    save_checkpoint(model, NormStats(0.0, 1.0), path)
+    """The document ``save_checkpoint`` makes for ``model``, written to
+    ``path`` (as version 2 stored it when ``version`` is 2)."""
+    path.write_text(save_checkpoint(model, NormStats(0.0, 1.0)))
     doc = json.loads(path.read_text())
     return as_version_2(doc) if version == 2 else doc

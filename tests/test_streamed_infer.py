@@ -8,8 +8,6 @@ forward on the copy, and overlap-add (``tests/oracles.py``).  Every
 comparison is to the bit.
 """
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,9 +135,7 @@ def contaminated():
 def _clean(contaminated):
     model, stats, raw, configs = contaminated
     result = pipeline.clean_series(model, stats, raw, *configs)
-    buf = io.StringIO()
-    series_io.write_cleaned_csv(result.output, buf)
-    return result, buf.getvalue()
+    return result, "".join(series_io.write_cleaned_csv(result.output))
 
 
 def test_clean_is_byte_identical_with_windowed_pass(contaminated, monkeypatch):

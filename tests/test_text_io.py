@@ -117,15 +117,11 @@ def oracle_write_cleaned_csv(out) -> str:
 
 
 def write_csv(out) -> str:
-    buf = io.StringIO()
-    series_io.write_cleaned_csv(out, buf)
-    return buf.getvalue()
+    return "".join(series_io.write_cleaned_csv(out))
 
 
 def emit(series) -> str:
-    buf = io.StringIO()
-    series_io.emit_dart(series, buf)
-    return buf.getvalue()
+    return "".join(series_io.emit_dart(series))
 
 
 def assert_same_series(got, want):
@@ -379,43 +375,43 @@ def test_parse_emit_round_trip(steps, start, values, missing):
 
 
 class TestWriteText:
+    """``series_io.write_files``: every text file of one call replaced
+    together or not at all, and no temporary file left behind."""
+
     def test_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
-        path = tmp_path / "out.csv"
-        path.write_text("old")
-        series_io.write_text(path, "new\n")
-        assert path.read_text() == "new\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        paths = [tmp_path / "out.csv", tmp_path / "new.txt"]
+        paths[0].write_text("old")
+        series_io.write_files({paths[0]: "new\n", paths[1]: iter(["a", "b\n"])})
+        assert [path.read_text() for path in paths] == ["new\n", "ab\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.txt", "out.csv"]
 
     @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
     def test_failed_write_is_data_error_naming_the_path(self, tmp_path, where):
         (tmp_path / "sub").mkdir()
+        first = tmp_path / "first.txt"
+        first.write_text("old")
         path = tmp_path / ("nope/out.csv" if where == "missing-dir" else "sub")
+        # a directory fails only at its rename, so it is renamed first here;
+        # cli._paths rejects one before a command runs
         with pytest.raises(DataError, match=re.escape(str(path))):
-            series_io.write_text(path, "x")
-        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+            series_io.write_files({path: "x", first: "new"})
+        assert first.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "sub"]
         assert list((tmp_path / "sub").iterdir()) == []
-
-    def test_file_object_destination(self):
-        buf = io.StringIO()
-        series_io.write_text(buf, "abc")
-        assert buf.getvalue() == "abc"
 
     def test_a_failing_row_leaves_every_destination_untouched(self, tmp_path):
         n = CHUNK_ROWS + 5
         ts = 1640995200.0 + 900.0 * np.arange(n)
-        ts[-1] = np.nan  # raises in the second chunk, after the first is formatted
+        ts[-1] = np.nan  # raises in the second chunk, after the first is written
         out = CleanedOutput(timestamps=ts, raw=np.zeros(n), cleaned=np.zeros(n),
                             spike=np.zeros(n), step=np.zeros(n))
-        path = tmp_path / "out.csv"
-        path.write_text("old")
+        paths = [tmp_path / "first.txt", tmp_path / "out.csv"]
+        for path in paths:
+            path.write_text("old")
         with pytest.raises(ValueError, match="NaN"):
-            series_io.write_cleaned_csv(out, path)
-        assert path.read_text() == "old"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match="NaN"):
-            series_io.write_cleaned_csv(out, buf)
-        assert buf.getvalue() == ""
+            series_io.write_files({paths[0]: "new", paths[1]: series_io.write_cleaned_csv(out)})
+        assert [path.read_text() for path in paths] == ["old", "old"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "out.csv"]
 
 
 def cleaned_csv_text(n, rng) -> str:
@@ -432,9 +428,7 @@ def truth_csv_text(n, rng) -> str:
                             clean=rng.normal(0.0, 1.0, n), contaminated=rng.normal(0.0, 1.0, n),
                             spike_indices=flagged(), step_locations=flagged(),
                             gap_indices=flagged())
-    buf = io.StringIO()
-    series_io.write_ground_truth(truth, SimpleNamespace(seed=4, cadence=60.0), buf)
-    return buf.getvalue()
+    return "".join(series_io.write_ground_truth(truth, SimpleNamespace(seed=4, cadence=60.0)))
 
 
 def assert_same_columns(got, want):
@@ -485,7 +479,7 @@ class TestReadCsv:
         assert_same_columns(series_io.read_ground_truth(truth), got)
         assert got["gap"].any() and got["spike"].any() and got["step"].any()
         model = Vae(ModelConfig(window=24, hidden=(8,), latent=4), seed=0)
-        series_io.save_checkpoint(model, NormStats(0.0, 1.0), tmp_path / "ck.json")
+        (tmp_path / "ck.json").write_text(series_io.save_checkpoint(model, NormStats(0.0, 1.0)))
         cfg.write_text(json.dumps({
             "input": str(tmp_path / "s.dart"), "checkpoint": str(tmp_path / "ck.json"),
             "output": str(tmp_path / "cleaned.csv"), "detect": {"w_s": 24, "w_l": 96},
