@@ -66,7 +66,6 @@ class AnomalyMasks:
 
 def rolling_median_std(x: np.ndarray, w: int):
     """Centered rolling median and population std with edge clamping."""
-    x = np.asarray(x, dtype=float)
     n = len(x)
     if n < w:
         raise DataError(f"series of length {n} shorter than window {w}")
@@ -94,13 +93,12 @@ def spike_deviation(x: np.ndarray, config: DetectConfig, rolling=None) -> np.nda
     """Rolling-median z-deviation |x - median| / max(std, floor), from
     ``rolling`` if the caller already has ``rolling_median_std(x, config.w_s)``."""
     med, std = rolling or rolling_median_std(x, config.w_s)
-    return np.abs(np.asarray(x, dtype=float) - med) / np.maximum(std, STD_FLOOR)
+    return np.abs(x - med) / np.maximum(std, STD_FLOOR)
 
 
 def step_mean_shift(x: np.ndarray, w_l: int) -> np.ndarray:
     """|mean of trailing half-window - mean of leading half-window| at every
     index where both halves fit; NaN elsewhere."""
-    x = np.asarray(x, dtype=float)
     n = len(x)
     if n < w_l:
         raise DataError(f"series of length {n} shorter than window {w_l}")
@@ -134,12 +132,9 @@ def _minmax_scale(values: np.ndarray) -> np.ndarray:
     return (values - values.min()) / span
 
 
-def hybrid_score(re: np.ndarray, stat_dev: np.ndarray, hybrid_alpha: float = 0.7,
-                 kappa: float = 3.0):
+def hybrid_score(re: np.ndarray, stat_dev: np.ndarray, hybrid_alpha: float, kappa: float):
     """The mask where the convex combination of min-max scaled reconstruction
     error and statistical deviation exceeds its mean + kappa population std."""
-    re = np.asarray(re, dtype=float)
-    stat_dev = np.asarray(stat_dev, dtype=float)
     if re.shape != stat_dev.shape:
         raise DataError("hybrid components must share a length")
     score = hybrid_alpha * _minmax_scale(re) + (1.0 - hybrid_alpha) * _minmax_scale(stat_dev)
@@ -153,7 +148,7 @@ def _true_runs(mask: np.ndarray):
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
-def merge_segments(mask: np.ndarray, merge_gap: int = 0):
+def merge_segments(mask: np.ndarray, merge_gap: int):
     """Maximal true-runs; runs separated by <= merge_gap false samples fuse."""
     starts, ends = _true_runs(mask)
     # run k + 1 opens a segment when more than merge_gap samples part it from run k
@@ -162,11 +157,8 @@ def merge_segments(mask: np.ndarray, merge_gap: int = 0):
                     np.append(ends[:-1][split], ends[-1:]).tolist()))
 
 
-def build_masks(spike_mask: np.ndarray, step_mask: np.ndarray,
-                merge_gap: int = 0) -> AnomalyMasks:
+def build_masks(spike_mask: np.ndarray, step_mask: np.ndarray, merge_gap: int) -> AnomalyMasks:
     segments = [("spike", s, e) for s, e in merge_segments(spike_mask, merge_gap)]
     segments += [("step", s, e) for s, e in merge_segments(step_mask, merge_gap)]
     segments.sort(key=lambda seg: (seg[1], seg[2]))
-    return AnomalyMasks(spike=np.asarray(spike_mask, dtype=bool),
-                        step=np.asarray(step_mask, dtype=bool),
-                        segments=segments)
+    return AnomalyMasks(spike=spike_mask, step=step_mask, segments=segments)

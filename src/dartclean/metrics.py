@@ -36,7 +36,7 @@ def match_events(predicted_segments, true_indices, tolerance: int = 2):
 
 def spike_f1(predicted_mask, true_spike_starts, tolerance: int = 2) -> dict:
     """Event-level precision/recall/F1 with +-tolerance sample matching."""
-    segments = detector.merge_segments(np.asarray(predicted_mask, dtype=bool), MERGE_GAP)
+    segments = detector.merge_segments(predicted_mask, MERGE_GAP)
     tp, n_pred, n_true = match_events(segments, true_spike_starts, tolerance)
     precision = tp / n_pred if n_pred else 0.0
     recall = tp / n_true if n_true else 0.0
@@ -47,8 +47,6 @@ def spike_f1(predicted_mask, true_spike_starts, tolerance: int = 2) -> dict:
 
 def temporal_consistency(x, xhat) -> float:
     """Pearson correlation of first differences."""
-    x = np.asarray(x, dtype=float)
-    xhat = np.asarray(xhat, dtype=float)
     if len(x) < 3 or len(x) != len(xhat):
         raise DataError("temporal consistency needs two equal series of length >= 3")
     dx = np.diff(x)
@@ -59,8 +57,6 @@ def temporal_consistency(x, xhat) -> float:
 
 
 def residual_stats(raw, cleaned) -> dict:
-    raw = np.asarray(raw, dtype=float)
-    cleaned = np.asarray(cleaned, dtype=float)
     if raw.shape != cleaned.shape:
         raise DataError("residual stats need equal-length series")
     residual = raw - cleaned
@@ -78,21 +74,19 @@ def residual_stats(raw, cleaned) -> dict:
 
 def rate_of_change(series, cadence_seconds: float) -> dict:
     """Least and greatest first difference, scaled to meters per minute."""
-    series = np.asarray(series, dtype=float)
     if len(series) < 2:
         raise DataError("rate of change needs at least two samples")
     rate = np.diff(series) / cadence_seconds * 60.0
     return {"min": float(rate.min()), "max": float(rate.max())}
 
 
-def project_latent(mu_vectors) -> np.ndarray:
+def project_latent(mu) -> np.ndarray:
     """Project latent means onto their top-two principal components.
 
     Returns the [n x 2] coordinates.  Rank-deficient covariance falls back
     to the first two centred coordinates, with a warning; a second column
     of zeros stands in for a latent width of 1.
     """
-    mu = np.asarray(mu_vectors, dtype=float)
     if mu.ndim != 2 or mu.shape[0] < 3:
         raise DataError("latent projection needs at least 3 windows")
     centered = mu - mu.mean(axis=0)
@@ -115,7 +109,6 @@ def baseline_rolling_median(series, config: detector.DetectConfig | None = None)
     Returns (cleaned series, spike mask).  Steps are left untouched.
     """
     config = config or detector.DetectConfig()
-    series = np.asarray(series, dtype=float)
     med, std = detector.rolling_median_std(series, config.w_s)
     mask = detector.spike_deviation(series, config, (med, std)) > config.tau_s
     cleaned = series.copy()

@@ -302,7 +302,6 @@ class Vae:
         ``rng`` draws the dropout masks and eps; without it there is no
         dropout and eps = 0.  An explicit ``eps`` array overrides either.
         """
-        X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.config.window:
             raise ShapeError(f"expected [batch x {self.config.window}] windows, got {X.shape}")
         h = X
@@ -352,8 +351,6 @@ class Vae:
         where skip(h) is h cut or zero-padded to the block's width; the
         final dense output receives the global skip beta * X_in.
         """
-        Z = np.asarray(Z, dtype=float)
-        X_in = np.asarray(X_in, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.config.latent:
             raise ShapeError(f"expected [batch x {self.config.latent}] latents, got {Z.shape}")
         if X_in.shape != (Z.shape[0], self.config.window):
@@ -409,7 +406,6 @@ class Vae:
     def _loss_terms(self, X, xhat, latent, step, t_anneal, lam_temporal, lam_mean):
         """:meth:`composite_loss` and the temporal gap
         ``diff(xhat) - diff(X)`` it squares, which the gradient reuses."""
-        X = np.asarray(X, dtype=float)
         if X.shape != xhat.shape:
             raise ShapeError("loss inputs must share a shape")
         if X.shape[1] < 2:
@@ -433,7 +429,6 @@ class Vae:
         gradient, in the order the backward pass writes them, "beta" first;
         every value but beta's is a view of :attr:`grad`, which the next
         call overwrites."""
-        X = np.asarray(X, dtype=float)
         latent, enc_cache = self.encode(X, rng=rng, eps=eps)
         xhat, dec_cache = self.decode(latent.z, X, rng=rng)
         lb, gap = self._loss_terms(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)
@@ -558,7 +553,6 @@ class Vae:
         one row block at a time.  Walks the rows in blocks and keeps no
         caches; encoder faults are raised before decoder faults.
         """
-        X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.config.window:
             raise ShapeError(f"expected [batch x {self.config.window}] windows, got {X.shape}")
         xhat = np.empty_like(X)
@@ -590,7 +584,6 @@ class Vae:
         block), to samples lo ... lo + window - 2 once every earlier block
         is done.
         """
-        x = np.asarray(x, dtype=float)
         n, w = len(x), self.config.window
         if n < w:
             raise DataError(f"series of length {n} is shorter than window {w}")

@@ -52,7 +52,7 @@ class Adam:
     p -= lr*wd*p; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``.
     """
 
-    def __init__(self, params: np.ndarray, decayed: int, weight_decay=1e-5):
+    def __init__(self, params: np.ndarray, decayed: int, weight_decay: float):
         if params.ndim != 1 or not params.flags.c_contiguous:
             raise ConfigError("Adam updates its parameters in place, so they must be "
                               "one C-contiguous vector")

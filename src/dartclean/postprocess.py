@@ -43,7 +43,6 @@ def gaussian_smooth(x: np.ndarray, config: SmoothConfig | None = None) -> np.nda
     """Convolve with the normalized kernel; edge windows renormalize over
     the in-bounds taps so constants pass through exactly."""
     config = config or SmoothConfig()
-    x = np.asarray(x, dtype=float)
     n = len(x)
     w = config.window
     if n < w:
@@ -63,7 +62,7 @@ def gaussian_smooth(x: np.ndarray, config: SmoothConfig | None = None) -> np.nda
 
 
 def validate_steps(x: np.ndarray, step_mask: np.ndarray, spike_mask: np.ndarray,
-                   w_l: int = 480, tau_l: float = 0.05, w_s: int = 48):
+                   w_l: int, tau_l: float, w_s: int):
     """Keep a step only if its mean shift (``detector.step_mean_shift``)
     persists on the refined series and no spike sits within w_s samples of
     it.  Steps too close to the series edge for the half-window are
@@ -85,17 +84,17 @@ def validate_steps(x: np.ndarray, step_mask: np.ndarray, spike_mask: np.ndarray,
     return validated, steps[edge].tolist()
 
 
-def realign_steps(x: np.ndarray, step_mask: np.ndarray, w_l: int = 480) -> np.ndarray:
+def realign_steps(x: np.ndarray, step_mask: np.ndarray, w_l: int) -> np.ndarray:
     """Remove validated level shifts by subtracting each step's measured
     mean offset from the samples that follow it.
 
     Steps are processed left to right with the offsets re-measured on the
     partially corrected series, so consecutive shifts compose correctly.
     """
-    x = np.asarray(x, dtype=float).copy()
+    x = x.copy()
     n = len(x)
     half = w_l // 2
-    for i in np.flatnonzero(np.asarray(step_mask, dtype=bool)):
+    for i in np.flatnonzero(step_mask):
         lo = max(0, i - half)
         hi = min(n, i + half)
         if i - lo < 2 or hi - i < 2:
@@ -109,4 +108,4 @@ def denormalize(values, stats) -> np.ndarray:
     """Exact affine inverse of zscore_normalize given the same stats."""
     if stats is None:
         raise DataError("normalization stats are required to denormalize")
-    return np.asarray(values, dtype=float) * stats.std + stats.mean
+    return values * stats.std + stats.mean

@@ -28,11 +28,10 @@ def fill_gaps(series: RawSeries) -> RawSeries:
     """Linearly interpolate interior flagged runs; edge runs take the
     nearest valid value (backward-fill at the head, forward-fill at the tail).
     """
-    flags = np.asarray(series.flags)
-    valid = flags == FLAG_VALID
+    valid = series.flags == FLAG_VALID
     if not valid.any():
         raise DataError("all samples flagged; nothing to interpolate from")
-    values = np.asarray(series.values, dtype=float).copy()
+    values = series.values.copy()
     idx = np.arange(len(values))
     values[~valid] = np.interp(idx[~valid], idx[valid], values[valid])
     return RawSeries(
@@ -48,7 +47,7 @@ def zscore_normalize(series: RawSeries, stats: NormStats | None = None) -> Norma
     """
     if np.any(series.flags != FLAG_VALID):
         raise DataError("normalize requires a gap-free series; run fill_gaps first")
-    values = np.asarray(series.values, dtype=float)
+    values = series.values
     if stats is None:
         std = float(values.std())
         if std <= 1e-12:

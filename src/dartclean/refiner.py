@@ -95,20 +95,18 @@ def refine(model, x_norm: np.ndarray, masks: detector.AnomalyMasks,
     recon and deviation, and round 2 overwrites its z.
     """
     config = config or RefineConfig()
-    x_norm = np.asarray(x_norm, dtype=float)
     n = len(x_norm)
-    base_spike = np.asarray(masks.spike, dtype=bool)
-    base_step = np.asarray(masks.step, dtype=bool)
-    if len(base_spike) != n or len(base_step) != n:
+    spike_mask, step_mask = masks.spike, masks.step
+    if len(spike_mask) != n or len(step_mask) != n:
         raise DataError("masks must match the series length")
 
     # nothing flagged means nothing to correct: the loop below would still
     # re-detect with decayed thresholds, so short-circuit to the identity
-    if not base_spike.any() and not base_step.any():
-        return RefineResult(series=x_norm.copy(), step_mask=base_step.copy())
+    if not spike_mask.any() and not step_mask.any():
+        return RefineResult(series=x_norm.copy(), step_mask=step_mask.copy())
 
-    # each round makes new arrays of these, and leaves the inputs alone
-    current, prev_z, spike_mask, step_mask = x_norm, None, base_spike, base_step
+    # each round makes new series and mask arrays, and leaves the inputs alone
+    current, prev_z = x_norm, None
     log, history = [], []
     for k in range(1, config.iterations + 1):
         decay = config.threshold_decay ** (k - 1)

@@ -241,7 +241,6 @@ def format_rows(row, stamps, timestamps, columns):
     joined per chunk: ``stamps`` turns a chunk of timestamps into strings,
     and the equal-length array ``columns`` go through ``tolist`` a chunk at
     a time, so no whole-series list of Python objects is ever built."""
-    timestamps = np.asarray(timestamps, dtype=float)
     for i in range(0, len(timestamps), CHUNK_ROWS):
         yield "".join(map(row, zip(stamps(timestamps[i:i + CHUNK_ROWS]),
                                    *(c[i:i + CHUNK_ROWS].tolist() for c in columns))))
@@ -278,7 +277,7 @@ def emit_dart(series: RawSeries):
     use repr precision, so emit -> parse round trips are value-exact for finite data."""
     return itertools.chain(["#YY  MM DD hh mm ss T   HEIGHT\n"], format_rows(
         _dart_row, _dart_stamps, series.timestamps,
-        [np.asarray(series.values, dtype=float), np.asarray(series.flags) == FLAG_MISSING]))
+        [series.values, series.flags == FLAG_MISSING]))
 
 
 def read_text(source) -> str:
@@ -340,7 +339,7 @@ def _read_csv(lines, header, kinds) -> list:
 
 def write_cleaned_csv(out: CleanedOutput):
     """CSV chunks with 6-decimal floats and 0/1 anomaly flags, one row per sample."""
-    columns = [np.asarray(c) for c in (out.raw, out.cleaned, out.spike, out.step, out.residual)]
+    columns = [out.raw, out.cleaned, out.spike, out.step, out.residual]
     return itertools.chain(
         [CSV_HEADER + "\n"], format_rows(CSV_ROW.__mod__, iso8601, out.timestamps, columns))
 

@@ -122,7 +122,6 @@ def train(model, X, config: TrainConfig):
     fraction of windows, so the same seed always yields the same split,
     batches, and numeric trajectory.
     """
-    X = np.asarray(X, dtype=float)
     if X.size == 0:
         raise DataError("no training windows supplied")
     n_windows = X.shape[0]

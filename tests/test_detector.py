@@ -201,11 +201,11 @@ class TestHybridScore:
         assert score[10] == pytest.approx(0.7)
         assert score[20] == pytest.approx(0.3)
         assert list(idx) == [10, 20]
-        assert np.array_equal(np.flatnonzero(hybrid_score(re, stat, hybrid_alpha=0.7)), idx)
+        assert np.array_equal(np.flatnonzero(hybrid_score(re, stat, hybrid_alpha=0.7, kappa=3.0)), idx)
         for _ in range(20):
             re, stat = np.abs(rng.standard_cauchy(size=(2, 500)))
             _, idx = oracle_hybrid_score(re, stat, hybrid_alpha=0.7)
-            assert np.array_equal(np.flatnonzero(hybrid_score(re, stat, hybrid_alpha=0.7)), idx)
+            assert np.array_equal(np.flatnonzero(hybrid_score(re, stat, hybrid_alpha=0.7, kappa=3.0)), idx)
 
     def test_alpha_one_matches_scaled_re_threshold(self, rng):
         re = np.abs(rng.normal(size=1000))
@@ -222,12 +222,12 @@ class TestHybridScore:
         re = np.abs(rng.normal(size=200))
         score, idx = oracle_hybrid_score(re, np.zeros(200), hybrid_alpha=0.7)
         assert np.array_equal(score, 0.7 * ((re - re.min()) / (re.max() - re.min())))
-        mask = hybrid_score(re, np.zeros(200), hybrid_alpha=0.7)
+        mask = hybrid_score(re, np.zeros(200), hybrid_alpha=0.7, kappa=3.0)
         assert idx.size and np.array_equal(np.flatnonzero(mask), idx)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
-            hybrid_score(np.zeros(5), np.zeros(6))
+            hybrid_score(np.zeros(5), np.zeros(6), 0.7, 3.0)
 
 
 class TestMergeSegments:

@@ -31,6 +31,14 @@ The checkpoint format is pinned by the digest of the text
 ``save_checkpoint`` returns for the seeded 128/64/32 model with fixed
 normalisation statistics, so a change to the format has to change this
 digest on purpose.  It involves no matrix product either.
+
+The gapped, drifting synth series is cleaned as the acceptance series
+are, so its 9999 sentinel rows, gap filling and normalisation are pinned
+too.  On the same series, a 1-epoch ``dartclean train`` of a seeded
+128/64/32 model pins the train log and the checkpoint text it writes, and
+``dartclean latent`` with the untrained seeded model pins the latent
+projection.  These run matrix products, so the BLAS caveat above holds
+for them.
 """
 
 import hashlib
@@ -42,6 +50,7 @@ from dartclean import series_io, synth
 from dartclean.cli import main
 from dartclean.model import ModelConfig, Vae
 from dartclean.preprocess import NormStats, fill_gaps, zscore_normalize
+from dartclean.series_io import build_section
 
 SPECS = {
     "spike": synth.SynthSpec(n=20000, cadence=900.0, noise_sigma=0.05,
@@ -60,6 +69,9 @@ SYNTH_SPECS = {
                          drift="linear", drift_rate=3e-6, gap_count=12,
                          gap_len_range=[2, 8], seed=365),
 }
+
+# the spec ``dartclean synth`` builds from the config
+SPECS["gapped-drift"] = build_section(synth.SynthSpec, SYNTH_SPECS["gapped-drift"], "synth")
 
 SYNTH_GOLDEN = {
     "spike": {
@@ -93,7 +105,24 @@ GOLDEN = {
         "iterations.csv":
             "23ff627306c07a5d8195ca07caec412cd1516c3509786388e92098637c2bd696",
     },
+    "gapped-drift": {
+        "cleaned.csv":
+            "deb6ee9e7aad77982a0fb6722fa02c5c63e74eb95c5b5647131084a99d333249",
+        "segments.json":
+            "210c6ca007b504705a3ae24f81bef44b6f858302a696c3a3638c15f818ef401a",
+        "iterations.csv":
+            "5ac7df5a35688c43d2c963155e38dc25393692e5232a1af077cc06585566fb02",
+    },
 }
+
+TRAIN_GOLDEN = {
+    "model.json":
+        "c3feecc7a8c850479568c653d9cfba9011ee6ccf69c8b76f91b2f7663b26dd2f",
+    "model.json.train.csv":
+        "17596555935579b96dc81094ce4659bc26f74b45e9e57f2f02cad9f6c7b69218",
+}
+
+LATENT_GOLDEN = "1b6b4a452b5ca94d5faa3622c60229a37b0bdd17d37aaea7517aa0aecff97368"
 
 EVAL_GOLDEN = "e87505ad61d81733a5354124aef42b23dadf8ededd0673176acc9c5570c65864"
 
@@ -101,23 +130,34 @@ EVAL_GOLDEN = "e87505ad61d81733a5354124aef42b23dadf8ededd0673176acc9c5570c65864"
 CHECKPOINT_GOLDEN = "1120a0f117ed4cc1ac2d58bdaf5bdbd5946dde44b51d0058e5e7432f1d697f6a"
 
 
-def clean_digests(tmp_path, spec) -> dict:
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run(tmp_path, command, **config):
+    cfg = tmp_path / f"{command}.cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 0
+
+
+def write_series(tmp_path, spec, checkpoint=True):
+    """``spec``'s series as ``series.dart`` and, if ``checkpoint``, the
+    untrained seeded model with the series' own statistics as ``model.json``."""
     raw = synth.generate(spec).to_raw_series()
     (tmp_path / "series.dart").write_text("".join(series_io.emit_dart(raw)))
-    model = Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)
-    stats = zscore_normalize(fill_gaps(raw)).stats
-    (tmp_path / "model.json").write_text(series_io.save_checkpoint(model, stats))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "input": str(tmp_path / "series.dart"),
-        "checkpoint": str(tmp_path / "model.json"),
-        "output": str(tmp_path / "cleaned.csv"),
-        "segments": str(tmp_path / "segments.json"),
-        "iteration_log": str(tmp_path / "iterations.csv"),
-    }))
-    assert main(["clean", "--config", str(cfg)]) == 0
-    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in GOLDEN["spike"]}
+    if checkpoint:
+        model = Vae(ModelConfig(hidden=(128, 64, 32)), seed=0)
+        stats = zscore_normalize(fill_gaps(raw)).stats
+        (tmp_path / "model.json").write_text(series_io.save_checkpoint(model, stats))
+
+
+def clean_digests(tmp_path, spec) -> dict:
+    write_series(tmp_path, spec)
+    run(tmp_path, "clean", input=str(tmp_path / "series.dart"),
+        checkpoint=str(tmp_path / "model.json"), output=str(tmp_path / "cleaned.csv"),
+        segments=str(tmp_path / "segments.json"),
+        iteration_log=str(tmp_path / "iterations.csv"))
+    return {name: digest(tmp_path / name) for name in GOLDEN["spike"]}
 
 
 @pytest.mark.parametrize("series", sorted(SPECS))
@@ -130,29 +170,37 @@ def test_eval_output_digest(tmp_path):
     assert clean_digests(tmp_path, spec) == GOLDEN["spike"]
     truth = series_io.write_ground_truth(synth.generate(spec), spec)
     (tmp_path / "truth.csv").write_text("".join(truth))
-    cfg = tmp_path / "eval.cfg.json"
-    cfg.write_text(json.dumps({"input": str(tmp_path / "cleaned.csv"),
-                               "ground_truth": str(tmp_path / "truth.csv"),
-                               "output": str(tmp_path / "eval.json")}))
-    assert main(["eval", "--config", str(cfg)]) == 0
-    assert hashlib.sha256((tmp_path / "eval.json").read_bytes()).hexdigest() == EVAL_GOLDEN
+    run(tmp_path, "eval", input=str(tmp_path / "cleaned.csv"),
+        ground_truth=str(tmp_path / "truth.csv"), output=str(tmp_path / "eval.json"))
+    assert digest(tmp_path / "eval.json") == EVAL_GOLDEN
 
 
 @pytest.mark.parametrize("spec", sorted(SYNTH_SPECS))
 def test_synth_output_digests(tmp_path, spec):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"output": str(tmp_path / "series.dart"),
-                               "ground_truth": str(tmp_path / "truth.csv"),
-                               "synth": SYNTH_SPECS[spec]}))
-    assert main(["synth", "--config", str(cfg)]) == 0
+    run(tmp_path, "synth", output=str(tmp_path / "series.dart"),
+        ground_truth=str(tmp_path / "truth.csv"), synth=SYNTH_SPECS[spec])
     if spec == "gapped-drift":
         assert "1 9999.000\n" in (tmp_path / "series.dart").read_text()
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in SYNTH_GOLDEN[spec]}
-    assert digests == SYNTH_GOLDEN[spec]
+    assert {name: digest(tmp_path / name) for name in SYNTH_GOLDEN[spec]} \
+        == SYNTH_GOLDEN[spec]
 
 
 def test_checkpoint_digest():
     text = series_io.save_checkpoint(Vae(ModelConfig(hidden=(128, 64, 32)), seed=0),
                                      NormStats(mean=2584.25, std=0.0625))
     assert hashlib.sha256(text.encode()).hexdigest() == CHECKPOINT_GOLDEN
+
+
+def test_train_output_digests(tmp_path):
+    write_series(tmp_path, SPECS["gapped-drift"], checkpoint=False)
+    run(tmp_path, "train", input=str(tmp_path / "series.dart"),
+        checkpoint=str(tmp_path / "model.json"), verbosity=0,
+        model={"hidden": [128, 64, 32]}, train={"epochs": 1})
+    assert {name: digest(tmp_path / name) for name in TRAIN_GOLDEN} == TRAIN_GOLDEN
+
+
+def test_latent_output_digest(tmp_path):
+    write_series(tmp_path, SPECS["gapped-drift"])
+    run(tmp_path, "latent", input=str(tmp_path / "series.dart"),
+        checkpoint=str(tmp_path / "model.json"), output=str(tmp_path / "latent.csv"))
+    assert digest(tmp_path / "latent.csv") == LATENT_GOLDEN

@@ -4,7 +4,8 @@ so is every member of a package class unless a named file outside the
 package reads it, no package module reads the environment, no package
 module but ``blocks`` touches threads or CPU affinity, only ``model``
 sets NumPy's buffer size, only ``series_io.write_files`` writes a file,
-and no package code outside an ``__init__`` rebinds a model array.
+no package code outside an ``__init__`` rebinds a model array, and only
+the functions of ``CONVERSIONS`` call ``np.asarray``.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
@@ -299,6 +300,45 @@ def test_buffer_size_is_set_in_infer_scopes_alone(path):
     assert mentions == len(scoped), \
         f"{path.name} names setbufsize outside the first statement of a bare np.errstate()"
     assert bool(scoped) == (path.name == "model.py"), f"{path.name}: {len(scoped)} scopes"
+
+
+# the functions that may call np.asarray, each with what it converts: the
+# readers, ``synth`` and each stage before hand a stage float64 and bool
+# arrays, so a stage takes the array its caller holds
+CONVERSIONS = {
+    "detector._true_runs": "a bool mask to int8, so that np.diff gives +-1",
+    "metrics.match_events": "the true starts: the acceptance gate passes a list",
+    "series_io._entry": "a version 1 or 2 checkpoint's nested JSON lists",
+    "series_io._utc_seconds": "stamps to float64 for the rounding to whole seconds",
+    "synth.generate": "the Python lists of event indices and step magnitudes",
+}
+
+
+def top_level_functions(tree, module):
+    """``(module.function or module.Class.method, node)`` of each function
+    defined at the top of the module or of one of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{module}.{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_inputs_are_converted_in_the_listed_functions_alone(path):
+    tree = ast.parse(path.read_text())
+    functions = dict(top_level_functions(tree, path.stem))
+    inside = {id(sub) for name, node in functions.items() if name in CONVERSIONS
+              for sub in ast.walk(node)}
+    outside = [node.lineno for node in ast.walk(tree)
+               if called(node, "asarray") and id(node) not in inside]
+    assert not outside, f"{path.name} calls np.asarray outside CONVERSIONS: {outside}"
+    for name in CONVERSIONS:
+        if name.partition(".")[0] == path.stem:
+            assert name in functions, f"{name} is no longer defined"
+            assert any(called(sub, "asarray") for sub in ast.walk(functions[name])), \
+                f"{name} no longer calls np.asarray; drop it from CONVERSIONS"
 
 
 # attributes that hold a model's checkpointed arrays

@@ -202,7 +202,7 @@ class TestAdam:
 
     def test_non_finite_gradient_aborts(self):
         w = np.array([1.0])
-        opt = Adam(w, 1)
+        opt = Adam(w, 1, weight_decay=1e-5)
         with pytest.raises(NumericError):
             opt.step(np.array([np.nan]), lr=0.1)
         assert w[0] == 1.0

@@ -14,6 +14,9 @@ from dartclean.postprocess import (
 
 from tests.oracles import oracle_validate_steps
 
+# the step windows and threshold of ``DetectConfig()``, as these tests were written for
+W_L, TAU_L, W_S = 480, 0.05, 48
+
 
 class TestKernel:
     def test_normalized(self):
@@ -95,7 +98,7 @@ class TestValidateSteps:
         x = self._step_series()
         mask = np.zeros(2000, dtype=bool)
         mask[1000] = True
-        validated, warned = validate_steps(x, mask, np.zeros(2000, dtype=bool))
+        validated, warned = validate_steps(x, mask, np.zeros(2000, dtype=bool), W_L, TAU_L, W_S)
         assert validated[1000]
         assert not warned
 
@@ -103,7 +106,7 @@ class TestValidateSteps:
         x = self._step_series(mag=0.01)
         mask = np.zeros(2000, dtype=bool)
         mask[1000] = True
-        validated, _ = validate_steps(x, mask, np.zeros(2000, dtype=bool))
+        validated, _ = validate_steps(x, mask, np.zeros(2000, dtype=bool), W_L, TAU_L, W_S)
         assert not validated.any()
 
     def test_spike_overlap_drops_step(self):
@@ -112,21 +115,21 @@ class TestValidateSteps:
         mask[1000] = True
         spikes = np.zeros(2000, dtype=bool)
         spikes[1010] = True  # within w_s of the step
-        validated, _ = validate_steps(x, mask, spikes)
+        validated, _ = validate_steps(x, mask, spikes, W_L, TAU_L, W_S)
         assert not validated.any()
 
     def test_edge_step_retained_with_warning(self):
         x = self._step_series(n=600, loc=100)
         mask = np.zeros(600, dtype=bool)
         mask[100] = True  # half-window of 240 does not fit on the left
-        validated, warned = validate_steps(x, mask, np.zeros(600, dtype=bool))
+        validated, warned = validate_steps(x, mask, np.zeros(600, dtype=bool), W_L, TAU_L, W_S)
         assert validated[100]
         assert warned == [100]
 
     def test_never_adds_steps(self, rng):
         x = rng.normal(size=2000)
         mask = rng.random(2000) < 0.01
-        validated, _ = validate_steps(x, mask, np.zeros(2000, dtype=bool))
+        validated, _ = validate_steps(x, mask, np.zeros(2000, dtype=bool), W_L, TAU_L, W_S)
         assert not validated[~mask].any()
 
 
@@ -160,7 +163,7 @@ class TestRealignSteps:
         x[1200:] += 0.8
         mask = np.zeros(2000, dtype=bool)
         mask[1200] = True
-        out = realign_steps(x, mask)
+        out = realign_steps(x, mask, W_L)
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_consecutive_steps_compose(self):
@@ -169,12 +172,12 @@ class TestRealignSteps:
         x[2500:] -= 0.3
         mask = np.zeros(4000, dtype=bool)
         mask[1000] = mask[2500] = True
-        out = realign_steps(x, mask)
+        out = realign_steps(x, mask, W_L)
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_no_steps_is_identity(self, rng):
         x = rng.normal(size=1000)
-        out = realign_steps(x, np.zeros(1000, dtype=bool))
+        out = realign_steps(x, np.zeros(1000, dtype=bool), W_L)
         assert np.array_equal(out, x)
 
     def test_input_not_mutated(self):
@@ -183,5 +186,5 @@ class TestRealignSteps:
         snapshot = x.copy()
         mask = np.zeros(2000, dtype=bool)
         mask[900] = True
-        realign_steps(x, mask)
+        realign_steps(x, mask, W_L)
         assert np.array_equal(x, snapshot)

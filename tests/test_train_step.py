@@ -364,7 +364,7 @@ def test_adam_decays_exactly_the_prefix():
 def test_adam_non_finite_last_gradient_leaves_everything_untouched():
     rng = np.random.default_rng(4)
     params = rng.normal(size=200 * 120 + 400)
-    opt = Adam(params, 200 * 120)
+    opt = Adam(params, 200 * 120, weight_decay=1e-5)
     for _ in range(3):
         opt.step(rng.normal(size=params.size), lr=1e-3)
     before = (params.copy(), opt.m.copy(), opt.v.copy(), opt.t)
@@ -380,9 +380,9 @@ def test_adam_non_finite_last_gradient_leaves_everything_untouched():
 
 def test_adam_rejects_parameters_it_cannot_update_in_place():
     with pytest.raises(ConfigError, match="C-contiguous"):
-        Adam(np.zeros((4, 6))[:, ::2], 0)
+        Adam(np.zeros((4, 6))[:, ::2], 0, weight_decay=1e-5)
     with pytest.raises(ConfigError, match="C-contiguous"):
-        Adam(np.zeros((4, 6)), 0)
+        Adam(np.zeros((4, 6)), 0, weight_decay=1e-5)
 
 
 def negative_zeros(a) -> int:
@@ -393,7 +393,7 @@ def test_single_step_accumulation_skip_is_bit_identical_with_negative_zeros():
     """The mean of one accumulated gradient is ``0.0 + g``, which turns
     -0.0 into +0.0; the optimizer must not tell the two apart."""
     flat, params, _, decayed, _ = adam_pair(1)
-    opt, ref = Adam(flat, decayed), Adam(flat.copy(), decayed)
+    opt, ref = Adam(flat, decayed, 1e-5), Adam(flat.copy(), decayed, 1e-5)
     rng = np.random.default_rng(9)
     for step in range(12):
         grad = flat_views(adam_grads(params, rng), dense_weights_first(params))[0]
