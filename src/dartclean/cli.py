@@ -5,8 +5,8 @@
 
 All behavior is driven by a JSON config document; ``--set`` overrides use
 dotted paths (e.g. ``--set train.epochs=50``).  Unknown config keys are
-rejected.  Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-error, 1 any other package error or running out of memory.
+rejected.  Exit codes: 0 success, a package error's ``exit_status`` (see
+``errors``), 1 on running out of memory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import detector, metrics, pipeline, postprocess, refiner, series_io, synth, trainer
-from .errors import ConfigError, DartCleanError, DataError, NumericError
+from .errors import ConfigError, DartCleanError, DataError
 from .model import ModelConfig, Vae
 from .preprocess import fill_gaps, make_windows, zscore_normalize
 from .series_io import build_section, read_ground_truth, typed
@@ -233,18 +233,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides, args.seed)
         series_io.write_files(COMMANDS[args.command](cfg))
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
     except DartCleanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_status
     except MemoryError as exc:
         print(f"error: dartclean {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 1

@@ -1,21 +1,25 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError (a
-ParseError or ShapeError among them) -> 3, NumericError -> 4, and any
-other error of the package, or a ``MemoryError``, -> 1.
+Each class carries ``exit_status``, the status the CLI exits with when the
+error reaches it, and ``label``, which starts the one line the CLI prints
+for it; a subclass that sets neither, such as ``ParseError``, ``ShapeError``
+or ``trainer.DivergenceError``, takes its base class's.
 """
 
 
 class DartCleanError(Exception):
     """Base class for all package errors."""
+    exit_status, label = 1, "error"
 
 
 class ConfigError(DartCleanError):
     """Invalid configuration value or combination."""
+    exit_status, label = 2, "config error"
 
 
 class DataError(DartCleanError):
     """Bad or insufficient input data (parse failures, short series, ...)."""
+    exit_status, label = 3, "data error"
 
 
 class ParseError(DataError):
@@ -34,3 +38,4 @@ class ShapeError(DataError):
 
 class NumericError(DartCleanError):
     """Non-finite values or divergence during numeric computation."""
+    exit_status, label = 4, "numeric error"

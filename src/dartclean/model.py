@@ -19,7 +19,7 @@ overlap-added as it is decoded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -134,17 +134,7 @@ class LossBreakdown:
     temporal: float
     mean: float
     beta_t: float
-    lam_temporal: float
-    lam_mean: float
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        self.total = (
-            self.recon
-            + self.beta_t * self.kl
-            + self.lam_temporal * self.temporal
-            + self.lam_mean * self.mean
-        )
+    total: float
 
 
 def kl_divergence(latent: LatentState) -> float:
@@ -404,8 +394,8 @@ class Vae:
         return self._loss_terms(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)[0]
 
     def _loss_terms(self, X, xhat, latent, step, t_anneal, lam_temporal, lam_mean):
-        """:meth:`composite_loss` and the temporal gap
-        ``diff(xhat) - diff(X)`` it squares, which the gradient reuses."""
+        """:meth:`composite_loss` and the gaps it takes, ``diff(xhat) - diff(X)``
+        and ``mean(X) - mean(xhat)``, which the gradient reuses."""
         if X.shape != xhat.shape:
             raise ShapeError("loss inputs must share a shape")
         if X.shape[1] < 2:
@@ -414,11 +404,11 @@ class Vae:
         kl = kl_divergence(latent)
         gap = np.diff(xhat, axis=1) - np.diff(X, axis=1)
         temporal = float(np.mean(gap ** 2))
-        mean_pen = float(abs(X.mean() - xhat.mean()))
+        mean_gap = X.mean() - xhat.mean()
+        mean_pen = float(abs(mean_gap))
         beta_t = min(1.0, step / t_anneal) if t_anneal > 0 else 1.0
-        lb = LossBreakdown(recon=recon, kl=kl, temporal=temporal, mean=mean_pen,
-                           beta_t=beta_t, lam_temporal=lam_temporal, lam_mean=lam_mean)
-        return lb, gap
+        total = recon + beta_t * kl + lam_temporal * temporal + lam_mean * mean_pen
+        return LossBreakdown(recon, kl, temporal, mean_pen, beta_t, total), gap, mean_gap
 
     def loss_and_grads(self, X: np.ndarray, step: int, rng=None, eps=None,
                        t_anneal: int = 5000, lam_temporal: float = 0.1,
@@ -431,14 +421,14 @@ class Vae:
         call overwrites."""
         latent, enc_cache = self.encode(X, rng=rng, eps=eps)
         xhat, dec_cache = self.decode(latent.z, X, rng=rng)
-        lb, gap = self._loss_terms(X, xhat, latent, step, t_anneal, lam_temporal, lam_mean)
+        lb, gap, mean_gap = self._loss_terms(X, xhat, latent, step, t_anneal, lam_temporal,
+                                             lam_mean)
 
         n_batch, w = X.shape
         gxhat = 2.0 * (xhat - X) / (n_batch * w)
         gdiff = lam_temporal * 2.0 * gap / (n_batch * (w - 1))
         gxhat[:, 1:] += gdiff
         gxhat[:, :-1] -= gdiff
-        mean_gap = X.mean() - xhat.mean()
         gxhat += lam_mean * (-np.sign(mean_gap)) / (n_batch * w)
 
         grads = {}

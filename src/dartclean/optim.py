@@ -18,24 +18,18 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def global_norm(grad: np.ndarray, spans) -> float:
-    """L2 norm of the flat gradient ``grad``: squared in one pass, then one
+def clip_by_global_norm(grad: np.ndarray, spans, tau: float) -> float:
+    """Scale the flat gradient ``grad`` in place by min(1, tau / ||g||_2)
+    and return the L2 norm ||g||_2: squared in one pass, then one
     ``np.sum`` per slice of ``spans``, totalled as a Python float in their
     order, which rounds as summing each gradient array on its own does."""
     squares = np.square(grad)
     total = 0.0
     for span in spans:
         total += float(np.sum(squares[span]))
-    return math.sqrt(total)
-
-
-def clip_by_global_norm(grad: np.ndarray, spans, tau: float) -> float:
-    """Scale the flat gradient ``grad`` in place by min(1, tau / ||g||_2);
-    returns the norm, summed over ``spans`` as :func:`global_norm` does."""
-    norm = global_norm(grad, spans)
-    scale = min(1.0, tau / norm) if norm > 0 else 1.0
-    if scale < 1.0:
-        grad *= scale
+    norm = math.sqrt(total)
+    if norm > 0 and tau / norm < 1.0:
+        grad *= tau / norm
     return norm
 
 

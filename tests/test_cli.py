@@ -10,9 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dartclean import cli, series_io, synth
+from dartclean import cli, series_io, synth, trainer
 from dartclean.cli import _method_metrics, load_config, main, read_ground_truth
-from dartclean.errors import ConfigError, ParseError
+from dartclean.errors import (
+    ConfigError,
+    DartCleanError,
+    DataError,
+    NumericError,
+    ParseError,
+    ShapeError,
+)
 from tests.conftest import as_version_2, traced_peak
 
 
@@ -310,6 +317,22 @@ class TestCmdTrain:
         code, peak = traced_peak(main, ["train", "--config", cfg])
         assert code == 0
         assert peak < 19953 * 48 * 8, f"{peak / 2**20:.2f} MiB"
+
+    def test_diverging_run_exits_4_and_writes_its_log_alone(self, tmp_path, capsys):
+        # a global skip of 1e160 makes every reconstruction error overflow,
+        # so the first three batches have a non-finite loss
+        cfg, dart = _synth_args(tmp_path, n=1500)
+        assert main(["synth", "--config", cfg]) == 0
+        checkpoint, log = tmp_path / "ck.json", tmp_path / "train.csv"
+        cfg = _write_config(tmp_path, name="train.json", input=str(dart),
+                            checkpoint=str(checkpoint), train_log=str(log),
+                            model={"hidden": [16, 8, 4]})
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--set", "model.beta0=1e160"]) == 4
+        assert capsys.readouterr().err == (
+            "numeric error: non-finite loss for 3 consecutive batches\n")
+        assert log.read_text() == trainer.LOG_HEADER + "\n"
+        assert not checkpoint.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path, nonsense=True)
@@ -951,6 +974,29 @@ class TestMainErrors:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("error, status, err", [
+        (DartCleanError("boom"), 1, "error: boom"),
+        (ConfigError("boom"), 2, "config error: boom"),
+        (DataError("boom"), 3, "data error: boom"),
+        (ParseError("boom", line_number=7), 3, "data error: line 7: boom"),
+        (ShapeError("boom"), 3, "data error: boom"),
+        (NumericError("boom"), 4, "numeric error: boom"),
+        (trainer.DivergenceError("boom", trainer.TrainLog()), 4, "numeric error: boom"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_each_error_exits_with_its_status_and_label(self, tmp_path, monkeypatch, capsys,
+                                                       error, status, err):
+        run = cli.COMMANDS["synth"]
+
+        def fails(cfg):
+            run(cfg)
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "synth", fails)
+        output = f"output={tmp_path / 'series.dart'}"
+        assert main(["synth", "--set", "synth.n=300", "--set", output]) == status
+        assert capsys.readouterr().err == err + "\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # the child's address space, capped in the child alone: an allocation past

@@ -4,8 +4,10 @@ so is every member of a package class unless a named file outside the
 package reads it, no package module reads the environment, no package
 module but ``blocks`` touches threads or CPU affinity, only ``model``
 sets NumPy's buffer size, only ``series_io.write_files`` writes a file,
-no package code outside an ``__init__`` rebinds a model array, and only
-the functions of ``CONVERSIONS`` call ``np.asarray``.
+no package code outside an ``__init__`` rebinds a model array, only
+the functions of ``CONVERSIONS`` call ``np.asarray``, and ``cli.main``
+has one handler for every package error, each of which carries its exit
+status and label.
 
 No linter ships with the project, so this parses each module: an import
 that nothing reads, and that the module's ``__all__`` does not list, is
@@ -123,8 +125,6 @@ SHARED = {
     "eps": {"BatchNorm", "LatentState"},
     "forward": {"BatchNorm", "Dense"},
     "kl": {"EpochRecord", "LossBreakdown"},
-    "lam_mean": {"LossBreakdown", "TrainConfig"},
-    "lam_temporal": {"LossBreakdown", "TrainConfig"},
     "log": {"DivergenceError", "RefineResult"},
     "mean": {"EpochRecord", "LossBreakdown", "NormStats"},
     "params": {"Adam", "Vae"},
@@ -445,3 +445,42 @@ def test_each_parameter_set_outside_is_still_set_there_alone(name):
     setter = SET_OUTSIDE[name]
     assert passes(ast.parse((ROOT / setter).read_text()), *call), \
         f"{setter} no longer passes {name}"
+
+
+def class_constants(node):
+    """Each constant a class body binds by plain or tuple assignment."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                pairs = zip(target.elts, stmt.value.elts) if isinstance(target, ast.Tuple) \
+                    else [(target, stmt.value)]
+                yield from ((t.id, ast.literal_eval(v)) for t, v in pairs)
+
+
+def test_each_error_carries_its_exit_status_and_cli_has_one_handler():
+    # an error's exit status and label live on its class alone: cli.main
+    # catches the base class and returns what the error carries
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(handler.type) if handler.type else "everything"
+              for node in ast.walk(main) if isinstance(node, ast.Try)
+              for handler in node.handlers]
+    assert sorted(caught) == ["DartCleanError", "MemoryError"], f"cli.main catches {caught}"
+    classes = {node.name: (node, [ast.unparse(base) for base in node.bases])
+               for module in sorted(PACKAGE.glob("*.py"))
+               for node in ast.parse(module.read_text()).body if isinstance(node, ast.ClassDef)}
+
+    def lineage(name):
+        while name in classes:
+            yield name
+            name = classes[name][1][0] if classes[name][1] else None
+
+    errors = [name for name in classes if "DartCleanError" in lineage(name)]
+    assert {"ConfigError", "DataError", "NumericError", "DivergenceError"} <= set(errors)
+    for name in errors:
+        carried = {}
+        for cls in reversed(list(lineage(name))):
+            carried |= dict(class_constants(classes[cls][0]))
+        assert carried.get("exit_status") in {1, 2, 3, 4}, f"{name} has no exit status"
+        assert isinstance(carried.get("label"), str), f"{name} has no label"

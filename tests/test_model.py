@@ -167,7 +167,7 @@ class TestCompositeLoss:
         lb = model.composite_loss(x, xhat, latent, step=1000, t_anneal=5000,
                                   lam_temporal=0.1, lam_mean=0.1)
         expect = lb.recon + lb.beta_t * lb.kl + 0.1 * lb.temporal + 0.1 * lb.mean
-        assert abs(lb.total - expect) <= 1e-12
+        assert lb.total == expect
 
 
 class TestGlobalSkip:

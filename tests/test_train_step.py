@@ -23,7 +23,6 @@ from dartclean.optim import (
     ADAM_CHUNK,
     Adam,
     clip_by_global_norm,
-    global_norm,
 )
 from dartclean.trainer import EpochRecord, TrainConfig, TrainLog, early_stop_check
 from tests.conftest import perturbed_model, standalone_layers
@@ -427,8 +426,9 @@ def test_global_norm_matches_oracle():
     grads = {f"g{i}": rng.normal(size=shape) for i, shape in
              enumerate([(128, 512), (512,), (), (48, 512)])}
     flat, _, spans = flat_views(grads, ["g3", "g1", "g0", "g2"])
-    assert global_norm(flat, spans.values()) == oracle_clip_by_global_norm(grads, 1.0)[1]
-    assert global_norm(np.empty(0), []) == 0.0
+    norm = clip_by_global_norm(flat, spans.values(), math.inf)
+    assert norm == oracle_clip_by_global_norm(grads, 1.0)[1]
+    assert clip_by_global_norm(np.empty(0), [], math.inf) == 0.0
 
 
 # ----------------------------------------------------------------- model
